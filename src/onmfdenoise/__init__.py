@@ -24,13 +24,15 @@ from .onmf import (
 )
 from .pipeline import (
     DenoiseConfig,
+    DenoiseResult,
     SeparationResult,
     apply_mask,
     concat_dictionaries,
     denoise,
+    denoise_spectrogram,
     separate,
     train_dictionaries,
 )
-from .stft import Spectrogram, StftParams, istft, rebuild_with_phases, stft
+from .stft import Spectrogram, StftParams, istft, stft
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import audio_io, metrics, nmf, onmf, pipeline
-from .errors import DenoiseError
+from .errors import DenoiseError, InvalidConfigError
 from .stft import StftParams, export_csv, export_pgm
 from .stft import stft as compute_stft
 
@@ -42,6 +42,18 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _parse_bool(key: str, raw: str) -> bool:
+    try:
+        return _BOOLS[raw.lower()]
+    except KeyError:
+        raise InvalidConfigError(
+            f"{key} = {raw!r}: expected true/false, yes/no or 1/0"
+        ) from None
+
+
 def _merge(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
     """Fill unset (None) options from --config, then from hard defaults."""
     file_vals = _read_config_file(args.config) if getattr(args, "config", None) else {}
@@ -50,8 +62,11 @@ def _merge(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
             continue
         if key in file_vals:
             raw = file_vals[key]
-            caster = type(default) if default is not None else str
-            setattr(args, key, caster(raw))
+            if isinstance(default, bool):
+                value = _parse_bool(key, raw)
+            else:
+                value = (type(default) if default is not None else str)(raw)
+            setattr(args, key, value)
         else:
             setattr(args, key, default)
     return args
@@ -121,7 +136,7 @@ def cmd_train(args) -> int:
         ("signal", args.signal, args.k_signal, args.seed),
         ("noise", args.noise, args.k_noise, args.seed + 1),
     ):
-        spec = compute_stft(audio_io.read_wav(path), params)
+        mags = compute_stft(audio_io.read_wav(path), params).magnitudes
         if cfg.trainer == "batch":
             nmf_cfg = nmf.NmfConfig(
                 k=k,
@@ -130,23 +145,21 @@ def cmd_train(args) -> int:
                 rel_tol=args.rel_tol,
                 seed=seed,
             )
-            dictionary, _, trace = nmf.fit_nmf(spec.magnitudes, nmf_cfg)
+            dictionary, _, trace = nmf.fit_nmf(mags, nmf_cfg)
             final_loss = trace[-1]
         else:
             sampler = onmf.SamplerConfig(
                 mode=args.sampler_mode,
-                batch_cols=min(args.batch_cols, spec.magnitudes.shape[1]),
+                batch_cols=min(args.batch_cols, mags.shape[1]),
                 steps=args.steps,
                 seed=seed,
             )
             log = None
             if args.train_log:
                 log = f"{args.train_log}.{name}.jsonl"
-            dictionary = onmf.fit_onmf(
-                spec.magnitudes, k, args.train_alpha, sampler, log_path=log
-            )
-            H = onmf.sparse_code(spec.magnitudes, dictionary.atoms, args.train_alpha)
-            final_loss = nmf.loss(spec.magnitudes, dictionary.atoms, H, args.train_alpha)
+            dictionary = onmf.fit_onmf(mags, k, args.train_alpha, sampler, log_path=log)
+            H = onmf.sparse_code(mags, dictionary.atoms, args.train_alpha)
+            final_loss = nmf.loss(mags, dictionary.atoms, H, args.train_alpha)
         if not np.isfinite(final_loss):
             raise NumericFailure(f"non-finite training loss for {name} dictionary")
         out_path = os.path.join(args.out_dir, f"w_{name}.dict")
@@ -181,18 +194,15 @@ def cmd_denoise(args) -> int:
         mask_epsilon=args.mask_epsilon,
     )
     result = pipeline.denoise(noisy, w_signal, w_noise, cfg)
-    if not np.all(np.isfinite(result.s_masked)):
-        raise NumericFailure("non-finite values in the masked spectrogram")
+    if not np.all(np.isfinite(result.denoised.samples)):
+        raise NumericFailure("non-finite values in the denoised signal")
     audio_io.write_wav(result.denoised, args.output)
     print(f"denoised {args.input} -> {args.output}")
-    X = compute_stft(noisy, params)
     if args.emit_noise:
-        audio_io.write_wav(
-            pipeline.render_noise(result, X, len(noisy)), args.emit_noise
-        )
+        audio_io.write_wav(pipeline.render_noise(result), args.emit_noise)
     if args.emit_spectrograms:
         base, _ = os.path.splitext(args.output)
-        export_pgm(X.magnitudes, base + ".noisy.pgm")
+        export_pgm(result.mixture.magnitudes, base + ".noisy.pgm")
         export_pgm(result.s_masked, base + ".denoised.pgm")
         export_pgm(result.n_masked, base + ".noise.pgm")
         if args.clean:
@@ -269,6 +279,7 @@ def cmd_sweep(args) -> int:
     clean = audio_io.read_wav(args.clean)
     noise = audio_io.read_wav(args.noise)
     alphas = [float(a) for a in str(args.alphas).split(",") if a.strip()]
+    X = compute_stft(noisy, params)
     rows = []
     for alpha in alphas:
         cfg = pipeline.DenoiseConfig(
@@ -278,9 +289,9 @@ def cmd_sweep(args) -> int:
             stft=params,
             mask_epsilon=args.mask_epsilon,
         )
-        result = pipeline.denoise(noisy, w_signal, w_noise, cfg)
-        if not np.all(np.isfinite(result.s_masked)):
-            raise NumericFailure(f"non-finite mask at alpha={alpha}")
+        result = pipeline.denoise_spectrogram(X, w_signal, w_noise, cfg, len(noisy))
+        if not np.all(np.isfinite(result.denoised.samples)):
+            raise NumericFailure(f"non-finite denoised signal at alpha={alpha}")
         m = min(len(result.denoised), len(clean), len(noise))
         report = metrics.evaluate(
             audio_io.AudioBuffer(result.denoised.samples[:m], noisy.sample_rate_hz),
@@ -305,11 +316,11 @@ def cmd_sweep(args) -> int:
 def cmd_spectrogram(args) -> int:
     args = _merge(args, {"csv": None, **_STFT_DEFAULTS})
     _require_files(args.input)
-    spec = compute_stft(audio_io.read_wav(args.input), _stft_params(args))
-    export_pgm(spec.magnitudes, args.out)
+    mags = compute_stft(audio_io.read_wav(args.input), _stft_params(args)).magnitudes
+    export_pgm(mags, args.out)
     if args.csv:
-        export_csv(spec.magnitudes, args.csv)
-    print(f"spectrogram {spec.magnitudes.shape[0]}x{spec.magnitudes.shape[1]} -> {args.out}")
+        export_csv(mags, args.csv)
+    print(f"spectrogram {mags.shape[0]}x{mags.shape[1]} -> {args.out}")
     return EXIT_OK
 
 

@@ -43,3 +43,7 @@ class LengthMismatchError(DenoiseError):
 
 class ZeroReferenceError(DenoiseError):
     """Reference signal is identically zero."""
+
+
+class NonFiniteInputError(DenoiseError):
+    """Input samples contain NaN or Inf."""

@@ -19,7 +19,7 @@ from .errors import LengthMismatchError, ZeroReferenceError
 
 __all__ = ["EvalReport", "decompose", "evaluate", "INF_DB_CAP"]
 
-# sentinel cap used when a ratio's denominator energy is (numerically) zero
+# sentinel cap used when a ratio's numerator or denominator energy is zero
 INF_DB_CAP = 300.0
 
 # denominator energies below this fraction of the estimate energy count as zero
@@ -64,13 +64,16 @@ def decompose(estimate: AudioBuffer, clean: AudioBuffer, noise: AudioBuffer):
 
 
 def _ratio_db(num: float, den: float) -> float:
+    if num == 0.0:
+        return -math.inf
     if den <= _REL_ZERO * max(num, 1.0):
         return math.inf
     return 10.0 * math.log10(num / den)
 
 
 def evaluate(estimate: AudioBuffer, clean: AudioBuffer, noise: AudioBuffer) -> EvalReport:
-    """Energy-ratio report; zero-denominator ratios become +inf."""
+    """Energy-ratio report; a zero numerator energy (no target in the
+    estimate, as for silence) gives -inf, a zero denominator +inf."""
     s_target, e_interf, e_artif = decompose(estimate, clean, noise)
     et = float(s_target @ s_target)
     ei = float(e_interf @ e_interf)
@@ -84,5 +87,5 @@ def evaluate(estimate: AudioBuffer, clean: AudioBuffer, noise: AudioBuffer) -> E
 
 
 def db_for_csv(value_db: float) -> float:
-    """Cap the +inf sentinel for CSV output."""
-    return min(value_db, INF_DB_CAP)
+    """Cap the +-inf sentinels at +-INF_DB_CAP for CSV output."""
+    return min(max(value_db, -INF_DB_CAP), INF_DB_CAP)

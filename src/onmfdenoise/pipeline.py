@@ -1,10 +1,11 @@
 """End-to-end denoising: train, sparse-code, mask, and resynthesize.
 
 Signal and noise dictionaries are learned from prior recordings, the
-noisy spectrogram is coded against their concatenation, the two partial
-reconstructions are turned into a ratio mask that restores exact
-additivity, and the masked signal magnitudes are inverted with the noisy
-recording's phases.
+noisy spectrogram is coded against their concatenation, and the two
+partial reconstructions are turned into a real ratio mask that restores
+exact additivity. The denoised signal reuses the noisy recording's
+phases: it is the inverse STFT of ``s = ratio * X``, with X the complex
+mixture spectrogram.
 """
 
 from __future__ import annotations
@@ -17,16 +18,18 @@ from .audio_io import AudioBuffer
 from .errors import DimensionMismatchError, EmptyInputError
 from .nmf import Dictionary, NmfConfig, fit_nmf
 from .onmf import SamplerConfig, fit_onmf, sparse_code
-from .stft import Spectrogram, StftParams, rebuild_with_phases, stft
+from .stft import Spectrogram, StftParams, istft, stft
 
 __all__ = [
     "DenoiseConfig",
     "SeparationResult",
+    "DenoiseResult",
     "train_dictionaries",
     "concat_dictionaries",
     "separate",
     "apply_mask",
     "denoise",
+    "denoise_spectrogram",
 ]
 
 
@@ -53,13 +56,32 @@ class DenoiseConfig:
 
 @dataclass(frozen=True)
 class SeparationResult:
+    """Codes of a mixture and the partial reconstructions W @ H they give."""
+
     s_est: np.ndarray
     n_est: np.ndarray
-    s_masked: np.ndarray
-    n_masked: np.ndarray
     h_signal: np.ndarray
     h_noise: np.ndarray
-    denoised: AudioBuffer | None
+
+
+@dataclass(frozen=True)
+class DenoiseResult:
+    """Output of ``denoise``: the mixture spectrogram X, the signal share
+    of each of its cells, the codes, and the resynthesized signal."""
+
+    mixture: Spectrogram
+    ratio: np.ndarray  # (d, n) in [0, 1]
+    h_signal: np.ndarray
+    h_noise: np.ndarray
+    denoised: AudioBuffer
+
+    @property
+    def s_masked(self) -> np.ndarray:
+        return self.ratio * self.mixture.magnitudes
+
+    @property
+    def n_masked(self) -> np.ndarray:
+        return self.mixture.magnitudes - self.s_masked
 
 
 def _fit_one(mags: np.ndarray, k: int, cfg: DenoiseConfig, seed: int) -> Dictionary:
@@ -116,24 +138,32 @@ def separate(
     """Sparse-code X against the concatenated dictionary and split.
 
     The dictionary is frozen here; only the code matrix is optimized.
-    No mask is applied yet (s_masked/n_masked are left equal to the raw
-    estimates until apply_mask).
+    The estimates are frames-major, like the spectrogram, so the masked
+    inverse reads both along the same axis.
     """
     W = concat_dictionaries(w_signal, w_noise)
     H = sparse_code(X.magnitudes, W.atoms, code_alpha)
     h_signal = H[: w_signal.k, :]
     h_noise = H[w_signal.k :, :]
-    s_est = w_signal.atoms @ h_signal
-    n_est = w_noise.atoms @ h_noise
     return SeparationResult(
-        s_est=s_est,
-        n_est=n_est,
-        s_masked=s_est,
-        n_masked=n_est,
+        s_est=(h_signal.T @ w_signal.atoms.T).T,
+        n_est=(h_noise.T @ w_noise.atoms.T).T,
         h_signal=h_signal,
         h_noise=h_noise,
-        denoised=None,
     )
+
+
+def _signal_ratio(
+    s_est: np.ndarray, n_est: np.ndarray, mask_epsilon: float
+) -> np.ndarray:
+    """S/(S+N), or 0.5 where S+N < mask_epsilon; computed in place, so
+    both arguments are overwritten and the first one is returned."""
+    denom = n_est
+    denom += s_est
+    ok = denom >= mask_epsilon
+    np.divide(s_est, denom, out=s_est, where=ok)
+    s_est[~ok] = 0.5
+    return s_est
 
 
 def apply_mask(
@@ -150,12 +180,39 @@ def apply_mask(
     X = np.asarray(X, dtype=np.float64)
     if X.shape != s_est.shape or X.shape != n_est.shape:
         raise DimensionMismatchError("mask operands do not conform")
-    denom = s_est + n_est
-    ok = denom >= mask_epsilon
-    ratio = np.where(ok, s_est / np.where(ok, denom, 1.0), 0.5)
+    ratio = _signal_ratio(
+        np.array(s_est, dtype=np.float64),
+        np.array(n_est, dtype=np.float64),
+        mask_epsilon,
+    )
     s_masked = ratio * X
     n_masked = X - s_masked
     return s_masked, n_masked
+
+
+def denoise_spectrogram(
+    X: Spectrogram,
+    w_signal: Dictionary,
+    w_noise: Dictionary,
+    cfg: DenoiseConfig,
+    n_samples: int,
+) -> DenoiseResult:
+    """Denoise a mixture already transformed with ``X.params``; the output
+    is cut to ``n_samples``. ``cfg.stft`` is not used here."""
+    sep = separate(X, w_signal, w_noise, cfg.code_alpha)
+    # the ratio overwrites the estimates, so no other d x n array is formed;
+    # dropping sep frees the noise estimate before the inverse runs
+    ratio = _signal_ratio(sep.s_est, sep.n_est, cfg.mask_epsilon)
+    h_signal, h_noise = sep.h_signal, sep.h_noise
+    del sep
+    audio = istft(X, mask=ratio)
+    return DenoiseResult(
+        mixture=X,
+        ratio=ratio,
+        h_signal=h_signal,
+        h_noise=h_noise,
+        denoised=AudioBuffer(audio.samples[:n_samples], X.sample_rate_hz),
+    )
 
 
 def denoise(
@@ -163,27 +220,14 @@ def denoise(
     w_signal: Dictionary,
     w_noise: Dictionary,
     cfg: DenoiseConfig,
-) -> SeparationResult:
-    """Full pipeline on a noisy buffer; returns all intermediates."""
-    X = stft(x, cfg.stft)
-    raw = separate(X, w_signal, w_noise, cfg.code_alpha)
-    s_masked, n_masked = apply_mask(
-        X.magnitudes, raw.s_est, raw.n_est, cfg.mask_epsilon
-    )
-    audio = rebuild_with_phases(s_masked, X)
-    samples = audio.samples[: len(x)]
-    return SeparationResult(
-        s_est=raw.s_est,
-        n_est=raw.n_est,
-        s_masked=s_masked,
-        n_masked=n_masked,
-        h_signal=raw.h_signal,
-        h_noise=raw.h_noise,
-        denoised=AudioBuffer(samples, x.sample_rate_hz),
-    )
+) -> DenoiseResult:
+    """Full pipeline on a noisy buffer; returns the mixture spectrogram,
+    the mask and the codes along with the denoised signal."""
+    return denoise_spectrogram(stft(x, cfg.stft), w_signal, w_noise, cfg, len(x))
 
 
-def render_noise(result: SeparationResult, X: Spectrogram, length: int) -> AudioBuffer:
-    """Resynthesize the masked noise part with the mixture's phases."""
-    audio = rebuild_with_phases(result.n_masked, X)
-    return AudioBuffer(audio.samples[:length], X.sample_rate_hz)
+def render_noise(result: DenoiseResult) -> AudioBuffer:
+    """Resynthesize the masked noise part, (1 - ratio) * X, with the
+    mixture's phases, as long as the denoised signal."""
+    audio = istft(result.mixture, mask=1.0 - result.ratio)
+    return AudioBuffer(audio.samples[: len(result.denoised)], audio.sample_rate_hz)

@@ -5,6 +5,11 @@ zero-padded so every input sample is covered. Only non-negative
 frequency bins are kept (d = fft_len/2 + 1). Reconstruction uses
 overlap-add with window-square normalization, which is exact in the
 interior for Hann windows at 50% or 75% overlap.
+
+A ``Spectrogram`` keeps the complex values, so resynthesis after masking
+reuses the mixture's phases: ``istft(X, mask=ratio)`` inverts
+``s = ratio * X`` without ever forming the phase factors or the whole
+masked spectrum. Both directions work on blocks of frames.
 """
 
 from __future__ import annotations
@@ -12,19 +17,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioBuffer
-from .errors import BufferTooShortError, DimensionMismatchError, InvalidParamsError
+from .errors import (
+    BufferTooShortError,
+    DimensionMismatchError,
+    InvalidParamsError,
+    NonFiniteInputError,
+)
 
 __all__ = [
     "StftParams",
     "Spectrogram",
     "stft",
     "istft",
-    "rebuild_with_phases",
     "export_pgm",
     "export_csv",
 ]
+
+# frames per transform block: large enough to amortize the per-call cost
+# of the FFT, small enough that a block's temporaries stay in cache
+BLOCK_FRAMES = 64
 
 
 @dataclass(frozen=True)
@@ -58,50 +72,50 @@ class StftParams:
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """Magnitudes and phases of an STFT, bins x frames."""
+    """Complex STFT, bins x frames.
 
-    magnitudes: np.ndarray  # (d, n), >= 0
-    phases: np.ndarray  # (d, n), in (-pi, pi]
+    ``values`` is normally the transposed view of the frames-major array
+    that ``stft`` fills, so each frame's bins are contiguous in memory.
+    """
+
+    values: np.ndarray  # (d, n), complex
     params: StftParams
     sample_rate_hz: int
 
-    def __post_init__(self):
-        if self.magnitudes.shape != self.phases.shape:
-            raise DimensionMismatchError("magnitudes and phases shapes differ")
-
     @property
     def n_frames(self) -> int:
-        return self.magnitudes.shape[1]
+        return self.values.shape[1]
 
-
-def _frame(samples: np.ndarray, params: StftParams) -> np.ndarray:
-    """Slice a signal into overlapping frames, zero-padding the tail."""
-    win_len, hop = params.window_len, params.hop
-    n = samples.shape[0]
-    n_frames = 1 + int(np.ceil(max(0, n - win_len) / hop))
-    padded = np.zeros((n_frames - 1) * hop + win_len)
-    padded[:n] = samples
-    idx = np.arange(win_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    return padded[idx]
+    @property
+    def magnitudes(self) -> np.ndarray:
+        """|values|, computed on each access and not kept: a caller that
+        needs them more than once holds on to the array itself."""
+        return np.abs(self.values)
 
 
 def stft(buf: AudioBuffer, params: StftParams | None = None) -> Spectrogram:
-    """Forward transform of a mono buffer to magnitudes and phases."""
+    """Forward transform of a mono buffer, computed BLOCK_FRAMES frames at
+    a time into one preallocated frames-major array."""
     params = params or StftParams()
+    if not np.all(np.isfinite(buf.samples)):
+        raise NonFiniteInputError("input holds NaN or Inf samples")
     if len(buf) < params.window_len:
         raise BufferTooShortError(
             f"buffer has {len(buf)} samples, window needs {params.window_len}"
         )
-    frames = _frame(buf.samples, params) * params.window()[None, :]
-    spec = np.fft.rfft(frames, n=params.fft_len, axis=1).T  # (d, n_frames)
-    mags = np.abs(spec)
-    assert np.all(mags >= 0)
-    return Spectrogram(
-        magnitudes=mags,
-        phases=np.angle(spec),
-        params=params,
-        sample_rate_hz=buf.sample_rate_hz,
-    )
+    win_len, hop = params.window_len, params.hop
+    n = len(buf)
+    n_frames = 1 + int(np.ceil(max(0, n - win_len) / hop))
+    padded = np.zeros((n_frames - 1) * hop + win_len)
+    padded[:n] = buf.samples
+    frames = sliding_window_view(padded, win_len)[::hop]
+    window = params.window()
+    out = np.empty((n_frames, params.n_bins), dtype=np.complex128)
+    for start in range(0, n_frames, BLOCK_FRAMES):
+        stop = min(start + BLOCK_FRAMES, n_frames)
+        block = frames[start:stop] * window
+        np.fft.rfft(block, n=params.fft_len, axis=1, out=out[start:stop])
+    return Spectrogram(out.T, params, buf.sample_rate_hz)
 
 
 def _check_cola(params: StftParams) -> None:
@@ -111,46 +125,43 @@ def _check_cola(params: StftParams) -> None:
         )
 
 
-def istft(spec: Spectrogram) -> AudioBuffer:
-    """Overlap-add inverse; output length (n_frames-1)*hop + window_len."""
+def istft(spec: Spectrogram, mask: np.ndarray | None = None) -> AudioBuffer:
+    """Overlap-add inverse; output length (n_frames-1)*hop + window_len.
+
+    With ``mask`` (real, same shape as the spectrogram) the inverse is
+    that of ``mask * spec.values``: the mixture's own phases are reused
+    without forming the masked spectrum, one block of frames at a time.
+    """
     params = spec.params
     _check_cola(params)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.shape != spec.values.shape:
+            raise DimensionMismatchError(
+                f"mask shape {mask.shape} != spectrogram {spec.values.shape}"
+            )
     win_len, hop = params.window_len, params.hop
     window = params.window()
-    frames = np.fft.irfft(
-        (spec.magnitudes * np.exp(1j * spec.phases)).T, n=params.fft_len, axis=1
-    )[:, :win_len]
-    n_frames = frames.shape[0]
+    wsq = window**2
+    n_frames = spec.n_frames
     out_len = (n_frames - 1) * hop + win_len
     out = np.zeros(out_len)
     wsum = np.zeros(out_len)
-    wsq = window**2
-    for f in range(n_frames):
-        start = f * hop
-        out[start : start + win_len] += frames[f] * window
-        wsum[start : start + win_len] += wsq
+    for start in range(0, n_frames, BLOCK_FRAMES):
+        stop = min(start + BLOCK_FRAMES, n_frames)
+        block = spec.values[:, start:stop].T
+        if mask is not None:
+            block = block * mask[:, start:stop].T
+        frames = np.fft.irfft(block, n=params.fft_len, axis=1)[:, :win_len]
+        for f in range(start, stop):
+            lo = f * hop
+            out[lo : lo + win_len] += frames[f - start] * window
+            wsum[lo : lo + win_len] += wsq
     # floor the normalizer: at the very edges the window-power sum decays
     # to zero and dividing by it would blow up frames whose magnitudes
     # were modified; flooring tapers those few samples instead
     out /= np.maximum(wsum, 1e-2)
     return AudioBuffer(out, spec.sample_rate_hz)
-
-
-def rebuild_with_phases(mags: np.ndarray, reference: Spectrogram) -> AudioBuffer:
-    """Inverse transform of given magnitudes with the reference's phases."""
-    mags = np.asarray(mags, dtype=np.float64)
-    if mags.shape != reference.magnitudes.shape:
-        raise DimensionMismatchError(
-            f"magnitudes shape {mags.shape} != reference {reference.magnitudes.shape}"
-        )
-    return istft(
-        Spectrogram(
-            magnitudes=mags,
-            phases=reference.phases,
-            params=reference.params,
-            sample_rate_hz=reference.sample_rate_hz,
-        )
-    )
 
 
 def export_pgm(magnitudes: np.ndarray, path, floor_db: float = -80.0) -> None:

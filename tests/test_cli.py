@@ -1,9 +1,12 @@
+import argparse
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
+from onmfdenoise import cli
 from onmfdenoise.audio_io import AudioBuffer, write_wav
 
 SR = 16000
@@ -185,6 +188,25 @@ class TestDenoise:
         assert (tmp_path / "noise_part.wav").exists()
 
 
+    def test_nan_sample_exits_2_with_one_error_line(self, wavs, trained, tmp_path):
+        samples = np.zeros(SR, dtype=np.float32)
+        samples[SR // 2] = np.nan
+        bad = tmp_path / "nan.wav"
+        wavfile.write(bad, SR, samples)
+        res = run_cli(
+            "denoise",
+            "--dict-signal", trained["signal"],
+            "--dict-noise", trained["noise"],
+            "--input", bad,
+            "--output", tmp_path / "out.wav",
+            *SMALL_STFT,
+        )
+        assert res.returncode == 2
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not (tmp_path / "out.wav").exists()
+
+
 class TestEval:
     def test_row_order_and_format(self, wavs, tmp_path):
         out = tmp_path / "m.csv"
@@ -219,6 +241,21 @@ class TestEval:
         row = out.read_text().strip().splitlines()[1].split(",")
         # int16 quantization keeps SDR finite but the projections are exact
         assert row[2] == "300.0000"
+
+    def test_silent_estimate_scores_minus_cap(self, wavs, tmp_path):
+        silent = tmp_path / "silent.wav"
+        write_wav(AudioBuffer(np.zeros(SR), SR), silent)
+        out = tmp_path / "m.csv"
+        res = run_cli(
+            "eval",
+            "--clean", wavs["clean"],
+            "--noise", wavs["noise"],
+            "--nmf", silent,
+            "--out", out,
+        )
+        assert res.returncode == 0, res.stderr
+        row = out.read_text().strip().splitlines()[1].split(",")
+        assert row[1:3] == ["-300.0000", "-300.0000"]
 
     def test_deterministic_csv(self, wavs, tmp_path):
         outs = []
@@ -297,6 +334,37 @@ class TestSweep:
         assert sweep_sdr == pytest.approx(eval_sdr, abs=0.05)
 
 
+    def test_one_stft_per_sweep(self, wavs, trained, tmp_path, monkeypatch, capsys):
+        from onmfdenoise.stft import stft as original
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("onmfdenoise"):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        code = cli.main(
+            [
+                "sweep",
+                "--dict-signal", str(trained["signal"]),
+                "--dict-noise", str(trained["noise"]),
+                "--input", str(wavs["mixture"]),
+                "--clean", str(wavs["clean"]),
+                "--noise", str(wavs["noise"]),
+                "--alphas", "50,70,90",
+                *SMALL_STFT,
+            ]
+        )
+        assert code == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 3
+        assert len(calls) == 1
+
+
 class TestSpectrogram:
     def test_pgm_and_csv_outputs(self, wavs, tmp_path):
         pgm = tmp_path / "s.pgm"
@@ -373,3 +441,35 @@ class TestConfigFile:
             "--config", cfg,
         )
         assert res.returncode == 2
+
+    def test_boolean_values(self, tmp_path):
+        cfg = tmp_path / "bools.cfg"
+        for raw, expected in (
+            ("true", True), ("yes", True), ("1", True), ("True", True),
+            ("false", False), ("no", False), ("0", False), ("NO", False),
+        ):  # fmt: skip
+            cfg.write_text(f"emit-spectrograms = {raw}\n")
+            args = argparse.Namespace(config=str(cfg), emit_spectrograms=None)
+            merged = cli._merge(args, {"emit_spectrograms": False})
+            assert merged.emit_spectrograms is expected
+
+    def test_false_boolean_writes_no_images_and_bad_value_exits_2(
+        self, wavs, trained, tmp_path
+    ):
+        common = [
+            "denoise",
+            "--dict-signal", trained["signal"],
+            "--dict-noise", trained["noise"],
+            "--input", wavs["mixture"],
+            "--output", tmp_path / "den.wav",
+            *SMALL_STFT,
+        ]
+        cfg = tmp_path / "off.cfg"
+        cfg.write_text("emit-spectrograms = false\n")
+        res = run_cli(*common, "--config", cfg)
+        assert res.returncode == 0, res.stderr
+        assert not list(tmp_path.glob("*.pgm"))
+        cfg.write_text("emit-spectrograms = maybe\n")
+        res = run_cli(*common, "--config", cfg)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:")

@@ -35,6 +35,25 @@ def test_estimate_equal_clean_gives_sentinels():
     assert db_for_csv(report.sdr_db) == 300.0
 
 
+def test_zero_estimate_scores_minus_inf():
+    c, n = orthogonal_pair(500, seed=8)
+    report = evaluate(*bufs(np.zeros(500), c, n))
+    assert report.sdr_db == -math.inf
+    assert report.sir_db == -math.inf
+    assert db_for_csv(report.sdr_db) == -300.0
+
+
+def test_estimate_orthogonal_to_clean_scores_minus_inf():
+    # disjoint supports make the inner product with the clean signal exactly 0
+    rng = np.random.default_rng(9)
+    c = np.concatenate([rng.standard_normal(200), np.zeros(200)])
+    est = np.concatenate([np.zeros(200), rng.standard_normal(200)])
+    n = rng.standard_normal(400)
+    report = evaluate(*bufs(est, c, n))
+    assert report.sdr_db == -math.inf
+    assert report.sir_db == -math.inf
+
+
 def test_orthogonal_mixture_decomposition():
     c, n = orthogonal_pair(400, seed=1)
     est = c + n

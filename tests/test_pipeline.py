@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,7 @@ def small_cfg(**overrides):
 
 def spectrogram_from(mags):
     return Spectrogram(
-        magnitudes=mags,
-        phases=np.zeros_like(mags),
+        values=mags.astype(complex),
         params=StftParams(window_len=256, hop=128, fft_len=256),
         sample_rate_hz=SR,
     )
@@ -203,6 +204,25 @@ class TestDenoise:
         result = denoise(x, w_s, w_n, cfg)
         X = stft(x, cfg.stft)
         assert np.max(np.abs(result.s_masked + result.n_masked - X.magnitudes)) <= 1e-9
+
+
+    def test_peak_memory_bounded_by_spectrogram_size(self):
+        # 30 s at 4096/1024: the mixture's STFT, its magnitudes and the two
+        # estimates must not be joined by frames x fft_len matrices or a
+        # whole masked complex spectrum
+        cfg = small_cfg(stft=StftParams(window_len=4096, hop=1024, fft_len=4096))
+        rng = np.random.default_rng(14)
+        d = cfg.stft.n_bins
+        w_s = Dictionary(rng.random((d, 50)))
+        w_n = Dictionary(rng.random((d, 10)))
+        x = AudioBuffer(rng.uniform(-0.5, 0.5, 30 * SR), SR)
+        tracemalloc.start()
+        try:
+            result = denoise(x, w_s, w_n, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * result.ratio.size * 8
 
 
 @pytest.fixture(scope="module")

@@ -6,14 +6,15 @@ from onmfdenoise.errors import (
     BufferTooShortError,
     DimensionMismatchError,
     InvalidParamsError,
+    NonFiniteInputError,
 )
 from onmfdenoise.stft import (
     Spectrogram,
     StftParams,
     export_csv,
     export_pgm,
+    BLOCK_FRAMES,
     istft,
-    rebuild_with_phases,
     stft,
 )
 
@@ -84,8 +85,7 @@ def test_round_trip_interior(hop_div):
 def test_istft_zero_magnitudes():
     spec = stft(AudioBuffer(np.ones(4096), SR), StftParams())
     silent = Spectrogram(
-        magnitudes=np.zeros_like(spec.magnitudes),
-        phases=spec.phases,
+        values=np.zeros_like(spec.values),
         params=spec.params,
         sample_rate_hz=SR,
     )
@@ -98,8 +98,7 @@ def test_istft_linearity_on_interior():
     x = rng.uniform(-0.5, 0.5, covered_length(params, 20))
     spec = stft(AudioBuffer(x, SR), params)
     doubled = Spectrogram(
-        magnitudes=2 * spec.magnitudes,
-        phases=spec.phases,
+        values=2 * spec.values,
         params=params,
         sample_rate_hz=SR,
     )
@@ -116,28 +115,78 @@ def test_istft_rejects_non_cola_hop():
         istft(spec)
 
 
-def test_rebuild_identity_and_zero():
+def test_istft_mask_identity_zero_and_shape():
     params = StftParams()
     rng = np.random.default_rng(2)
     x = rng.uniform(-0.5, 0.5, covered_length(params, 12))
     spec = stft(AudioBuffer(x, SR), params)
-    same = rebuild_with_phases(spec.magnitudes, spec)
+    same = istft(spec, mask=np.ones(spec.values.shape))
     assert np.array_equal(same.samples, istft(spec).samples)
-    assert not np.any(rebuild_with_phases(np.zeros_like(spec.magnitudes), spec).samples)
+    assert not np.any(istft(spec, mask=np.zeros(spec.values.shape)).samples)
     with pytest.raises(DimensionMismatchError):
-        rebuild_with_phases(spec.magnitudes[:, :-1], spec)
+        istft(spec, mask=np.ones((spec.values.shape[0], spec.n_frames - 1)))
 
 
-def test_rebuild_recovers_clean_from_matching_phases():
-    # clean tonal signal; reference carries the clean signal's own phases
+def test_istft_recovers_tonal_signal():
+    # clean tonal signal, inverted with its own phases
     params = StftParams()
     n = covered_length(params, 40)
     t = np.arange(n) / SR
     x = 0.5 * np.sin(2 * np.pi * 1000.0 * t)
     spec = stft(AudioBuffer(x, SR), params)
-    back = rebuild_with_phases(spec.magnitudes, spec).samples
+    back = istft(spec).samples
     lo, hi = params.window_len, n - params.window_len
     assert np.max(np.abs(back[lo:hi] - x[lo:hi])) <= 1e-6
+
+
+def whole_matrix_stft(x, params):
+    """Reference transform: every frame gathered at once, one rfft call."""
+    n_frames = 1 + int(np.ceil(max(0, len(x) - params.window_len) / params.hop))
+    padded = np.zeros((n_frames - 1) * params.hop + params.window_len)
+    padded[: len(x)] = x
+    starts = params.hop * np.arange(n_frames)
+    idx = np.arange(params.window_len)[None, :] + starts[:, None]
+    return np.fft.rfft(padded[idx] * params.window(), n=params.fft_len, axis=1).T
+
+
+def whole_matrix_istft(values, params):
+    """Reference inverse: one irfft over all frames, then overlap-add."""
+    frames = np.fft.irfft(values.T, n=params.fft_len, axis=1)[:, : params.window_len]
+    window = params.window()
+    out_len = (frames.shape[0] - 1) * params.hop + params.window_len
+    out = np.zeros(out_len)
+    wsum = np.zeros(out_len)
+    for f, frame in enumerate(frames):
+        lo = f * params.hop
+        out[lo : lo + params.window_len] += frame * window
+        wsum[lo : lo + params.window_len] += window**2
+    return out / np.maximum(wsum, 1e-2)
+
+
+@pytest.mark.parametrize(
+    "n_frames",
+    [1, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 1],
+)
+def test_blocked_transforms_match_whole_matrix(n_frames):
+    params = StftParams(window_len=256, hop=64, fft_len=512)
+    rng = np.random.default_rng(n_frames)
+    # a zero-padded tail: up to hop - 1 samples short of the last full frame
+    short = int(rng.integers(0, params.hop)) if n_frames > 1 else 0
+    x = rng.uniform(-1, 1, covered_length(params, n_frames) - short)
+    spec = stft(AudioBuffer(x, SR), params)
+    assert spec.n_frames == n_frames
+    assert np.max(np.abs(spec.values - whole_matrix_stft(x, params))) <= 1e-12
+    mask = rng.random(spec.values.shape)
+    back = istft(spec, mask=mask).samples
+    assert np.max(np.abs(back - whole_matrix_istft(mask * spec.values, params))) <= 1e-12
+
+
+def test_non_finite_samples_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.zeros(4096)
+        x[100] = bad
+        with pytest.raises(NonFiniteInputError):
+            stft(AudioBuffer(x, SR), StftParams())
 
 
 def test_parseval_per_frame():
