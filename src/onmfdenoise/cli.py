@@ -202,9 +202,11 @@ def cmd_denoise(args) -> int:
         audio_io.write_wav(pipeline.render_noise(result), args.emit_noise)
     if args.emit_spectrograms:
         base, _ = os.path.splitext(args.output)
-        export_pgm(result.mixture.magnitudes, base + ".noisy.pgm")
-        export_pgm(result.s_masked, base + ".denoised.pgm")
-        export_pgm(result.n_masked, base + ".noise.pgm")
+        mags = result.mixture.magnitudes
+        s_masked = result.ratio * mags
+        export_pgm(mags, base + ".noisy.pgm")
+        export_pgm(s_masked, base + ".denoised.pgm")
+        export_pgm(mags - s_masked, base + ".noise.pgm")
         if args.clean:
             clean_spec = compute_stft(audio_io.read_wav(args.clean), params)
             export_pgm(clean_spec.magnitudes, base + ".clean.pgm")
@@ -282,14 +284,9 @@ def cmd_sweep(args) -> int:
     X = compute_stft(noisy, params)
     rows = []
     for alpha in alphas:
-        cfg = pipeline.DenoiseConfig(
-            k_signal=w_signal.k,
-            k_noise=w_noise.k,
-            code_alpha=alpha,
-            stft=params,
-            mask_epsilon=args.mask_epsilon,
+        result = pipeline.denoise_spectrogram(
+            X, w_signal, w_noise, alpha, args.mask_epsilon, len(noisy)
         )
-        result = pipeline.denoise_spectrogram(X, w_signal, w_noise, cfg, len(noisy))
         if not np.all(np.isfinite(result.denoised.samples)):
             raise NumericFailure(f"non-finite denoised signal at alpha={alpha}")
         m = min(len(result.denoised), len(clean), len(noise))

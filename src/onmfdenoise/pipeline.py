@@ -81,7 +81,8 @@ class DenoiseResult:
 
     @property
     def n_masked(self) -> np.ndarray:
-        return self.mixture.magnitudes - self.s_masked
+        mags = self.mixture.magnitudes
+        return mags - self.ratio * mags
 
 
 def _fit_one(mags: np.ndarray, k: int, cfg: DenoiseConfig, seed: int) -> Dictionary:
@@ -194,15 +195,16 @@ def denoise_spectrogram(
     X: Spectrogram,
     w_signal: Dictionary,
     w_noise: Dictionary,
-    cfg: DenoiseConfig,
+    code_alpha: float,
+    mask_epsilon: float,
     n_samples: int,
 ) -> DenoiseResult:
     """Denoise a mixture already transformed with ``X.params``; the output
-    is cut to ``n_samples``. ``cfg.stft`` is not used here."""
-    sep = separate(X, w_signal, w_noise, cfg.code_alpha)
+    is cut to ``n_samples``."""
+    sep = separate(X, w_signal, w_noise, code_alpha)
     # the ratio overwrites the estimates, so no other d x n array is formed;
     # dropping sep frees the noise estimate before the inverse runs
-    ratio = _signal_ratio(sep.s_est, sep.n_est, cfg.mask_epsilon)
+    ratio = _signal_ratio(sep.s_est, sep.n_est, mask_epsilon)
     h_signal, h_noise = sep.h_signal, sep.h_noise
     del sep
     audio = istft(X, mask=ratio)
@@ -223,7 +225,9 @@ def denoise(
 ) -> DenoiseResult:
     """Full pipeline on a noisy buffer; returns the mixture spectrogram,
     the mask and the codes along with the denoised signal."""
-    return denoise_spectrogram(stft(x, cfg.stft), w_signal, w_noise, cfg, len(x))
+    return denoise_spectrogram(
+        stft(x, cfg.stft), w_signal, w_noise, cfg.code_alpha, cfg.mask_epsilon, len(x)
+    )
 
 
 def render_noise(result: DenoiseResult) -> AudioBuffer:

@@ -95,7 +95,7 @@ class Spectrogram:
 
 def stft(buf: AudioBuffer, params: StftParams | None = None) -> Spectrogram:
     """Forward transform of a mono buffer, computed BLOCK_FRAMES frames at
-    a time into one preallocated frames-major array."""
+    a time and copied into one preallocated frames-major array."""
     params = params or StftParams()
     if not np.all(np.isfinite(buf.samples)):
         raise NonFiniteInputError("input holds NaN or Inf samples")
@@ -114,7 +114,8 @@ def stft(buf: AudioBuffer, params: StftParams | None = None) -> Spectrogram:
     for start in range(0, n_frames, BLOCK_FRAMES):
         stop = min(start + BLOCK_FRAMES, n_frames)
         block = frames[start:stop] * window
-        np.fft.rfft(block, n=params.fft_len, axis=1, out=out[start:stop])
+        # assigned rather than passed as rfft's out=, which needs NumPy 2
+        out[start:stop] = np.fft.rfft(block, n=params.fft_len, axis=1)
     return Spectrogram(out.T, params, buf.sample_rate_hz)
 
 

@@ -181,6 +181,20 @@ def test_blocked_transforms_match_whole_matrix(n_frames):
     assert np.max(np.abs(back - whole_matrix_istft(mask * spec.values, params))) <= 1e-12
 
 
+def test_transforms_use_numpy1_fft_signatures(monkeypatch):
+    # the project supports numpy>=1.24; rfft and irfft gained out= in 2.0
+    def v1(fn):
+        return lambda a, n=None, axis=-1, norm=None: fn(a, n=n, axis=axis, norm=norm)
+
+    monkeypatch.setattr(np.fft, "rfft", v1(np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", v1(np.fft.irfft))
+    params = StftParams(window_len=256, hop=64, fft_len=512)
+    x = np.random.default_rng(0).uniform(-1, 1, covered_length(params, 70))
+    spec = stft(AudioBuffer(x, SR), params)
+    assert np.max(np.abs(spec.values - whole_matrix_stft(x, params))) <= 1e-12
+    istft(spec, mask=np.ones(spec.values.shape))
+
+
 def test_non_finite_samples_rejected():
     for bad in (np.nan, np.inf, -np.inf):
         x = np.zeros(4096)
