@@ -10,7 +10,6 @@ from .nmf import (
     loss,
     save_dictionary,
     update_code,
-    update_dictionary,
 )
 from .onmf import (
     OnmfState,

@@ -2,16 +2,25 @@
 
 All audio inside the package lives in float64 amplitudes in [-1, 1];
 the 16-bit PCM writer is the only quantization point.
+
+``read_wav`` reads little-endian RIFF/WAVE files holding integer PCM at
+8 bits (unsigned), 16, 24 or 32 bits (a narrower depth such as 12 bits
+stored in the next whole byte), or IEEE float at 32 or 64 bits, either
+as plain format tags or under ``WAVE_FORMAT_EXTENSIBLE``, with any
+number of channels (averaged to mono). Chunks other than
+``fmt `` and ``data`` are skipped. Anything else, including big-endian
+RIFX and RF64, raises ``UnsupportedFormatError``. ``write_wav`` writes
+one layout: a 44-byte header and 16-bit PCM mono samples.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import InvalidConfigError, UnsupportedFormatError
 
@@ -54,41 +63,116 @@ _INT_SCALE = {
     np.dtype(np.int32): 2147483648.0,
 }
 
+_PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+# sample dtype by (format tag, bytes per sample); 3-byte PCM is widened to int32
+_DTYPES = {
+    (_PCM, 1): np.dtype("u1"),
+    (_PCM, 2): np.dtype("<i2"),
+    (_PCM, 3): np.dtype("<i4"),
+    (_PCM, 4): np.dtype("<i4"),
+    (_FLOAT, 4): np.dtype("<f4"),
+    (_FLOAT, 8): np.dtype("<f8"),
+}
+# KSDATAFORMAT_SUBTYPE_* GUID after its leading 4-byte format tag (RFC 2361)
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _parse_fmt(body) -> tuple[int, int, np.dtype, int]:
+    """(sample rate, channels, sample dtype, bytes per sample) of a fmt chunk."""
+    if len(body) < 16:
+        raise UnsupportedFormatError(f"fmt chunk of {len(body)} bytes, need 16")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", body)
+    if tag == _EXTENSIBLE:
+        if len(body) < 40 or body[28:40] != _GUID_TAIL:
+            raise UnsupportedFormatError("unknown WAVE_FORMAT_EXTENSIBLE sub-format")
+        tag = struct.unpack_from("<I", body, 24)[0]
+    width = (bits + 7) // 8
+    dtype = _DTYPES.get((tag, width))
+    if dtype is None or (tag == _FLOAT and bits != 8 * width):
+        raise UnsupportedFormatError(f"unsupported format tag {tag} at {bits} bits")
+    if channels == 0 or block_align != channels * width:
+        raise UnsupportedFormatError(
+            f"block align {block_align} for {channels} channels of {width} bytes"
+        )
+    if rate == 0:
+        raise UnsupportedFormatError("sample rate is 0")
+    return rate, channels, dtype, width
+
+
+def _parse_wave(raw: memoryview) -> tuple[int, int, np.ndarray]:
+    """(sample rate, channels, on-disk samples) of a RIFF/WAVE image.
+
+    Walks the chunks from the start, skipping unknown ones with their pad
+    byte, up to the first data chunk. A data chunk cut short by the end of
+    the file keeps its whole frames.
+    """
+    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise UnsupportedFormatError(
+            f"not a little-endian RIFF/WAVE file: {bytes(raw[:4])!r}"
+        )
+    fmt = None
+    pos = 12
+    while pos + 8 <= len(raw):
+        cid = raw[pos : pos + 4]
+        size = struct.unpack_from("<I", raw, pos + 4)[0]
+        body = raw[pos + 8 : pos + 8 + size]
+        if cid == b"fmt ":
+            fmt = _parse_fmt(body)
+        elif cid == b"data":
+            if fmt is None:
+                break
+            rate, channels, dtype, width = fmt
+            n = len(body) // (channels * width) * channels
+            if width == 3:
+                wide = np.zeros((n, 4), np.uint8)
+                wide[:, 1:] = np.frombuffer(body, np.uint8, 3 * n).reshape(n, 3)
+                return rate, channels, wide.view(dtype).ravel()
+            return rate, channels, np.frombuffer(body, dtype, n)
+        pos += 8 + size + (size & 1)
+    raise UnsupportedFormatError("no data chunk" if fmt else "no fmt chunk before the data")
+
 
 def read_wav(path) -> AudioBuffer:
-    """Read a PCM WAV file as a mono float64 buffer in [-1, 1].
+    """Read a WAV file (see the module docstring) as mono float64 in [-1, 1].
 
     Multi-channel files are averaged to mono. Integer samples are scaled
     by their full-scale value; float files are taken as-is.
     """
+    with open(path, "rb") as fh:
+        raw = memoryview(fh.read())
     try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise
-    except ValueError as exc:
-        raise UnsupportedFormatError(f"{path}: {exc}") from exc
+        rate, channels, data = _parse_wave(raw)
+    except UnsupportedFormatError as exc:
+        raise UnsupportedFormatError(f"{path}: {exc}") from None
     if data.size == 0:
         raise UnsupportedFormatError(f"{path}: empty data chunk")
+    x = data.astype(np.float64)
     if data.dtype in _INT_SCALE:
-        x = data.astype(np.float64)
         if data.dtype == np.dtype(np.uint8):
             x -= 128.0
         x /= _INT_SCALE[data.dtype]
-    elif data.dtype in (np.dtype(np.float32), np.dtype(np.float64)):
-        x = data.astype(np.float64)
-    else:
-        raise UnsupportedFormatError(f"{path}: unsupported sample dtype {data.dtype}")
-    if x.ndim == 2:
-        x = x.mean(axis=1)
-    return AudioBuffer(samples=x, sample_rate_hz=int(rate))
+    if channels > 1:
+        x = x.reshape(-1, channels).mean(axis=1)
+    return AudioBuffer(samples=x, sample_rate_hz=rate)
 
 
 def write_wav(buf: AudioBuffer, path) -> None:
     """Write a buffer as 16-bit PCM mono, clamping samples to [-1, 1]."""
     if len(buf) == 0:
         raise InvalidConfigError("cannot write an empty buffer")
-    q = np.clip(np.rint(buf.samples * 32768.0), -32768, 32767).astype(np.int16)
-    wavfile.write(path, buf.sample_rate_hz, q)
+    q = np.clip(np.rint(buf.samples * 32768.0), -32768, 32767).astype("<i2")
+    if q.nbytes > 0xFFFFFFFF - 36:
+        raise InvalidConfigError("buffer too long for a RIFF file")
+    rate = buf.sample_rate_hz
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + q.nbytes, b"WAVE",
+        b"fmt ", 16, _PCM, 1, rate, 2 * rate, 2, 16,
+        b"data", q.nbytes,
+    )
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(q.data)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .errors import LengthMismatchError, ZeroReferenceError
+from .errors import LengthMismatchError, NonFiniteInputError, ZeroReferenceError
 
 __all__ = ["EvalReport", "decompose", "evaluate", "INF_DB_CAP"]
 
@@ -40,8 +40,14 @@ def _as_vectors(estimate: AudioBuffer, clean: AudioBuffer, noise: AudioBuffer):
             f"lengths differ: estimate={len(estimate)}, clean={len(clean)}, "
             f"noise={len(noise)}"
         )
-    if estimate.sample_rate_hz != clean.sample_rate_hz:
-        raise LengthMismatchError("sample rates differ")
+    if not (estimate.sample_rate_hz == clean.sample_rate_hz == noise.sample_rate_hz):
+        raise LengthMismatchError(
+            f"sample rates differ: estimate={estimate.sample_rate_hz}, "
+            f"clean={clean.sample_rate_hz}, noise={noise.sample_rate_hz}"
+        )
+    for name, buf in (("estimate", estimate), ("clean", clean), ("noise", noise)):
+        if not np.all(np.isfinite(buf.samples)):
+            raise NonFiniteInputError(f"{name} signal contains NaN or Inf samples")
     return estimate.samples, clean.samples, noise.samples
 
 

@@ -4,9 +4,8 @@ Minimizes 0.5 * ||X - WH||_F^2 + alpha * ||H||_1 over W, H >= 0, with the
 regularizer folded into the code-update denominator. After each full
 iteration, dictionary columns are rescaled to unit L2 norm with the
 matching code rows scaled inversely, so the product WH is unchanged.
-fit_nmf uses a normalization-aware dictionary step so the rescale never
-pushes the regularized loss up; the plain multiplicative dictionary
-update is kept as a standalone operation.
+The dictionary step is normalization-aware, so the rescale never pushes
+the regularized loss up.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "NmfConfig",
     "loss",
     "update_code",
-    "update_dictionary",
     "renormalize_pair",
     "fit_nmf",
     "save_dictionary",
@@ -90,14 +88,6 @@ def update_code(X, W, H, alpha: float = 0.0, epsilon: float = 1e-12) -> np.ndarr
     numer = W.T @ X
     denom = W.T @ W @ H + alpha + epsilon
     return H * numer / denom
-
-
-def update_dictionary(X, W, H, epsilon: float = 1e-12) -> np.ndarray:
-    """One multiplicative step on W (no regularization)."""
-    _conform(X, W, H)
-    numer = X @ H.T
-    denom = W @ (H @ H.T) + epsilon
-    return W * numer / denom
 
 
 def _update_dictionary_normalized(X, W, H, epsilon: float = 1e-12) -> np.ndarray:
@@ -187,8 +177,3 @@ def load_dictionary(path) -> Dictionary:
         if data.size != d * k:
             raise UnsupportedFormatError(f"{path}: truncated payload")
     return Dictionary(data.reshape(d, k).copy())
-
-
-def export_dictionary_csv(dictionary: Dictionary, path) -> None:
-    """Debug exporter: one row per frequency bin."""
-    np.savetxt(path, dictionary.atoms, delimiter=",", fmt="%.12g")

@@ -58,10 +58,6 @@ class OnmfState:
     t: int
 
 
-def _n_cols(X) -> int:
-    return X.shape[1]
-
-
 def _take_columns(X, idx: np.ndarray) -> np.ndarray:
     """Column access point; sources may supply their own take_columns."""
     take = getattr(X, "take_columns", None)
@@ -77,7 +73,7 @@ def sample_batch(X, cfg: SamplerConfig, t: int) -> np.ndarray:
     "consecutive": the cyclic window starting at (t-1)*m mod n; only that
     window is ever touched, which keeps the streaming contract.
     """
-    n = _n_cols(X)
+    n = X.shape[1]
     m = cfg.batch_cols
     if m > n:
         raise BatchTooWideError(f"batch of {m} columns from a {n}-column matrix")

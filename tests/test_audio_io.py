@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from onmfdenoise.audio_io import (
@@ -125,3 +129,200 @@ def test_synth_additivity_after_peak_normalization():
     clean, noise, mixture = synth_mixture(cfg)
     assert np.max(np.abs(mixture.samples)) <= 1.0 + 1e-12
     assert np.allclose(mixture.samples, clean.samples + noise.samples, atol=1e-15)
+
+
+# --- RIFF/WAVE reader and writer, with scipy.io.wavfile as the oracle -------
+
+# KSDATAFORMAT_SUBTYPE_* GUID after its leading 4-byte format tag (RFC 2361)
+GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def chunk(cid, payload):
+    pad = b"\x00" if len(payload) % 2 else b""
+    return cid + struct.pack("<I", len(payload)) + payload + pad
+
+
+def fmt_chunk(tag=1, channels=1, rate=8000, bits=16, block_align=None, extra=b""):
+    if block_align is None:
+        block_align = channels * ((bits + 7) // 8)
+    body = struct.pack("<HHIIHH", tag, channels, rate, rate * block_align, block_align, bits)
+    return chunk(b"fmt ", body + extra)
+
+
+def extensible_fmt(sub_tag, channels, bits, tail=GUID_TAIL):
+    extra = struct.pack("<HHII", 22, bits, (1 << channels) - 1, sub_tag) + tail
+    return fmt_chunk(0xFFFE, channels, 8000, bits, extra=extra)
+
+
+def riff(*chunks, form=b"RIFF"):
+    body = b"WAVE" + b"".join(chunks)
+    return form + struct.pack("<I", len(body)) + body
+
+
+def int24_bytes(values):
+    return b"".join(struct.pack("<i", int(v))[:3] for v in values)
+
+
+def as_read_wav_samples(data):
+    """The mapping read_wav documents, applied to an array of on-disk samples."""
+    x = data.astype(np.float64)
+    if data.dtype == np.uint8:
+        x -= 128.0
+    if data.dtype.kind in "iu":
+        x /= {1: 128.0, 2: 32768.0, 4: 2147483648.0}[data.dtype.itemsize]
+    return x.mean(axis=1) if x.ndim == 2 else x
+
+
+def oracle_samples(path):
+    return as_read_wav_samples(wavfile.read(path)[1])
+
+
+def random_samples(dtype, n, channels, seed=0):
+    rng = np.random.default_rng(seed)
+    shape = (n,) if channels == 1 else (n, channels)
+    if np.dtype(dtype).kind == "f":
+        return rng.uniform(-1.0, 1.0, shape).astype(dtype)
+    info = np.iinfo(dtype)
+    return rng.integers(info.min, info.max, shape, endpoint=True).astype(dtype)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.float32, np.float64])
+def test_read_matches_scipy_written_files(tmp_path, dtype, channels):
+    data = random_samples(dtype, 101, channels)
+    path = tmp_path / "w.wav"
+    wavfile.write(path, 22050, data)
+    buf = read_wav(path)
+    assert buf.sample_rate_hz == 22050
+    assert np.array_equal(buf.samples, as_read_wav_samples(data))
+
+
+def test_read_24_bit_pcm(tmp_path):
+    frames = np.array([[0, -1], [2**23 - 1, -(2**23)], [12345, -54321]])
+    path = tmp_path / "24.wav"
+    data = chunk(b"data", int24_bytes(frames.ravel()))
+    path.write_bytes(riff(fmt_chunk(channels=2, bits=24), data))
+    samples = read_wav(path).samples
+    assert np.array_equal(samples, (frames / 2.0**23).mean(axis=1))
+    assert np.array_equal(samples, oracle_samples(path))
+
+
+@pytest.mark.parametrize(
+    "sub_tag, bits, data",
+    [
+        (1, 16, np.array([[0, 16384], [-32768, 32767]], dtype="<i2")),
+        (3, 32, np.array([[0.25, -0.5], [1.0, -1.0]], dtype="<f4")),
+    ],
+)
+def test_read_wave_format_extensible(tmp_path, sub_tag, bits, data):
+    path = tmp_path / "ext.wav"
+    path.write_bytes(riff(extensible_fmt(sub_tag, 2, bits), chunk(b"data", data.tobytes())))
+    samples = read_wav(path).samples
+    assert np.array_equal(samples, as_read_wav_samples(data))
+    assert np.array_equal(samples, oracle_samples(path))
+
+
+def test_read_skips_odd_sized_chunk_before_data(tmp_path):
+    data = np.array([1, -2, 300, -400, 5], dtype="<i2")
+    path = tmp_path / "list.wav"
+    list_chunk = chunk(b"LIST", b"INFOabc")
+    path.write_bytes(riff(fmt_chunk(), list_chunk, chunk(b"data", data.tobytes())))
+    samples = read_wav(path).samples
+    assert np.array_equal(samples, data / 32768.0)
+    assert np.array_equal(samples, oracle_samples(path))
+
+
+def test_write_is_byte_identical_to_scipy(tmp_path):
+    q = random_samples(np.int16, 999, 1, seed=3)
+    ours, theirs = tmp_path / "ours.wav", tmp_path / "theirs.wav"
+    write_wav(AudioBuffer(q / 32768.0, 44100), ours)
+    wavfile.write(theirs, 44100, q)
+    assert ours.read_bytes() == theirs.read_bytes()
+    assert len(ours.read_bytes()) == 44 + 2 * q.size
+
+
+def valid_int16_file():
+    return riff(fmt_chunk(), chunk(b"data", np.arange(-8, 8, dtype="<i2").tobytes()))
+
+
+ZEROS = chunk(b"data", bytes(8))
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        pytest.param(valid_int16_file()[:30], id="cut-inside-header"),
+        pytest.param(valid_int16_file()[:10], id="cut-inside-riff-header"),
+        pytest.param(riff(ZEROS), id="no-fmt-chunk"),
+        pytest.param(riff(fmt_chunk()), id="no-data-chunk"),
+        pytest.param(
+            riff(chunk(b"fmt ", struct.pack("<HHIIH", 1, 1, 8000, 16000, 2)), ZEROS),
+            id="short-fmt-chunk",
+        ),
+        pytest.param(riff(fmt_chunk(channels=2, block_align=2), ZEROS), id="block-align"),
+        pytest.param(riff(fmt_chunk(channels=0), ZEROS), id="zero-channels"),
+        pytest.param(riff(fmt_chunk(rate=0), ZEROS), id="zero-rate"),
+        pytest.param(riff(fmt_chunk(tag=2), ZEROS), id="adpcm-tag"),
+        pytest.param(riff(fmt_chunk(bits=64), ZEROS), id="64-bit-pcm"),
+        pytest.param(riff(fmt_chunk(tag=3, bits=16), ZEROS), id="16-bit-float"),
+        pytest.param(riff(fmt_chunk(bits=0, block_align=0), ZEROS), id="0-bit"),
+        pytest.param(
+            riff(extensible_fmt(1, 1, 16, tail=bytes(12)), ZEROS),
+            id="unknown-extensible-guid",
+        ),
+        pytest.param(
+            riff(fmt_chunk(0xFFFE, extra=struct.pack("<H", 0)), ZEROS),
+            id="extensible-without-extension",
+        ),
+        pytest.param(valid_int16_file().replace(b"RIFF", b"RIFX", 1), id="big-endian-rifx"),
+        pytest.param(riff(fmt_chunk(), chunk(b"data", b"\x00")), id="data-shorter-than-a-frame"),
+    ],
+)
+def test_malformed_files_raise_unsupported_format(tmp_path, raw):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(raw)
+    with pytest.raises(UnsupportedFormatError):
+        read_wav(path)
+
+
+VALID_FILES = [
+    valid_int16_file(),
+    riff(fmt_chunk(tag=3, channels=2, bits=32), chunk(b"fact", struct.pack("<I", 3)),
+         chunk(b"data", np.linspace(-1, 1, 6, dtype="<f4").tobytes())),
+    riff(
+        fmt_chunk(bits=24), chunk(b"LIST", b"odd"), chunk(b"data", int24_bytes(range(-3, 4)))
+    ),
+    riff(extensible_fmt(1, 2, 32), chunk(b"data", np.arange(8, dtype="<i4").tobytes())),
+    riff(fmt_chunk(bits=8, channels=3), chunk(b"data", bytes(range(0, 256, 8)[:9]))),
+]
+
+
+@pytest.fixture(scope="module")
+def scratch_wav(tmp_path_factory):
+    return tmp_path_factory.mktemp("prop") / "x.wav"
+
+
+def reads_or_rejects(path, raw):
+    """read_wav gives a non-empty buffer or UnsupportedFormatError, nothing else."""
+    path.write_bytes(raw)
+    try:
+        buf = read_wav(path)
+    except UnsupportedFormatError:
+        return
+    assert isinstance(buf, AudioBuffer) and len(buf) > 0
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_truncated_files_read_or_raise_unsupported_format(scratch_wav, data):
+    raw = data.draw(st.sampled_from(VALID_FILES))
+    reads_or_rejects(scratch_wav, raw[: data.draw(st.integers(0, len(raw)))])
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.data())
+def test_corrupted_header_bytes_read_or_raise_unsupported_format(scratch_wav, data):
+    raw = bytearray(data.draw(st.sampled_from(VALID_FILES)))
+    i = data.draw(st.integers(0, raw.index(b"data") + 7))
+    raw[i] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[i]))
+    reads_or_rejects(scratch_wav, bytes(raw))

@@ -257,6 +257,17 @@ class TestEval:
         row = out.read_text().strip().splitlines()[1].split(",")
         assert row[1:3] == ["-300.0000", "-300.0000"]
 
+    def test_nan_estimate_exits_2_with_one_error_line(self, wavs, tmp_path):
+        samples = wavfile.read(wavs["mixture"])[1] / np.float32(32768.0)
+        samples[SR // 3] = np.nan
+        bad = tmp_path / "nan.wav"
+        wavfile.write(bad, SR, samples.astype(np.float32))
+        res = run_cli("eval", "--clean", wavs["clean"], "--noise", wavs["noise"], "--nmf", bad)
+        assert res.returncode == 2
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert res.stdout == ""
+
     def test_deterministic_csv(self, wavs, tmp_path):
         outs = []
         for run in ("a.csv", "b.csv"):
@@ -381,6 +392,30 @@ class TestSpectrogram:
         mags = np.loadtxt(csv_path, delimiter=",")
         assert mags.shape[0] == 129
         assert "129x" in res.stdout
+
+
+    def test_truncated_wav_exits_2_with_one_error_line(self, wavs, tmp_path):
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(wavs["mixture"].read_bytes()[:30])
+        res = run_cli("spectrogram", "--input", cut, "--out", tmp_path / "s.pgm")
+        assert res.returncode == 2
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_cli_import_does_not_load_scipy():
+    res = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, onmfdenoise.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 class TestConfigFile:

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from onmfdenoise.audio_io import AudioBuffer
-from onmfdenoise.errors import LengthMismatchError, ZeroReferenceError
+from onmfdenoise.errors import (
+    LengthMismatchError,
+    NonFiniteInputError,
+    ZeroReferenceError,
+)
 from onmfdenoise.metrics import db_for_csv, decompose, evaluate
 
 SR = 16000
@@ -137,3 +141,23 @@ def test_zero_reference():
             AudioBuffer(np.zeros(10), SR),
             AudioBuffer(np.ones(10), SR),
         )
+
+
+def test_sample_rate_mismatch_with_noise():
+    with pytest.raises(LengthMismatchError):
+        evaluate(
+            AudioBuffer(np.ones(10), SR),
+            AudioBuffer(np.ones(10), SR),
+            AudioBuffer(np.ones(10), SR // 2),
+        )
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_signal_rejected(which, bad):
+    c, n = orthogonal_pair(50, seed=9)
+    signals = [c + 0.1 * n, c, n]
+    signals[which] = signals[which].copy()
+    signals[which][17] = bad
+    with pytest.raises(NonFiniteInputError):
+        evaluate(*bufs(*signals))

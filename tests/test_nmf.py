@@ -9,14 +9,13 @@ from onmfdenoise.errors import (
 from onmfdenoise.nmf import (
     Dictionary,
     NmfConfig,
-    export_dictionary_csv,
+    _update_dictionary_normalized,
     fit_nmf,
     load_dictionary,
     loss,
     renormalize_pair,
     save_dictionary,
     update_code,
-    update_dictionary,
 )
 
 
@@ -79,15 +78,11 @@ class TestUpdates:
         H2 = update_code(W @ H, W, H, 0.0)
         assert np.allclose(H2, H, rtol=1e-12)
 
-    def test_dictionary_update_scalar_case(self):
-        W = update_dictionary(np.array([[4.0]]), np.array([[1.0]]), np.array([[2.0]]), 0.0)
-        assert W[0, 0] == pytest.approx(2.0)
-
     def test_dictionary_update_identity_at_exact_fit(self):
         rng = np.random.default_rng(4)
         W = rng.random((4, 2)) + 0.1
         H = rng.random((2, 3)) + 0.1
-        W2 = update_dictionary(W @ H, W, H, 0.0)
+        W2 = _update_dictionary_normalized(W @ H, W, H, 0.0)
         assert np.allclose(W2, W, rtol=1e-12)
 
     def test_dictionary_zero_column_stays_zero(self):
@@ -96,7 +91,7 @@ class TestUpdates:
         W = rng.random((4, 2))
         W[:, 1] = 0.0
         H = rng.random((2, 3))
-        W2 = update_dictionary(X, W, H)
+        W2 = _update_dictionary_normalized(X, W, H)
         assert not np.any(W2[:, 1])
 
     def test_non_negativity_preserved(self):
@@ -106,7 +101,7 @@ class TestUpdates:
         H = rng.random((3, 5))
         for _ in range(5):
             H = update_code(X, W, H, 0.5)
-            W = update_dictionary(X, W, H)
+            W = _update_dictionary_normalized(X, W, H)
             assert np.all(H >= 0) and np.all(W >= 0)
 
 
@@ -186,10 +181,3 @@ class TestPersistence:
         path.write_bytes(b"NOTADICT" + b"\x00" * 20)
         with pytest.raises(UnsupportedFormatError):
             load_dictionary(path)
-
-    def test_csv_export(self, tmp_path):
-        rng = np.random.default_rng(14)
-        d = Dictionary(rng.random((4, 2)))
-        path = tmp_path / "w.csv"
-        export_dictionary_csv(d, path)
-        assert np.allclose(np.loadtxt(path, delimiter=","), d.atoms, atol=1e-10)
