@@ -213,26 +213,13 @@ def cmd_denoise(args) -> int:
     return EXIT_OK
 
 
-def _eval_rows(args) -> list[tuple[str, metrics.EvalReport]]:
-    clean = audio_io.read_wav(args.clean)
-    noise = audio_io.read_wav(args.noise)
-    rows = []
-    for label, path in (("NMF", args.nmf), ("ONMF", args.onmf), ("ORIGINAL", args.noisy)):
-        if path is None:
-            continue
-        est = audio_io.read_wav(path)
-        m = min(len(est), len(clean), len(noise))
-        rows.append(
-            (
-                label,
-                metrics.evaluate(
-                    audio_io.AudioBuffer(est.samples[:m], est.sample_rate_hz),
-                    audio_io.AudioBuffer(clean.samples[:m], clean.sample_rate_hz),
-                    audio_io.AudioBuffer(noise.samples[:m], noise.sample_rate_hz),
-                ),
-            )
-        )
-    return rows
+def _metric_cells(estimate, clean, noise) -> tuple[str, str, str]:
+    """SDR, SIR and SAR as CSV cells; signals of unequal length raise
+    ``LengthMismatchError`` rather than being cut to the shortest."""
+    report = metrics.evaluate(estimate, clean, noise)
+    return tuple(
+        f"{metrics.db_for_csv(db):.4f}" for db in (report.sdr_db, report.sir_db, report.sar_db)
+    )
 
 
 def _write_metric_csv(path, header, rows):
@@ -246,16 +233,12 @@ def _write_metric_csv(path, header, rows):
 def cmd_eval(args) -> int:
     args = _merge(args, {"nmf": None, "onmf": None, "noisy": None, "out": None})
     _require_files(args.clean, args.noise, args.nmf, args.onmf, args.noisy)
+    clean = audio_io.read_wav(args.clean)
+    noise = audio_io.read_wav(args.noise)
     rows = []
-    for label, report in _eval_rows(args):
-        rows.append(
-            (
-                label,
-                f"{metrics.db_for_csv(report.sdr_db):.4f}",
-                f"{metrics.db_for_csv(report.sir_db):.4f}",
-                f"{metrics.db_for_csv(report.sar_db):.4f}",
-            )
-        )
+    for label, path in (("NMF", args.nmf), ("ONMF", args.onmf), ("ORIGINAL", args.noisy)):
+        if path is not None:
+            rows.append((label, *_metric_cells(audio_io.read_wav(path), clean, noise)))
     if args.out:
         _write_metric_csv(args.out, ("method", "SDR", "SIR", "SAR"), rows)
     for row in rows:
@@ -289,20 +272,7 @@ def cmd_sweep(args) -> int:
         )
         if not np.all(np.isfinite(result.denoised.samples)):
             raise NumericFailure(f"non-finite denoised signal at alpha={alpha}")
-        m = min(len(result.denoised), len(clean), len(noise))
-        report = metrics.evaluate(
-            audio_io.AudioBuffer(result.denoised.samples[:m], noisy.sample_rate_hz),
-            audio_io.AudioBuffer(clean.samples[:m], clean.sample_rate_hz),
-            audio_io.AudioBuffer(noise.samples[:m], noise.sample_rate_hz),
-        )
-        rows.append(
-            (
-                f"{alpha:g}",
-                f"{metrics.db_for_csv(report.sdr_db):.4f}",
-                f"{metrics.db_for_csv(report.sir_db):.4f}",
-                f"{metrics.db_for_csv(report.sar_db):.4f}",
-            )
-        )
+        rows.append((f"{alpha:g}", *_metric_cells(result.denoised, clean, noise)))
     if args.out:
         _write_metric_csv(args.out, ("alpha", "SDR", "SIR", "SAR"), rows)
     for row in rows:

@@ -6,6 +6,10 @@ iteration, dictionary columns are rescaled to unit L2 norm with the
 matching code rows scaled inversely, so the product WH is unchanged.
 The dictionary step is normalization-aware, so the rescale never pushes
 the regularized loss up.
+
+The trainer forms W^T X and W^T W once per dictionary and takes both the
+loss of that iterate, ||X||^2 - 2<W^T X, H> + <W^T W, H H^T>, and the next
+code step from them; it never forms the d x n residual X - WH.
 """
 
 from __future__ import annotations
@@ -82,12 +86,26 @@ def loss(X: np.ndarray, W: np.ndarray, H: np.ndarray, alpha: float) -> float:
     return 0.5 * float(np.sum(resid * resid)) + alpha * float(np.sum(H))
 
 
-def update_code(X, W, H, alpha: float = 0.0, epsilon: float = 1e-12) -> np.ndarray:
-    """One multiplicative step on H; alpha enters the denominator."""
-    _conform(X, W, H)
-    numer = W.T @ X
-    denom = W.T @ W @ H + alpha + epsilon
-    return H * numer / denom
+def update_code(WtX, G, H, alpha: float = 0.0, epsilon: float = 1e-12) -> np.ndarray:
+    """One multiplicative step on H from WtX = W^T X and G = W^T W; alpha
+    enters the denominator."""
+    if WtX.shape != H.shape or G.shape != (H.shape[0], H.shape[0]):
+        raise DimensionMismatchError(
+            f"shapes do not conform: WtX{WtX.shape}, G{G.shape}, H{H.shape}"
+        )
+    return H * WtX / (G @ H + alpha + epsilon)
+
+
+def _loss_from_products(x_sq: float, WtX, G, H, alpha: float) -> float:
+    """``loss`` from ||X||^2, W^T X and W^T W, without the d x n residual.
+
+    Cancellation can leave the data term a rounding error below zero near
+    an exact fit; it is reported as 0. A NaN passes through unchanged.
+    """
+    data = x_sq - 2.0 * float(np.vdot(WtX, H)) + float(np.vdot(G, H @ H.T))
+    if data < 0.0:
+        data = 0.0
+    return 0.5 * data + alpha * float(np.sum(H))
 
 
 def _update_dictionary_normalized(X, W, H, epsilon: float = 1e-12) -> np.ndarray:
@@ -130,8 +148,9 @@ def fit_nmf(X: np.ndarray, config: NmfConfig):
     """Alternate code/dictionary updates until the loss stalls.
 
     Returns (Dictionary, H, trace) where trace[0] is the loss of the
-    random initialization and trace[i] the loss after iteration i. Stops
-    when |L_i - L_{i-1}| / L_0 < rel_tol or max_iters is reached.
+    random initialization and trace[i] the loss after iteration i, both
+    computed from W^T X and W^T W. Stops when
+    |L_i - L_{i-1}| / L_0 < rel_tol or max_iters is reached.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
@@ -144,13 +163,17 @@ def fit_nmf(X: np.ndarray, config: NmfConfig):
     H = rng.random((config.k, n))
     # start on the unit-column manifold so every iteration sees unit atoms
     W, H = renormalize_pair(W, H, rng)
-    l0 = loss(X, W, H, config.alpha)
+    x = X.ravel(order="K")
+    x_sq = float(x @ x)
+    WtX, G = W.T @ X, W.T @ W
+    l0 = _loss_from_products(x_sq, WtX, G, H, config.alpha)
     trace = [l0]
     for _ in range(config.max_iters):
-        H = update_code(X, W, H, config.alpha, config.epsilon)
+        H = update_code(WtX, G, H, config.alpha, config.epsilon)
         W = _update_dictionary_normalized(X, W, H, config.epsilon)
         W, H = renormalize_pair(W, H, rng)
-        trace.append(loss(X, W, H, config.alpha))
+        WtX, G = W.T @ X, W.T @ W
+        trace.append(_loss_from_products(x_sq, WtX, G, H, config.alpha))
         if l0 > 0 and abs(trace[-1] - trace[-2]) / l0 < config.rel_tol:
             break
     return Dictionary(W), H, trace
@@ -166,14 +189,25 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
 
 
 def load_dictionary(path) -> Dictionary:
+    """Read a ``save_dictionary`` file; a file cut short, with bytes past
+    its payload, or with a NaN, Inf or negative atom entry raises
+    ``UnsupportedFormatError``."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _MAGIC:
             raise UnsupportedFormatError(f"{path}: bad magic {magic!r}")
-        version, d, k = struct.unpack("<III", fh.read(12))
+        header = fh.read(12)
+        if len(header) != 12:
+            raise UnsupportedFormatError(f"{path}: header cut short")
+        version, d, k = struct.unpack("<III", header)
         if version != _FORMAT_VERSION:
             raise UnsupportedFormatError(f"{path}: unknown version {version}")
-        data = np.frombuffer(fh.read(8 * d * k), dtype="<f8")
-        if data.size != d * k:
-            raise UnsupportedFormatError(f"{path}: truncated payload")
+        payload = fh.read()
+    if len(payload) != 8 * d * k:
+        raise UnsupportedFormatError(
+            f"{path}: payload of {len(payload)} bytes, expected {8 * d * k} for {d}x{k}"
+        )
+    data = np.frombuffer(payload, dtype="<f8")
+    if not np.all(np.isfinite(data)) or np.any(data < 0):
+        raise UnsupportedFormatError(f"{path}: atoms must be finite and non-negative")
     return Dictionary(data.reshape(d, k).copy())

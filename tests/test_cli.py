@@ -268,6 +268,19 @@ class TestEval:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert res.stdout == ""
 
+    def test_unequal_lengths_exit_2_naming_all_three(self, wavs, tmp_path):
+        short = tmp_path / "short.wav"
+        write_wav(AudioBuffer(np.zeros(SR - 100), SR), short)
+        long_noise = tmp_path / "long_noise.wav"
+        write_wav(AudioBuffer(0.05 * np.ones(SR + 7), SR), long_noise)
+        res = run_cli("eval", "--clean", wavs["clean"], "--noise", long_noise, "--nmf", short)
+        assert res.returncode == 2
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        for part in (f"estimate={SR - 100}", f"clean={SR}", f"noise={SR + 7}"):
+            assert part in lines[0]
+        assert res.stdout == ""
+
     def test_deterministic_csv(self, wavs, tmp_path):
         outs = []
         for run in ("a.csv", "b.csv"):
@@ -344,6 +357,27 @@ class TestSweep:
         # eval re-reads the written (int16-quantized) WAV, so allow a hair
         assert sweep_sdr == pytest.approx(eval_sdr, abs=0.05)
 
+
+    def test_unequal_lengths_exit_2_naming_all_three(self, wavs, trained, tmp_path):
+        short_clean = tmp_path / "short_clean.wav"
+        clean = wavfile.read(wavs["clean"])[1]
+        wavfile.write(short_clean, SR, clean[: SR - 100])
+        res = run_cli(
+            "sweep",
+            "--dict-signal", trained["signal"],
+            "--dict-noise", trained["noise"],
+            "--input", wavs["mixture"],
+            "--clean", short_clean,
+            "--noise", wavs["noise"],
+            "--alphas", "100",
+            *SMALL_STFT,
+        )
+        assert res.returncode == 2
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        for part in (f"estimate={SR}", f"clean={SR - 100}", f"noise={SR}"):
+            assert part in lines[0]
+        assert res.stdout == ""
 
     def test_one_stft_per_sweep(self, wavs, trained, tmp_path, monkeypatch, capsys):
         from onmfdenoise.stft import stft as original

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onmfdenoise.errors import (
     DimensionMismatchError,
@@ -9,6 +13,7 @@ from onmfdenoise.errors import (
 from onmfdenoise.nmf import (
     Dictionary,
     NmfConfig,
+    _loss_from_products,
     _update_dictionary_normalized,
     fit_nmf,
     load_dictionary,
@@ -35,6 +40,36 @@ def naive_loss(X, W, H, alpha):
     return total
 
 
+def reference_fit_nmf(X, cfg):
+    """The batch trainer with the code step taken from X and W and the loss
+    from the explicit residual, one matrix product at a time."""
+    X = np.asarray(X, dtype=np.float64)
+    rng = np.random.default_rng(cfg.seed)
+    W = rng.random((X.shape[0], cfg.k))
+    H = rng.random((cfg.k, X.shape[1]))
+    W, H = renormalize_pair(W, H, rng)
+    trace = [loss(X, W, H, cfg.alpha)]
+    for _ in range(cfg.max_iters):
+        numer = W.T @ X
+        denom = W.T @ W @ H + cfg.alpha + cfg.epsilon
+        H = H * numer / denom
+        W = _update_dictionary_normalized(X, W, H, cfg.epsilon)
+        W, H = renormalize_pair(W, H, rng)
+        trace.append(loss(X, W, H, cfg.alpha))
+        if trace[0] > 0 and abs(trace[-1] - trace[-2]) / trace[0] < cfg.rel_tol:
+            break
+    return W, H, trace
+
+
+def assert_matches_reference(X, cfg):
+    W, H, trace = fit_nmf(X, cfg)
+    W_ref, H_ref, trace_ref = reference_fit_nmf(X, cfg)
+    assert len(trace) == len(trace_ref) < cfg.max_iters + 1
+    assert np.array_equal(W.atoms, W_ref)
+    assert np.array_equal(H, H_ref)
+    assert np.allclose(trace, trace_ref, rtol=1e-12, atol=0.0)
+
+
 class TestLoss:
     def test_exact_factorization_zero(self):
         rng = np.random.default_rng(0)
@@ -55,6 +90,17 @@ class TestLoss:
         H = rng.random((2, 4))
         assert loss(X, W, H, 0.5) == pytest.approx(naive_loss(X, W, H, 0.5), rel=1e-12)
 
+    def test_product_form_never_negative_at_exact_fit(self):
+        # at an exact fit the expansion cancels to a rounding error of
+        # either sign (below zero for seeds 0, 5, 7, 8 and 9)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            W = rng.random((30, 4))
+            H = rng.random((4, 20))
+            x = (W @ H).ravel()
+            value = _loss_from_products(float(x @ x), W.T @ (W @ H), W.T @ W, H, 0.0)
+            assert 0.0 <= value <= 1e-12 * float(x @ x)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             loss(np.ones((3, 3)), np.ones((3, 2)), np.ones((3, 3)), 0.0)
@@ -62,21 +108,27 @@ class TestLoss:
 
 class TestUpdates:
     def test_code_update_scalar_case(self):
-        H = update_code(np.array([[2.0]]), np.array([[1.0]]), np.array([[1.0]]), 0.0, 0.0)
+        W = np.array([[1.0]])
+        H = update_code(W.T @ np.array([[2.0]]), W.T @ W, np.array([[1.0]]), 0.0, 0.0)
         assert H[0, 0] == pytest.approx(2.0)
 
     def test_code_update_zero_fixed_point(self):
         rng = np.random.default_rng(2)
         X = rng.random((4, 3))
         W = rng.random((4, 2))
-        assert not np.any(update_code(X, W, np.zeros((2, 3))))
+        assert not np.any(update_code(W.T @ X, W.T @ W, np.zeros((2, 3))))
 
     def test_code_update_identity_at_exact_fit(self):
         rng = np.random.default_rng(3)
         W = rng.random((4, 2)) + 0.1
         H = rng.random((2, 3)) + 0.1
-        H2 = update_code(W @ H, W, H, 0.0)
+        H2 = update_code(W.T @ (W @ H), W.T @ W, H, 0.0)
         assert np.allclose(H2, H, rtol=1e-12)
+
+    def test_code_update_dimension_mismatch(self):
+        W = np.ones((4, 2))
+        with pytest.raises(DimensionMismatchError):
+            update_code(W.T @ np.ones((4, 3)), W.T @ W, np.ones((3, 3)))
 
     def test_dictionary_update_identity_at_exact_fit(self):
         rng = np.random.default_rng(4)
@@ -100,7 +152,7 @@ class TestUpdates:
         W = rng.random((6, 3))
         H = rng.random((3, 5))
         for _ in range(5):
-            H = update_code(X, W, H, 0.5)
+            H = update_code(W.T @ X, W.T @ W, H, 0.5)
             W = _update_dictionary_normalized(X, W, H)
             assert np.all(H >= 0) and np.all(W >= 0)
 
@@ -161,6 +213,32 @@ class TestFit:
         with pytest.raises(EmptyInputError):
             fit_nmf(np.zeros((0, 0)), NmfConfig(k=1))
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 100.0])
+    def test_trace_entry_equals_direct_loss(self, alpha):
+        rng = np.random.default_rng(14)
+        X = rng.random((30, 25))
+        for j in range(6):
+            W, H, trace = fit_nmf(
+                X, NmfConfig(k=4, alpha=alpha, max_iters=j, rel_tol=1e-300, seed=3)
+            )
+            assert len(trace) == j + 1
+            assert trace[j] == pytest.approx(loss(X, W.atoms, H, alpha), rel=1e-12)
+
+    def test_non_finite_input_gives_non_finite_trace(self):
+        X = np.ones((5, 4))
+        X[2, 3] = np.nan
+        _, _, trace = fit_nmf(X, NmfConfig(k=2, max_iters=3))
+        assert np.all(np.isnan(trace))
+
+    @pytest.mark.parametrize("source, seed, k", [("s_prime", 0, 50), ("n_prime", 1, 10)])
+    def test_matches_residual_reference_on_fixture(self, fixture_seed0, source, seed, k):
+        assert_matches_reference(fixture_seed0[source].magnitudes, NmfConfig(k=k, seed=seed))
+
+    @pytest.mark.parametrize("seed, alpha", [(0, 0.0), (1, 0.0), (2, 2.0), (3, 50.0)])
+    def test_matches_residual_reference_on_random(self, seed, alpha):
+        X = np.random.default_rng(16 + seed).random((40, 70)) * 3
+        assert_matches_reference(X, NmfConfig(k=6, alpha=alpha, seed=seed))
+
 
 class TestPersistence:
     def test_round_trip_exact(self, tmp_path):
@@ -181,3 +259,73 @@ class TestPersistence:
         path.write_bytes(b"NOTADICT" + b"\x00" * 20)
         with pytest.raises(UnsupportedFormatError):
             load_dictionary(path)
+
+    def test_header_cut_short_rejected(self, tmp_path):
+        path = tmp_path / "w.dict"
+        save_dictionary(Dictionary(np.ones((3, 2))), path)
+        raw = path.read_bytes()
+        for cut in range(8, 20):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(UnsupportedFormatError):
+                load_dictionary(path)
+
+    def test_bytes_past_payload_rejected(self, tmp_path):
+        path = tmp_path / "w.dict"
+        save_dictionary(Dictionary(np.ones((3, 2))), path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(UnsupportedFormatError):
+            load_dictionary(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+    def test_non_finite_or_negative_atom_rejected(self, tmp_path, bad):
+        atoms = np.full((4, 2), 0.5)
+        atoms[2, 1] = bad
+        path = tmp_path / "w.dict"
+        save_dictionary(Dictionary(atoms), path)
+        with pytest.raises(UnsupportedFormatError):
+            load_dictionary(path)
+
+
+# version 1, d = 3, k = 2, then the atoms row-major as little-endian f64
+DICT_FILE = (
+    b"ONMFDICT"
+    + struct.pack("<III", 1, 3, 2)
+    + np.linspace(0.1, 0.9, 6).astype("<f8").tobytes()
+)
+
+
+@pytest.fixture(scope="module")
+def scratch_dict(tmp_path_factory):
+    return tmp_path_factory.mktemp("prop") / "x.dict"
+
+
+def loads_or_rejects(path, raw):
+    """load_dictionary gives a Dictionary or UnsupportedFormatError, nothing else."""
+    path.write_bytes(raw)
+    try:
+        back = load_dictionary(path)
+    except UnsupportedFormatError:
+        return
+    assert isinstance(back, Dictionary)
+    assert np.all(np.isfinite(back.atoms)) and np.all(back.atoms >= 0)
+
+
+def test_saved_layout_is_magic_version_shape_payload(tmp_path):
+    path = tmp_path / "w.dict"
+    save_dictionary(Dictionary(np.linspace(0.1, 0.9, 6).reshape(3, 2)), path)
+    assert path.read_bytes() == DICT_FILE
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(0, len(DICT_FILE) - 1))
+def test_truncated_dictionary_loads_or_raises_unsupported_format(scratch_dict, cut):
+    loads_or_rejects(scratch_dict, DICT_FILE[:cut])
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.data())
+def test_corrupted_dictionary_byte_loads_or_raises_unsupported_format(scratch_dict, data):
+    raw = bytearray(DICT_FILE)
+    i = data.draw(st.integers(0, len(raw) - 1))
+    raw[i] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[i]))
+    loads_or_rejects(scratch_dict, bytes(raw))
