@@ -15,7 +15,6 @@ from .onmf import (
     OnmfState,
     SamplerConfig,
     aggregate,
-    batch_objective_oracle,
     fit_onmf,
     sample_batch,
     sparse_code,

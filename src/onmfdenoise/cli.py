@@ -158,8 +158,11 @@ def cmd_train(args) -> int:
             if args.train_log:
                 log = f"{args.train_log}.{name}.jsonl"
             dictionary = onmf.fit_onmf(mags, k, args.train_alpha, sampler, log_path=log)
-            H = onmf.sparse_code(mags, dictionary.atoms, args.train_alpha)
-            final_loss = nmf.loss(mags, dictionary.atoms, H, args.train_alpha)
+            W = dictionary.atoms
+            H = onmf.sparse_code(mags, W, args.train_alpha)
+            final_loss = nmf._loss_from_products(
+                float(np.vdot(mags, mags)), W.T @ mags, W.T @ W, H, args.train_alpha
+            )
         if not np.isfinite(final_loss):
             raise NumericFailure(f"non-finite training loss for {name} dictionary")
         out_path = os.path.join(args.out_dir, f"w_{name}.dict")
@@ -256,6 +259,9 @@ def cmd_sweep(args) -> int:
             **_STFT_DEFAULTS,
         },
     )
+    alphas = [float(a) for a in str(args.alphas).split(",") if a.strip()]
+    if not alphas:
+        raise InvalidConfigError(f"--alphas {args.alphas!r} lists no weight")
     _require_files(args.dict_signal, args.dict_noise, args.input, args.clean, args.noise)
     params = _stft_params(args)
     w_signal = nmf.load_dictionary(args.dict_signal)
@@ -263,7 +269,6 @@ def cmd_sweep(args) -> int:
     noisy = audio_io.read_wav(args.input)
     clean = audio_io.read_wav(args.clean)
     noise = audio_io.read_wav(args.noise)
-    alphas = [float(a) for a in str(args.alphas).split(",") if a.strip()]
     X = compute_stft(noisy, params)
     rows = []
     for alpha in alphas:

@@ -14,12 +14,18 @@ code step from them; it never forms the d x n residual X - WH.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyInputError, UnsupportedFormatError
+from .errors import (
+    DimensionMismatchError,
+    EmptyInputError,
+    InvalidConfigError,
+    UnsupportedFormatError,
+)
 
 __all__ = [
     "Dictionary",
@@ -68,6 +74,8 @@ class NmfConfig:
     def __post_init__(self):
         if self.k < 1:
             raise EmptyInputError("k must be >= 1")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise InvalidConfigError(f"L1 weight must be finite and >= 0, got {self.alpha}")
         if self.rel_tol <= 0 or self.epsilon <= 0:
             raise ValueError("rel_tol and epsilon must be positive")
 

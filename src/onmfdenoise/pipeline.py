@@ -10,12 +10,13 @@ mixture spectrogram.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .errors import DimensionMismatchError, EmptyInputError
+from .errors import DimensionMismatchError, EmptyInputError, InvalidConfigError
 from .nmf import Dictionary, NmfConfig, fit_nmf
 from .onmf import SamplerConfig, fit_onmf, sparse_code
 from .stft import Spectrogram, StftParams, istft, stft
@@ -200,7 +201,10 @@ def denoise_spectrogram(
     n_samples: int,
 ) -> DenoiseResult:
     """Denoise a mixture already transformed with ``X.params``; the output
-    is cut to ``n_samples``."""
+    is cut to ``n_samples``. A mask floor that is not finite and positive
+    raises ``InvalidConfigError``."""
+    if not (math.isfinite(mask_epsilon) and mask_epsilon > 0):
+        raise InvalidConfigError(f"mask floor must be finite and > 0, got {mask_epsilon}")
     sep = separate(X, w_signal, w_noise, code_alpha)
     # the ratio overwrites the estimates, so no other d x n array is formed;
     # dropping sep frees the noise estimate before the inverse runs

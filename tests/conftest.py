@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from onmfdenoise.audio_io import AudioBuffer, SynthConfig, synth_mixture
+from onmfdenoise.errors import DimensionMismatchError, EmptyInputError
 from onmfdenoise.stft import StftParams, stft
 
 # chord vocabulary used by the synthetic denoising fixture
@@ -59,3 +60,20 @@ def make_fixture(seed):
 @pytest.fixture(scope="session")
 def fixture_seed0():
     return make_fixture(0)
+
+
+def batch_objective_oracle(X_batches, H_list, W: np.ndarray) -> float:
+    """Average data-term loss over stored batches with codes held fixed.
+
+    (1/t) * sum_s 0.5 * ||X_s - W H_s||_F^2. Test oracle: up to a
+    constant in the X_s, this equals the aggregated surrogate.
+    """
+    if len(X_batches) != len(H_list):
+        raise DimensionMismatchError("batch and code lists differ in length")
+    if not X_batches:
+        raise EmptyInputError("no batches")
+    total = 0.0
+    for X_s, H_s in zip(X_batches, H_list):
+        resid = X_s - W @ H_s
+        total += 0.5 * float(np.sum(resid * resid))
+    return total / len(X_batches)

@@ -20,7 +20,6 @@ from onmfdenoise.onmf import (
     OnmfState,
     SamplerConfig,
     aggregate,
-    batch_objective_oracle,
     fit_onmf,
     surrogate_value,
     update_dictionary_online,
@@ -28,7 +27,7 @@ from onmfdenoise.onmf import (
 from onmfdenoise.pipeline import DenoiseConfig, apply_mask, denoise, train_dictionaries
 from onmfdenoise.stft import StftParams, istft, stft
 
-from tests.conftest import FIXTURE_STFT, make_fixture
+from tests.conftest import FIXTURE_STFT, batch_objective_oracle, make_fixture
 
 SR = 16000
 SEEDS = (0, 1, 2)

@@ -98,6 +98,26 @@ class TestTrain:
         assert (tmp_path / "log.signal.jsonl").exists()
         assert (tmp_path / "log.noise.jsonl").exists()
 
+    def test_online_final_loss_matches_direct_residual(self, wavs, tmp_path, capsys):
+        from onmfdenoise.audio_io import read_wav
+        from onmfdenoise.nmf import load_dictionary, loss
+        from onmfdenoise.onmf import sparse_code
+        from onmfdenoise.stft import StftParams, stft
+
+        argv = [
+            "train", "--method", "onmf", "--train-alpha", "0.5",
+            "--signal", str(wavs["clean_prior"]), "--noise", str(wavs["noise_prior"]),
+            "--out-dir", str(tmp_path), *SMALL_TRAIN,
+        ]  # fmt: skip
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out.splitlines()
+        params = StftParams(window_len=256, hop=128, fft_len=256)
+        for name, prior, line in zip(("signal", "noise"), ("clean_prior", "noise_prior"), printed):
+            mags = stft(read_wav(wavs[prior]), params).magnitudes
+            W = load_dictionary(tmp_path / f"w_{name}.dict").atoms
+            direct = loss(mags, W, sparse_code(mags, W, 0.5), 0.5)
+            assert f"final loss {direct:.6g} " in line
+
     def test_deterministic_artifacts(self, wavs, tmp_path):
         outs = []
         for run in ("a", "b"):
@@ -128,6 +148,22 @@ class TestTrain:
     def test_unknown_flag_exits_2(self, wavs):
         res = run_cli("train", "--signal", wavs["clean"], "--bogus", "1")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("method", ["nmf", "onmf"])
+    def test_negative_train_alpha_exits_2(self, wavs, tmp_path, method):
+        res = run_cli(
+            "train",
+            "--method", method,
+            "--signal", wavs["clean_prior"],
+            "--noise", wavs["noise_prior"],
+            "--out-dir", tmp_path,
+            "--train-alpha", "-1",
+            *SMALL_TRAIN,
+        )
+        assert res.returncode == 2
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not (tmp_path / "w_signal.dict").exists()
 
 
 class TestDenoise:
@@ -199,6 +235,32 @@ class TestDenoise:
             "--dict-noise", trained["noise"],
             "--input", bad,
             "--output", tmp_path / "out.wav",
+            *SMALL_STFT,
+        )
+        assert res.returncode == 2
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not (tmp_path / "out.wav").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--alpha", "nan"),
+            ("--alpha", "inf"),
+            ("--alpha", "-1000"),
+            ("--mask-epsilon", "nan"),
+            ("--mask-epsilon", "0"),
+            ("--mask-epsilon", "-1"),
+        ],
+    )
+    def test_invalid_weight_or_floor_exits_2(self, wavs, trained, tmp_path, flag, value):
+        res = run_cli(
+            "denoise",
+            "--dict-signal", trained["signal"],
+            "--dict-noise", trained["noise"],
+            "--input", wavs["mixture"],
+            "--output", tmp_path / "out.wav",
+            flag, value,
             *SMALL_STFT,
         )
         assert res.returncode == 2
@@ -378,6 +440,25 @@ class TestSweep:
         for part in (f"estimate={SR}", f"clean={SR - 100}", f"noise={SR}"):
             assert part in lines[0]
         assert res.stdout == ""
+
+    @pytest.mark.parametrize("alphas", [",", " , "])
+    def test_empty_alpha_list_exits_2(self, wavs, trained, tmp_path, alphas):
+        out = tmp_path / "sweep.csv"
+        res = run_cli(
+            "sweep",
+            "--dict-signal", trained["signal"],
+            "--dict-noise", trained["noise"],
+            "--input", wavs["mixture"],
+            "--clean", wavs["clean"],
+            "--noise", wavs["noise"],
+            "--alphas", alphas,
+            "--out", out,
+            *SMALL_STFT,
+        )
+        assert res.returncode == 2
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not out.exists()
 
     def test_one_stft_per_sweep(self, wavs, trained, tmp_path, monkeypatch, capsys):
         from onmfdenoise.stft import stft as original

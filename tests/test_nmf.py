@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from onmfdenoise.errors import (
     DimensionMismatchError,
     EmptyInputError,
+    InvalidConfigError,
     UnsupportedFormatError,
 )
 from onmfdenoise.nmf import (
@@ -212,6 +213,11 @@ class TestFit:
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
             fit_nmf(np.zeros((0, 0)), NmfConfig(k=1))
+
+    @pytest.mark.parametrize("alpha", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+    def test_invalid_alpha_rejected(self, alpha):
+        with pytest.raises(InvalidConfigError):
+            NmfConfig(k=2, alpha=alpha)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 100.0])
     def test_trace_entry_equals_direct_loss(self, alpha):

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls
 
-from onmfdenoise.errors import BatchTooWideError, DegenerateStateError
+from onmfdenoise.errors import BatchTooWideError, DegenerateStateError, InvalidConfigError
 from onmfdenoise.onmf import (
     OnmfState,
     SamplerConfig,
     aggregate,
-    batch_objective_oracle,
     fit_onmf,
     sample_batch,
     sparse_code,
     surrogate_value,
     update_dictionary_online,
 )
+
+from tests.conftest import batch_objective_oracle
 
 
 def build_state(rng, d, k, m, t):
@@ -52,6 +56,20 @@ class TestSampler:
             sample_batch(np.ones((2, 3)), SamplerConfig(batch_cols=4), 1)
 
 
+def kkt_residual(X, W, H, alpha):
+    """Per-column norm of min(H, W^T W H - W^T X + alpha); zero at the optimum."""
+    return np.linalg.norm(np.minimum(H, W.T @ W @ H - W.T @ X + alpha), axis=0)
+
+
+def coding_problem(seed, d=40, k=12, m=200):
+    """Unit-norm random atoms and columns built from sparse codes plus noise."""
+    rng = np.random.default_rng(seed)
+    W = rng.random((d, k))
+    W /= np.linalg.norm(W, axis=0)
+    H = 10.0 * rng.random((k, m)) * (rng.random((k, m)) < 0.3)
+    return W @ H + rng.random((d, m)), W
+
+
 class TestSparseCode:
     def test_recovers_scaled_column(self):
         rng = np.random.default_rng(2)
@@ -73,6 +91,70 @@ class TestSparseCode:
     def test_zero_input_zero_code(self):
         rng = np.random.default_rng(4)
         assert not np.any(sparse_code(np.zeros((4, 2)), rng.random((4, 3)), 1.0))
+
+    @pytest.mark.parametrize("alpha", [-5.0, -1e-300, np.nan, np.inf, -np.inf])
+    def test_invalid_alpha_rejected(self, alpha):
+        rng = np.random.default_rng(20)
+        with pytest.raises(InvalidConfigError):
+            sparse_code(rng.random((4, 2)), rng.random((4, 3)), alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 5.0])
+    def test_columns_stopped_before_cap_meet_kkt(self, alpha):
+        X, W = coding_problem(21)
+        rel_tol, cap = 1e-3, 30
+        H = sparse_code(X, W, alpha, rel_tol, cap)
+        # a column still active at the cap takes one more step with cap + 1;
+        # one that stopped earlier follows the same path in both runs
+        stopped = np.all(H == sparse_code(X, W, alpha, rel_tol, cap + 1), axis=0)
+        assert 0 < stopped.sum() < X.shape[1]
+        p_norm = np.linalg.norm(W.T @ X, axis=0)
+        assert np.all(kkt_residual(X, W, H, alpha)[stopped] <= rel_tol * p_norm[stopped])
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 200])
+    def test_column_code_does_not_depend_on_batch(self, size, alpha):
+        X, W = coding_problem(22)
+        full = sparse_code(X, W, alpha)
+        idx = np.random.default_rng(size).permutation(X.shape[1])[:size]
+        alone = sparse_code(X[:, idx], W, alpha)
+        assert np.max(np.abs(alone - full[:, idx])) <= 1e-9 * np.max(np.abs(full[:, idx]))
+
+    @pytest.mark.parametrize("rel_tol", [1e-3, 1e-6])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_nnls_at_alpha_zero(self, seed, rel_tol):
+        rng = np.random.default_rng(30 + seed)
+        d, k, m = 20, 5, 6
+        W = rng.random((d, k))
+        X = W @ np.maximum(0.0, rng.standard_normal((k, m))) + 0.3 * rng.random((d, m))
+        H = sparse_code(X, W, 0.0, rel_tol=rel_tol, max_iters=100000)
+        eig = np.linalg.eigvalsh(W.T @ W)
+        for j in range(m):
+            h_star, _ = nnls(W, X[:, j])
+            # the KKT residual r bounds the error of a mu-strongly convex
+            # problem with an L-Lipschitz gradient: ||h - h*|| <= (1 + L)/mu ||r||
+            bound = (1.0 + eig[-1]) / eig[0] * rel_tol * np.linalg.norm(W.T @ X[:, j])
+            assert np.linalg.norm(H[:, j] - h_star) <= bound
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_zero_dictionary_gives_zero_codes(self, alpha):
+        X = np.random.default_rng(23).random((6, 4))
+        assert np.array_equal(sparse_code(X, np.zeros((6, 3)), alpha), np.zeros((3, 4)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_sparse_code_is_finite_non_negative_and_zero_on_zero_input(data):
+    d = data.draw(st.integers(1, 8))
+    k = data.draw(st.integers(0, 5))
+    m = data.draw(st.integers(0, 6))
+    entries = st.floats(0.0, 100.0, allow_subnormal=False)
+    W = data.draw(arrays(np.float64, (d, k), elements=entries))
+    X = data.draw(arrays(np.float64, (d, m), elements=entries))
+    alpha = data.draw(st.floats(0.0, 100.0, allow_subnormal=False))
+    H = sparse_code(X, W, alpha)
+    assert H.shape == (k, m)
+    assert np.all(np.isfinite(H)) and np.all(H >= 0)
+    assert np.array_equal(sparse_code(np.zeros((d, m)), W, alpha), np.zeros((k, m)))
 
 
 class TestAggregate:

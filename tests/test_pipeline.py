@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from onmfdenoise.audio_io import AudioBuffer
-from onmfdenoise.errors import DimensionMismatchError, EmptyInputError
+from onmfdenoise.errors import DimensionMismatchError, EmptyInputError, InvalidConfigError
 from onmfdenoise.nmf import Dictionary
 from onmfdenoise.onmf import SamplerConfig
 from onmfdenoise.pipeline import (
@@ -12,6 +12,7 @@ from onmfdenoise.pipeline import (
     apply_mask,
     concat_dictionaries,
     denoise,
+    denoise_spectrogram,
     separate,
     train_dictionaries,
 )
@@ -195,6 +196,14 @@ class TestDenoise:
         a = denoise(x, w_s, w_n, cfg)
         b = denoise(x, w_s, w_n, cfg)
         assert np.array_equal(a.denoised.samples, b.denoised.samples)
+
+    @pytest.mark.parametrize("mask_epsilon", [np.nan, np.inf, 0.0, -1.0])
+    def test_invalid_mask_floor_rejected(self, mask_epsilon):
+        cfg = small_cfg()
+        w_s, w_n = self._dictionaries(cfg.stft.n_bins)
+        X = stft(AudioBuffer(np.random.default_rng(15).uniform(-0.5, 0.5, 3000), SR), cfg.stft)
+        with pytest.raises(InvalidConfigError):
+            denoise_spectrogram(X, w_s, w_n, 1.0, mask_epsilon, 3000)
 
     def test_mask_additivity_on_real_run(self):
         cfg = small_cfg()
