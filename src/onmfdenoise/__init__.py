@@ -7,7 +7,6 @@ from .nmf import (
     NmfConfig,
     fit_nmf,
     load_dictionary,
-    loss,
     save_dictionary,
     update_code,
 )
@@ -23,11 +22,11 @@ from .onmf import (
 from .pipeline import (
     DenoiseConfig,
     DenoiseResult,
-    SeparationResult,
     apply_mask,
     concat_dictionaries,
     denoise,
     denoise_spectrogram,
+    fit_dictionary,
     separate,
     train_dictionaries,
 )

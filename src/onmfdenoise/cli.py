@@ -42,6 +42,8 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+# argparse checks these for flags; _merge checks them for --config values
+_CHOICES = {"method": ("nmf", "onmf"), "sampler_mode": ("uniform", "consecutive")}
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -62,6 +64,10 @@ def _merge(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
             continue
         if key in file_vals:
             raw = file_vals[key]
+            if key in _CHOICES and raw not in _CHOICES[key]:
+                raise InvalidConfigError(
+                    f"{key} = {raw!r}: expected one of {', '.join(_CHOICES[key])}"
+                )
             if isinstance(default, bool):
                 value = _parse_bool(key, raw)
             else:
@@ -82,12 +88,6 @@ def _stft_params(args) -> StftParams:
     return StftParams(
         window_len=args.window_len, hop=args.hop, fft_len=args.fft_len
     )
-
-
-def _add_stft_flags(p):
-    p.add_argument("--window-len", type=int, default=None)
-    p.add_argument("--hop", type=int, default=None)
-    p.add_argument("--fft-len", type=int, default=None)
 
 
 _STFT_DEFAULTS = {"window_len": 1024, "hop": 512, "fft_len": 1024}
@@ -125,50 +125,21 @@ def cmd_train(args) -> int:
             mode=args.sampler_mode,
             batch_cols=args.batch_cols,
             steps=args.steps,
-            seed=args.seed,
         ),
         seed=args.seed,
         max_iters=args.max_iters,
         rel_tol=args.rel_tol,
     )
-    outputs = []
-    for name, path, k, seed in (
-        ("signal", args.signal, args.k_signal, args.seed),
-        ("noise", args.noise, args.k_noise, args.seed + 1),
-    ):
+    for role, path in (("signal", args.signal), ("noise", args.noise)):
         mags = compute_stft(audio_io.read_wav(path), params).magnitudes
-        if cfg.trainer == "batch":
-            nmf_cfg = nmf.NmfConfig(
-                k=k,
-                alpha=args.train_alpha,
-                max_iters=args.max_iters,
-                rel_tol=args.rel_tol,
-                seed=seed,
-            )
-            dictionary, _, trace = nmf.fit_nmf(mags, nmf_cfg)
-            final_loss = trace[-1]
-        else:
-            sampler = onmf.SamplerConfig(
-                mode=args.sampler_mode,
-                batch_cols=min(args.batch_cols, mags.shape[1]),
-                steps=args.steps,
-                seed=seed,
-            )
-            log = None
-            if args.train_log:
-                log = f"{args.train_log}.{name}.jsonl"
-            dictionary = onmf.fit_onmf(mags, k, args.train_alpha, sampler, log_path=log)
-            W = dictionary.atoms
-            H = onmf.sparse_code(mags, W, args.train_alpha)
-            final_loss = nmf._loss_from_products(
-                float(np.vdot(mags, mags)), W.T @ mags, W.T @ W, H, args.train_alpha
-            )
+        log = f"{args.train_log}.{role}.jsonl" if args.train_log else None
+        dictionary, final_loss = pipeline.fit_dictionary(mags, cfg, role, log_path=log)
+        del mags  # free this prior before the next one is transformed
         if not np.isfinite(final_loss):
-            raise NumericFailure(f"non-finite training loss for {name} dictionary")
-        out_path = os.path.join(args.out_dir, f"w_{name}.dict")
+            raise NumericFailure(f"non-finite training loss for {role} dictionary")
+        out_path = os.path.join(args.out_dir, f"w_{role}.dict")
         nmf.save_dictionary(dictionary, out_path)
-        print(f"{name}: {dictionary.k} atoms, final loss {final_loss:.6g} -> {out_path}")
-        outputs.append(out_path)
+        print(f"{role}: {dictionary.k} atoms, final loss {final_loss:.6g} -> {out_path}")
     return EXIT_OK
 
 
@@ -296,6 +267,17 @@ def cmd_spectrogram(args) -> int:
     return EXIT_OK
 
 
+def _command(sub, name, func, help, stft=True):
+    """Add subcommand ``name``, run by ``func``, with --config and the STFT flags."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--config", default=None)
+    if stft:
+        for flag in ("--window-len", "--hop", "--fft-len"):
+            p.add_argument(flag, type=int, default=None)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="onmfdenoise",
@@ -303,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="learn signal and noise dictionaries")
-    p.add_argument("--method", choices=("nmf", "onmf"), default=None)
+    p = _command(sub, "train", cmd_train, "learn signal and noise dictionaries")
+    p.add_argument("--method", choices=_CHOICES["method"], default=None)
     p.add_argument("--signal", required=True, help="clean prior WAV")
     p.add_argument("--noise", required=True, help="noise prior WAV")
     p.add_argument("--out-dir", default=None)
@@ -316,13 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel-tol", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--batch-cols", type=int, default=None)
-    p.add_argument("--sampler-mode", choices=("uniform", "consecutive"), default=None)
+    p.add_argument("--sampler-mode", choices=_CHOICES["sampler_mode"], default=None)
     p.add_argument("--train-log", default=None, help="JSONL training log prefix")
-    p.add_argument("--config", default=None)
-    _add_stft_flags(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("denoise", help="separate a noisy WAV with trained dictionaries")
+    p = _command(sub, "denoise", cmd_denoise, "separate a noisy WAV with trained dictionaries")
     p.add_argument("--dict-signal", required=True)
     p.add_argument("--dict-noise", required=True)
     p.add_argument("--input", required=True)
@@ -332,21 +311,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clean", default=None, help="clean WAV for the reference image")
     p.add_argument("--emit-spectrograms", action="store_true", default=None)
     p.add_argument("--emit-noise", default=None, help="also write the noise render")
-    p.add_argument("--config", default=None)
-    _add_stft_flags(p)
-    p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser("eval", help="SDR/SIR/SAR against references")
+    p = _command(sub, "eval", cmd_eval, "SDR/SIR/SAR against references", stft=False)
     p.add_argument("--clean", required=True)
     p.add_argument("--noise", required=True)
     p.add_argument("--nmf", default=None, help="estimate from the batch method")
     p.add_argument("--onmf", default=None, help="estimate from the online method")
     p.add_argument("--noisy", default=None, help="unprocessed mixture (ORIGINAL row)")
     p.add_argument("--out", default=None, help="CSV output path")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="metrics across regularization weights")
+    p = _command(sub, "sweep", cmd_sweep, "metrics across regularization weights")
     p.add_argument("--dict-signal", required=True)
     p.add_argument("--dict-noise", required=True)
     p.add_argument("--input", required=True)
@@ -355,17 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default=None, help="comma-separated list")
     p.add_argument("--mask-epsilon", type=float, default=None)
     p.add_argument("--out", default=None, help="CSV output path")
-    p.add_argument("--config", default=None)
-    _add_stft_flags(p)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("spectrogram", help="export a WAV's spectrogram as PGM/CSV")
+    p = _command(sub, "spectrogram", cmd_spectrogram, "export a WAV's spectrogram as PGM/CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="PGM output path")
     p.add_argument("--csv", default=None, help="optional CSV output path")
-    p.add_argument("--config", default=None)
-    _add_stft_flags(p)
-    p.set_defaults(func=cmd_spectrogram)
 
     return parser
 

@@ -30,7 +30,6 @@ from .errors import (
 __all__ = [
     "Dictionary",
     "NmfConfig",
-    "loss",
     "update_code",
     "renormalize_pair",
     "fit_nmf",
@@ -87,13 +86,6 @@ def _conform(X, W, H):
         )
 
 
-def loss(X: np.ndarray, W: np.ndarray, H: np.ndarray, alpha: float) -> float:
-    """0.5 * ||X - WH||_F^2 + alpha * sum(H)."""
-    _conform(X, W, H)
-    resid = X - W @ H
-    return 0.5 * float(np.sum(resid * resid)) + alpha * float(np.sum(H))
-
-
 def update_code(WtX, G, H, alpha: float = 0.0, epsilon: float = 1e-12) -> np.ndarray:
     """One multiplicative step on H from WtX = W^T X and G = W^T W; alpha
     enters the denominator."""
@@ -105,7 +97,8 @@ def update_code(WtX, G, H, alpha: float = 0.0, epsilon: float = 1e-12) -> np.nda
 
 
 def _loss_from_products(x_sq: float, WtX, G, H, alpha: float) -> float:
-    """``loss`` from ||X||^2, W^T X and W^T W, without the d x n residual.
+    """0.5 * ||X - WH||_F^2 + alpha * sum(H) from ||X||^2, W^T X and
+    W^T W, without the d x n residual.
 
     Cancellation can leave the data term a rounding error below zero near
     an exact fit; it is reported as 0. A NaN passes through unchanged.
@@ -197,9 +190,9 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
 
 
 def load_dictionary(path) -> Dictionary:
-    """Read a ``save_dictionary`` file; a file cut short, with bytes past
-    its payload, or with a NaN, Inf or negative atom entry raises
-    ``UnsupportedFormatError``."""
+    """Read a ``save_dictionary`` file; a file with no rows or no atoms,
+    cut short, with bytes past its payload, or with a NaN, Inf or negative
+    atom entry raises ``UnsupportedFormatError``."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _MAGIC:
@@ -210,6 +203,8 @@ def load_dictionary(path) -> Dictionary:
         version, d, k = struct.unpack("<III", header)
         if version != _FORMAT_VERSION:
             raise UnsupportedFormatError(f"{path}: unknown version {version}")
+        if d == 0 or k == 0:
+            raise UnsupportedFormatError(f"{path}: empty {d}x{k} dictionary")
         payload = fh.read()
     if len(payload) != 8 * d * k:
         raise UnsupportedFormatError(

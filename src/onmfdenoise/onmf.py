@@ -170,17 +170,12 @@ def aggregate(state: OnmfState, H_t: np.ndarray, X_t: np.ndarray) -> OnmfState:
     return replace(state, A=A, B=B, t=t)
 
 
-def update_dictionary_online(
-    state: OnmfState,
-    sweeps: int = 1,
-    normalize: bool = True,
-    epsilon: float = 1e-12,
-) -> np.ndarray:
+def update_dictionary_online(state: OnmfState, normalize: bool = True) -> np.ndarray:
     """Refit the dictionary from the aggregates A and B.
 
-    Cyclic column-wise coordinate descent on the quadratic surrogate
-    0.5*Tr(W A W^T) - Tr(B W) with a non-negativity projection:
-    w_j <- max(0, w_j + (b_j - W a_j) / (A_jj + eps)). With
+    One sweep of cyclic column-wise coordinate descent on the quadratic
+    surrogate 0.5*Tr(W A W^T) - Tr(B W) with a non-negativity projection:
+    w_j <- max(0, w_j + (b_j - W a_j) / (A_jj + 1e-12)). With
     ``normalize`` each column is rescaled to unit L2 after its update;
     columns that project to zero keep their previous direction.
     """
@@ -188,16 +183,14 @@ def update_dictionary_online(
         raise DegenerateStateError("no aggregated information yet")
     A, B = state.A, state.B
     W = state.W.copy()
-    k = W.shape[1]
-    for _ in range(sweeps):
-        for j in range(k):
-            w = np.maximum(0.0, W[:, j] + (B[j, :] - W @ A[:, j]) / (A[j, j] + epsilon))
-            if normalize:
-                norm = np.linalg.norm(w)
-                if norm < 1e-12:
-                    continue  # keep previous unit-norm column
-                w = w / norm
-            W[:, j] = w
+    for j in range(W.shape[1]):
+        w = np.maximum(0.0, W[:, j] + (B[j, :] - W @ A[:, j]) / (A[j, j] + 1e-12))
+        if normalize:
+            norm = np.linalg.norm(w)
+            if norm < 1e-12:
+                continue  # keep previous unit-norm column
+            w = w / norm
+        W[:, j] = w
     return W
 
 

@@ -11,20 +11,20 @@ mixture spectrogram.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .audio_io import AudioBuffer
 from .errors import DimensionMismatchError, EmptyInputError, InvalidConfigError
-from .nmf import Dictionary, NmfConfig, fit_nmf
+from .nmf import Dictionary, NmfConfig, _loss_from_products, fit_nmf
 from .onmf import SamplerConfig, fit_onmf, sparse_code
 from .stft import Spectrogram, StftParams, istft, stft
 
 __all__ = [
     "DenoiseConfig",
-    "SeparationResult",
     "DenoiseResult",
+    "fit_dictionary",
     "train_dictionaries",
     "concat_dictionaries",
     "separate",
@@ -36,6 +36,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DenoiseConfig:
+    """Settings of training and denoising. ``seed`` is the one training
+    seed: the signal dictionary takes ``seed`` and the noise dictionary
+    ``seed + 1``. ``sampler.seed`` is ignored."""
+
     trainer: str = "batch"  # "batch" or "online"
     k_signal: int = 50
     k_noise: int = 10
@@ -53,16 +57,6 @@ class DenoiseConfig:
             raise ValueError(f"unknown trainer {self.trainer!r}")
         if self.k_signal < 1 or self.k_noise < 1:
             raise ValueError("dictionary sizes must be >= 1")
-
-
-@dataclass(frozen=True)
-class SeparationResult:
-    """Codes of a mixture and the partial reconstructions W @ H they give."""
-
-    s_est: np.ndarray
-    n_est: np.ndarray
-    h_signal: np.ndarray
-    h_noise: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -86,7 +80,17 @@ class DenoiseResult:
         return mags - self.ratio * mags
 
 
-def _fit_one(mags: np.ndarray, k: int, cfg: DenoiseConfig, seed: int) -> Dictionary:
+def fit_dictionary(
+    mags: np.ndarray, cfg: DenoiseConfig, role: str, log_path=None
+) -> tuple[Dictionary, float]:
+    """Learn the ``role`` ("signal" or "noise") dictionary from the
+    magnitudes of its prior; returns it with its final training loss.
+
+    Size and seed come from ``role``: ``cfg.k_signal`` and ``cfg.seed``, or
+    ``cfg.k_noise`` and ``cfg.seed + 1``. Online training codes the prior
+    once for the final loss and writes its JSON-lines log to ``log_path``.
+    """
+    k, seed = {"signal": (cfg.k_signal, cfg.seed), "noise": (cfg.k_noise, cfg.seed + 1)}[role]
     if mags.size == 0:
         raise EmptyInputError("prior spectrogram is empty")
     if cfg.trainer == "batch":
@@ -97,23 +101,24 @@ def _fit_one(mags: np.ndarray, k: int, cfg: DenoiseConfig, seed: int) -> Diction
             rel_tol=cfg.rel_tol,
             seed=seed,
         )
-        W, _, _ = fit_nmf(mags, nmf_cfg)
-        return W
-    sampler = SamplerConfig(
-        mode=cfg.sampler.mode,
-        batch_cols=min(cfg.sampler.batch_cols, mags.shape[1]),
-        steps=cfg.sampler.steps,
-        seed=seed,
+        dictionary, _, trace = fit_nmf(mags, nmf_cfg)
+        return dictionary, trace[-1]
+    sampler = replace(
+        cfg.sampler, batch_cols=min(cfg.sampler.batch_cols, mags.shape[1]), seed=seed
     )
-    return fit_onmf(mags, k, cfg.train_alpha, sampler)
+    dictionary = fit_onmf(mags, k, cfg.train_alpha, sampler, log_path=log_path)
+    W = dictionary.atoms
+    H = sparse_code(mags, W, cfg.train_alpha)
+    x_sq = float(np.vdot(mags, mags))
+    return dictionary, _loss_from_products(x_sq, W.T @ mags, W.T @ W, H, cfg.train_alpha)
 
 
 def train_dictionaries(
     s_prime: Spectrogram, n_prime: Spectrogram, cfg: DenoiseConfig
 ) -> tuple[Dictionary, Dictionary]:
     """Learn the signal dictionary from S' and the noise dictionary from N'."""
-    w_signal = _fit_one(s_prime.magnitudes, cfg.k_signal, cfg, cfg.seed)
-    w_noise = _fit_one(n_prime.magnitudes, cfg.k_noise, cfg, cfg.seed + 1)
+    w_signal, _ = fit_dictionary(s_prime.magnitudes, cfg, "signal")
+    w_noise, _ = fit_dictionary(n_prime.magnitudes, cfg, "noise")
     return w_signal, w_noise
 
 
@@ -136,23 +141,12 @@ def separate(
     w_signal: Dictionary,
     w_noise: Dictionary,
     code_alpha: float,
-) -> SeparationResult:
-    """Sparse-code X against the concatenated dictionary and split.
-
-    The dictionary is frozen here; only the code matrix is optimized.
-    The estimates are frames-major, like the spectrogram, so the masked
-    inverse reads both along the same axis.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse-code X against the frozen, concatenated dictionary; returns
+    the signal and noise codes ``(h_signal, h_noise)``."""
     W = concat_dictionaries(w_signal, w_noise)
     H = sparse_code(X.magnitudes, W.atoms, code_alpha)
-    h_signal = H[: w_signal.k, :]
-    h_noise = H[w_signal.k :, :]
-    return SeparationResult(
-        s_est=(h_signal.T @ w_signal.atoms.T).T,
-        n_est=(h_noise.T @ w_noise.atoms.T).T,
-        h_signal=h_signal,
-        h_noise=h_noise,
-    )
+    return H[: w_signal.k, :], H[w_signal.k :, :]
 
 
 def _signal_ratio(
@@ -205,12 +199,13 @@ def denoise_spectrogram(
     raises ``InvalidConfigError``."""
     if not (math.isfinite(mask_epsilon) and mask_epsilon > 0):
         raise InvalidConfigError(f"mask floor must be finite and > 0, got {mask_epsilon}")
-    sep = separate(X, w_signal, w_noise, code_alpha)
-    # the ratio overwrites the estimates, so no other d x n array is formed;
-    # dropping sep frees the noise estimate before the inverse runs
-    ratio = _signal_ratio(sep.s_est, sep.n_est, mask_epsilon)
-    h_signal, h_noise = sep.h_signal, sep.h_noise
-    del sep
+    h_signal, h_noise = separate(X, w_signal, w_noise, code_alpha)
+    # frames-major estimates W @ H, like the spectrogram, turned into the
+    # ratio in place: no other d x n array is formed, and the noise
+    # estimate is freed before the inverse runs
+    ratio = _signal_ratio(
+        (h_signal.T @ w_signal.atoms.T).T, (h_noise.T @ w_noise.atoms.T).T, mask_epsilon
+    )
     audio = istft(X, mask=ratio)
     return DenoiseResult(
         mixture=X,

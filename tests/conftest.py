@@ -3,6 +3,7 @@ import pytest
 
 from onmfdenoise.audio_io import AudioBuffer, SynthConfig, synth_mixture
 from onmfdenoise.errors import DimensionMismatchError, EmptyInputError
+from onmfdenoise.nmf import _conform
 from onmfdenoise.stft import StftParams, stft
 
 # chord vocabulary used by the synthetic denoising fixture
@@ -60,6 +61,16 @@ def make_fixture(seed):
 @pytest.fixture(scope="session")
 def fixture_seed0():
     return make_fixture(0)
+
+
+def loss(X: np.ndarray, W: np.ndarray, H: np.ndarray, alpha: float) -> float:
+    """0.5 * ||X - WH||_F^2 + alpha * sum(H), from the explicit residual.
+
+    Test oracle for the product-form loss the trainers report.
+    """
+    _conform(X, W, H)
+    resid = X - W @ H
+    return 0.5 * float(np.sum(resid * resid)) + alpha * float(np.sum(H))
 
 
 def batch_objective_oracle(X_batches, H_list, W: np.ndarray) -> float:

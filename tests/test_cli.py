@@ -52,6 +52,15 @@ def wavs(tmp_path_factory):
     return paths
 
 
+def zero_atom_dictionary(tmp_path):
+    """A well-formed .dict file holding 129 rows and no atoms."""
+    from onmfdenoise.nmf import Dictionary, save_dictionary
+
+    path = tmp_path / "empty.dict"
+    save_dictionary(Dictionary(np.zeros((129, 0))), path)
+    return path
+
+
 @pytest.fixture(scope="module")
 def trained(wavs, tmp_path_factory):
     out = tmp_path_factory.mktemp("dicts")
@@ -100,9 +109,10 @@ class TestTrain:
 
     def test_online_final_loss_matches_direct_residual(self, wavs, tmp_path, capsys):
         from onmfdenoise.audio_io import read_wav
-        from onmfdenoise.nmf import load_dictionary, loss
+        from onmfdenoise.nmf import load_dictionary
         from onmfdenoise.onmf import sparse_code
         from onmfdenoise.stft import StftParams, stft
+        from tests.conftest import loss
 
         argv = [
             "train", "--method", "onmf", "--train-alpha", "0.5",
@@ -117,6 +127,65 @@ class TestTrain:
             W = load_dictionary(tmp_path / f"w_{name}.dict").atoms
             direct = loss(mags, W, sparse_code(mags, W, 0.5), 0.5)
             assert f"final loss {direct:.6g} " in line
+
+    @pytest.mark.parametrize("method, trainer", [("nmf", "batch"), ("onmf", "online")])
+    def test_train_writes_what_fit_dictionary_gives(self, wavs, tmp_path, capsys, method, trainer):
+        from onmfdenoise.audio_io import read_wav
+        from onmfdenoise.nmf import save_dictionary
+        from onmfdenoise.onmf import SamplerConfig
+        from onmfdenoise.pipeline import DenoiseConfig, fit_dictionary
+        from onmfdenoise.stft import StftParams, stft
+
+        argv = [
+            "train", "--method", method, "--train-alpha", "0.5",
+            "--signal", str(wavs["clean_prior"]), "--noise", str(wavs["noise_prior"]),
+            "--out-dir", str(tmp_path / "cli"), *SMALL_TRAIN,
+        ]  # fmt: skip
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out.splitlines()
+        params = StftParams(window_len=256, hop=128, fft_len=256)
+        cfg = DenoiseConfig(
+            trainer=trainer, k_signal=3, k_noise=2, train_alpha=0.5, stft=params,
+            sampler=SamplerConfig(batch_cols=20, steps=10), seed=0, max_iters=40,
+        )  # fmt: skip
+        for role, prior, line in zip(("signal", "noise"), ("clean_prior", "noise_prior"), printed):
+            mags = stft(read_wav(wavs[prior]), params).magnitudes
+            dictionary, final_loss = fit_dictionary(mags, cfg, role)
+            save_dictionary(dictionary, tmp_path / "lib.dict")
+            name = f"w_{role}.dict"
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib.dict").read_bytes()
+            assert line.startswith(f"{role}: {dictionary.k} atoms, final loss {final_loss:.6g} -> ")
+
+    @pytest.mark.parametrize("method", ["nmf", "onmf"])
+    def test_one_prior_spectrogram_alive_at_a_time(self, tmp_path, method):
+        import tracemalloc
+
+        from onmfdenoise.audio_io import read_wav
+        from onmfdenoise.stft import StftParams, stft
+
+        rng = np.random.default_rng(3)
+        for name in ("s", "n"):
+            write_wav(AudioBuffer(0.1 * rng.standard_normal(4 * SR), SR), tmp_path / f"{name}.wav")
+        params = StftParams(window_len=256, hop=128, fft_len=256)
+        tracemalloc.start()
+        try:
+            mags = stft(read_wav(tmp_path / "s.wav"), params).magnitudes
+            one_prior = tracemalloc.get_traced_memory()[1]
+            mags_bytes = mags.nbytes
+            del mags
+            tracemalloc.reset_peak()
+            argv = [
+                "train", "--method", method, "--out-dir", str(tmp_path),
+                "--signal", str(tmp_path / "s.wav"), "--noise", str(tmp_path / "n.wav"),
+                *SMALL_TRAIN,
+            ]  # fmt: skip
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the signal prior's magnitudes must be gone while the noise prior
+        # is read and transformed
+        assert peak - one_prior < 0.75 * mags_bytes
 
     def test_deterministic_artifacts(self, wavs, tmp_path):
         outs = []
@@ -267,6 +336,24 @@ class TestDenoise:
         lines = res.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not (tmp_path / "out.wav").exists()
+
+
+    def test_zero_atom_dictionary_exits_2(self, wavs, trained, tmp_path):
+        empty = zero_atom_dictionary(tmp_path)
+        out = tmp_path / "den.wav"
+        res = run_cli(
+            "denoise",
+            "--dict-signal", trained["signal"],
+            "--dict-noise", empty,
+            "--input", wavs["mixture"],
+            "--output", out,
+            *SMALL_STFT,
+        )
+        assert res.returncode == 2
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert str(empty) in lines[0]
+        assert not out.exists()
 
 
 class TestEval:
@@ -460,6 +547,24 @@ class TestSweep:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out.exists()
 
+    def test_zero_atom_dictionary_exits_2(self, wavs, trained, tmp_path):
+        empty = zero_atom_dictionary(tmp_path)
+        res = run_cli(
+            "sweep",
+            "--dict-signal", trained["signal"],
+            "--dict-noise", empty,
+            "--input", wavs["mixture"],
+            "--clean", wavs["clean"],
+            "--noise", wavs["noise"],
+            "--alphas", "100",
+            *SMALL_STFT,
+        )
+        assert res.returncode == 2
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert str(empty) in lines[0]
+        assert res.stdout == ""
+
     def test_one_stft_per_sweep(self, wavs, trained, tmp_path, monkeypatch, capsys):
         from onmfdenoise.stft import stft as original
 
@@ -579,6 +684,24 @@ class TestConfigFile:
         c = (out_c / "w_signal.dict").read_bytes()
         assert b == c  # flag seed 0 matches pure-flag run
         assert a != b  # file seed 5 differs
+
+    @pytest.mark.parametrize("key", ["method", "sampler-mode"])
+    def test_value_outside_choices_exits_2(self, wavs, tmp_path, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = bogus\n")
+        res = run_cli(
+            "train",
+            "--signal", wavs["clean_prior"],
+            "--noise", wavs["noise_prior"],
+            "--out-dir", tmp_path,
+            "--config", cfg,
+            *SMALL_TRAIN,
+        )
+        assert res.returncode == 2
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "bogus" in lines[0]
+        assert not (tmp_path / "w_signal.dict").exists()
 
     def test_malformed_config_exits_2(self, wavs, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -18,11 +18,11 @@ from onmfdenoise.nmf import (
     _update_dictionary_normalized,
     fit_nmf,
     load_dictionary,
-    loss,
     renormalize_pair,
     save_dictionary,
     update_code,
 )
+from tests.conftest import loss
 
 
 def naive_loss(X, W, H, alpha):
@@ -279,6 +279,13 @@ class TestPersistence:
         path = tmp_path / "w.dict"
         save_dictionary(Dictionary(np.ones((3, 2))), path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(UnsupportedFormatError):
+            load_dictionary(path)
+
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 2)])
+    def test_dictionary_without_rows_or_atoms_rejected(self, tmp_path, shape):
+        path = tmp_path / "w.dict"
+        save_dictionary(Dictionary(np.zeros(shape)), path)
         with pytest.raises(UnsupportedFormatError):
             load_dictionary(path)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from onmfdenoise.pipeline import (
     denoise,
     denoise_spectrogram,
     separate,
+    fit_dictionary,
     train_dictionaries,
 )
 from onmfdenoise.stft import Spectrogram, StftParams, stft
@@ -63,6 +65,20 @@ class TestTrain:
             assert w_s.atoms.shape == (129, 3)
             assert w_n.atoms.shape == (129, 2)
 
+    @pytest.mark.parametrize("trainer", ["batch", "online"])
+    def test_pair_is_two_fit_dictionary_calls(self, trainer):
+        rng = np.random.default_rng(8)
+        s_prime = spectrogram_from(rng.random((129, 30)))
+        n_prime = spectrogram_from(rng.random((129, 25)))
+        cfg = small_cfg(trainer=trainer, seed=3)
+        pair = train_dictionaries(s_prime, n_prime, cfg)
+        singles = (
+            fit_dictionary(s_prime.magnitudes, cfg, "signal")[0],
+            fit_dictionary(n_prime.magnitudes, cfg, "noise")[0],
+        )
+        for got, want in zip(pair, singles):
+            assert got.atoms.tobytes() == want.atoms.tobytes()
+
     def test_empty_prior_rejected(self):
         empty = spectrogram_from(np.zeros((129, 0)))
         with pytest.raises(EmptyInputError):
@@ -99,6 +115,17 @@ class TestConcat:
             concat_dictionaries(Dictionary(np.ones((4, 2))), Dictionary(np.ones((5, 2))))
 
 
+def separate_with_estimates(X, w_signal, w_noise, code_alpha):
+    """The codes from ``separate`` with the partial reconstructions W @ H."""
+    h_signal, h_noise = separate(X, w_signal, w_noise, code_alpha)
+    return SimpleNamespace(
+        s_est=w_signal.atoms @ h_signal,
+        n_est=w_noise.atoms @ h_noise,
+        h_signal=h_signal,
+        h_noise=h_noise,
+    )
+
+
 class TestSeparate:
     def test_separable_instance_goes_to_signal_side(self):
         rng = np.random.default_rng(5)
@@ -110,11 +137,11 @@ class TestSeparate:
         h = rng.random((3, 10)) + 0.5
         mags = w_s @ h
         spec = spectrogram_from(mags)
-        result = separate(spec, Dictionary(w_s), Dictionary(w_n), 0.0)
+        result = separate_with_estimates(spec, Dictionary(w_s), Dictionary(w_n), 0.0)
         assert np.linalg.norm(result.n_est) <= 1e-3 * np.linalg.norm(mags)
 
     def test_zero_input(self):
-        result = separate(
+        result = separate_with_estimates(
             spectrogram_from(np.zeros((8, 5))),
             Dictionary(np.ones((8, 2))),
             Dictionary(np.ones((8, 1))),
@@ -127,7 +154,7 @@ class TestSeparate:
         spec = spectrogram_from(rng.random((8, 5)))
         w_s = Dictionary(rng.random((8, 3)))
         w_n = Dictionary(rng.random((8, 2)))
-        result = separate(spec, w_s, w_n, 0.1)
+        result = separate_with_estimates(spec, w_s, w_n, 0.1)
         from onmfdenoise.onmf import sparse_code
 
         W = np.hstack([w_s.atoms, w_n.atoms])
