@@ -9,7 +9,10 @@ O(d*m + d*k + k^2) regardless of the spectrogram width.
 The sparse coder, also used to separate a mixture, is accelerated
 projected gradient (FISTA) on the L1 non-negative least-squares problem.
 Each column stops on its own KKT residual, so a column's code does not
-depend on the other columns coded with it.
+depend on the other columns coded with it. Each step forms one k x k
+product, M h with M = I - W^T W/L, which gives both the KKT residual and,
+by linearity, the momentum step. Stopped columns are written out at once
+but leave the working arrays only when half of them have stopped.
 """
 
 from __future__ import annotations
@@ -92,13 +95,6 @@ def sample_batch(X, cfg: SamplerConfig, t: int) -> np.ndarray:
     return _take_columns(X, idx)
 
 
-def _kkt_sq(G: np.ndarray, H: np.ndarray, P_alpha: np.ndarray) -> np.ndarray:
-    """Per-column squared norm of min(H, G@H - P + alpha), which is zero
-    exactly where H solves the L1 non-negative least-squares problem."""
-    r = np.minimum(H, G @ H - P_alpha)
-    return np.einsum("ij,ij->j", r, r)
-
-
 def sparse_code(
     X_t: np.ndarray,
     W: np.ndarray,
@@ -110,52 +106,105 @@ def sparse_code(
 
     Minimizes 0.5*||x_j - W h_j||^2 + alpha*sum(h_j) over h_j >= 0 for each
     column by accelerated projected gradient (FISTA, Beck & Teboulle 2009)
-    with step 1/L, L the largest eigenvalue of G = W^T W. G and P = W^T X_t
-    are formed once. Column j stops at the first iterate whose KKT residual
-    meets ||min(h_j, G h_j - p_j + alpha)|| <= rel_tol*||p_j|| (Lin 2007) and
-    leaves the working set; columns still active after max_iters steps
-    return their last iterate. The step size and momentum depend only on W
-    and the step number, so each column's code does not depend on which
-    other columns are coded with it. An all-zero dictionary gives zero
-    codes. A negative or non-finite alpha raises ``InvalidConfigError``.
+    with step 1/L, L the largest eigenvalue of G = W^T W. Column j stops at
+    the first iterate whose KKT residual meets
+    ||min(h_j, G h_j - p_j + alpha)|| <= rel_tol*||p_j|| (Lin 2007), with
+    p_j = W^T x_j; columns still active after max_iters steps return their
+    last iterate. The step size and momentum depend only on W and the step
+    number, so each column's code does not depend on which other columns
+    are coded with it. An all-zero dictionary gives zero codes. A negative
+    or non-finite alpha raises ``InvalidConfigError``.
+
+    Each step forms one k x k product, M @ h with M = I - G/L, which serves
+    both the KKT check and, by linearity, the momentum step
+    (see ``_code_from_products``).
     """
     X_t = np.asarray(X_t, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
     if W.shape[0] != X_t.shape[0]:
         raise DimensionMismatchError(f"W rows {W.shape[0]} != X rows {X_t.shape[0]}")
+    return _code_from_products(X_t.T @ W, W.T @ W, alpha, rel_tol, max_iters)
+
+
+def _code_from_products(
+    P: np.ndarray,
+    G: np.ndarray,
+    alpha: float,
+    rel_tol: float = 1e-3,
+    max_iters: int = 200,
+) -> np.ndarray:
+    """``sparse_code`` from the frames-major P = X^T W (m x k) and
+    G = W^T W; returns the k x m codes. P is overwritten.
+
+    With M = I - G/L and P_L = (P - alpha)/L, the gradient step from the
+    momentum point Y = H + beta*(H - H_prev) is max(0, M Y + P_L), and
+    M Y = M H + beta*(M H - M H_prev); the KKT gradient is
+    G H - P + alpha = L*(H - M H - P_L). So each step forms only M H, from
+    H itself, and keeps the previous step's M H instead of H_prev.
+
+    Working arrays are frames-major, one row per column of X. A stopped
+    row's code is written out at its stopping iterate and never again; the
+    row keeps iterating, unread, until half the rows have stopped, and only
+    then are the arrays compacted, a copy of contiguous rows.
+    """
     if not (math.isfinite(alpha) and alpha >= 0):
         raise InvalidConfigError(f"L1 weight must be finite and >= 0, got {alpha}")
-    k, m = W.shape[1], X_t.shape[1]
-    out = np.zeros((k, m))
-    G = W.T @ W
+    m, k = P.shape
+    out = np.zeros((m, k))
     L = float(np.linalg.eigvalsh(G)[-1]) if k else 0.0
-    if L == 0.0:
-        return out
-    P = W.T @ X_t
-    thr_sq = rel_tol * rel_tol * np.einsum("ij,ij->j", P, P)
-    P -= alpha
-    active = np.arange(m)
-    H = np.maximum(0.0, P / L)
-    H_prev = H
+    if L == 0.0 or m == 0:
+        return out.T
+    thr_sq = rel_tol * rel_tol * np.einsum("ij,ij->i", P, P)
+    P_L = P
+    P_L -= alpha
+    P_L /= L
+    M = np.eye(k) - G / L
+    rows = np.arange(m)  # the column of X each working row codes
+    live = np.ones(m, dtype=bool)
+    H = np.maximum(P_L, 0.0)
+    MH = np.empty_like(H)
+    MH_prev = np.zeros_like(H)
+    buf = np.empty_like(H)
     t = 1.0
     for step in range(max_iters + 1):
-        done = _kkt_sq(G, H, P) <= thr_sq
+        np.matmul(H, M, out=MH)  # M is symmetric: rows of H @ M are M h_j
+        np.subtract(H, MH, out=buf)
+        buf -= P_L
+        buf *= L
+        np.minimum(buf, H, out=buf)
+        done = np.einsum("ij,ij->i", buf, buf) <= thr_sq
         if step == max_iters:
             done[:] = True
-        if done.any():
-            out[:, active[done]] = H[:, done]
-            keep = ~done
-            active, H, H_prev, P, thr_sq = (
-                active[keep], H[:, keep], H_prev[:, keep], P[:, keep], thr_sq[keep]
-            )
-        if active.size == 0:
-            break
+        done &= live
+        stopped = np.flatnonzero(done)
+        if stopped.size:
+            # buf is free until the step: stage the stopped rows there
+            out[rows[stopped]] = np.take(H, stopped, axis=0, out=buf[: stopped.size], mode="clip")
+            live &= ~done
+            n_live = int(np.count_nonzero(live))
+            if n_live == 0:
+                break
+            if 2 * n_live <= live.size:
+                # one array at a time, so each old array is freed first
+                buf = None
+                H = H[live]
+                MH = MH[live]
+                MH_prev = MH_prev[live]
+                P_L = P_L[live]
+                rows, thr_sq = rows[live], thr_sq[live]
+                live = np.ones(n_live, dtype=bool)
+                buf = np.empty_like(H)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        Y = H + ((t - 1.0) / t_next) * (H - H_prev)
+        beta = (t - 1.0) / t_next
         t = t_next
-        H_prev = H
-        H = np.maximum(0.0, Y - (G @ Y - P) / L)
-    return out
+        np.subtract(MH, MH_prev, out=buf)
+        buf *= beta
+        buf += MH
+        buf += P_L
+        np.maximum(buf, 0.0, out=buf)
+        H, buf = buf, H
+        MH, MH_prev = MH_prev, MH
+    return out.T
 
 
 def aggregate(state: OnmfState, H_t: np.ndarray, X_t: np.ndarray) -> OnmfState:
@@ -195,15 +244,19 @@ def update_dictionary_online(state: OnmfState, normalize: bool = True) -> np.nda
 
 
 def surrogate_value(W: np.ndarray, A: np.ndarray, B: np.ndarray) -> float:
-    """0.5*Tr(W A W^T) - Tr(B W); the objective coordinate descent drives."""
-    return 0.5 * float(np.trace(W @ A @ W.T)) - float(np.trace(B @ W))
+    """0.5*Tr(W A W^T) - Tr(B W); the objective coordinate descent drives.
+
+    Formed as 0.5*<W^T W, A> - <B, W^T>, so no d x d matrix is made.
+    """
+    return 0.5 * float(np.vdot(W.T @ W, A)) - float(np.einsum("ij,ji->", B, W))
 
 
 def _aux_elements(d: int, k: int, m: int) -> int:
-    """Elements of per-step working storage: batch, codes, aggregates,
-    dictionary, Gram, W^T X, and the coder's iterate, previous iterate,
-    momentum point Y and G@Y."""
-    return d * m + k * m + k * k + k * d + d * k + k * k + k * m + 4 * k * m
+    """Elements of per-step working storage: batch, aggregates A and B,
+    dictionary, Gram G and the coder's M = I - G/L, and the coder's six
+    k x m arrays: codes, P_L = (W^T X - alpha)/L, iterate H, M H, the
+    previous step's M H, and the KKT and step buffer."""
+    return d * m + k * k + k * d + d * k + 2 * k * k + 6 * k * m
 
 
 def fit_onmf(

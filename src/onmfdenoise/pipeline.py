@@ -18,7 +18,7 @@ import numpy as np
 from .audio_io import AudioBuffer
 from .errors import DimensionMismatchError, EmptyInputError, InvalidConfigError
 from .nmf import Dictionary, NmfConfig, _loss_from_products, fit_nmf
-from .onmf import SamplerConfig, fit_onmf, sparse_code
+from .onmf import SamplerConfig, _code_from_products, fit_onmf, sparse_code
 from .stft import Spectrogram, StftParams, istft, stft
 
 __all__ = [
@@ -108,9 +108,11 @@ def fit_dictionary(
     )
     dictionary = fit_onmf(mags, k, cfg.train_alpha, sampler, log_path=log_path)
     W = dictionary.atoms
-    H = sparse_code(mags, W, cfg.train_alpha)
-    x_sq = float(np.vdot(mags, mags))
-    return dictionary, _loss_from_products(x_sq, W.T @ mags, W.T @ W, H, cfg.train_alpha)
+    XtW, G = mags.T @ W, W.T @ W
+    H = _code_from_products(XtW.copy(), G, cfg.train_alpha)
+    flat = mags.ravel(order="K")
+    x_sq = float(np.vdot(flat, flat))
+    return dictionary, _loss_from_products(x_sq, XtW.T, G, H, cfg.train_alpha)
 
 
 def train_dictionaries(

@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from onmfdenoise.audio_io import AudioBuffer, SynthConfig, synth_mixture
-from onmfdenoise.errors import DimensionMismatchError, EmptyInputError
+from onmfdenoise.errors import (
+    DimensionMismatchError,
+    EmptyInputError,
+    InvalidConfigError,
+)
 from onmfdenoise.nmf import _conform
 from onmfdenoise.stft import StftParams, stft
 
@@ -88,3 +94,62 @@ def batch_objective_oracle(X_batches, H_list, W: np.ndarray) -> float:
         resid = X_s - W @ H_s
         total += 0.5 * float(np.sum(resid * resid))
     return total / len(X_batches)
+
+
+def _kkt_sq(G: np.ndarray, H: np.ndarray, P_alpha: np.ndarray) -> np.ndarray:
+    """Per-column squared norm of min(H, G@H - P + alpha), which is zero
+    exactly where H solves the L1 non-negative least-squares problem."""
+    r = np.minimum(H, G @ H - P_alpha)
+    return np.einsum("ij,ij->j", r, r)
+
+
+def reference_sparse_code(
+    X_t: np.ndarray,
+    W: np.ndarray,
+    alpha: float,
+    rel_tol: float = 1e-3,
+    max_iters: int = 200,
+) -> np.ndarray:
+    """FISTA coder that forms both G@H and G@Y at every step and compacts
+    its working set whenever a column stops.
+
+    Test oracle for ``onmf.sparse_code``: the same iterates and the same
+    per-column KKT stop, computed the direct way.
+    """
+    X_t = np.asarray(X_t, dtype=np.float64)
+    W = np.asarray(W, dtype=np.float64)
+    if W.shape[0] != X_t.shape[0]:
+        raise DimensionMismatchError(f"W rows {W.shape[0]} != X rows {X_t.shape[0]}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise InvalidConfigError(f"L1 weight must be finite and >= 0, got {alpha}")
+    k, m = W.shape[1], X_t.shape[1]
+    out = np.zeros((k, m))
+    G = W.T @ W
+    L = float(np.linalg.eigvalsh(G)[-1]) if k else 0.0
+    if L == 0.0:
+        return out
+    P = W.T @ X_t
+    thr_sq = rel_tol * rel_tol * np.einsum("ij,ij->j", P, P)
+    P -= alpha
+    active = np.arange(m)
+    H = np.maximum(0.0, P / L)
+    H_prev = H
+    t = 1.0
+    for step in range(max_iters + 1):
+        done = _kkt_sq(G, H, P) <= thr_sq
+        if step == max_iters:
+            done[:] = True
+        if done.any():
+            out[:, active[done]] = H[:, done]
+            keep = ~done
+            active, H, H_prev, P, thr_sq = (
+                active[keep], H[:, keep], H_prev[:, keep], P[:, keep], thr_sq[keep]
+            )
+        if active.size == 0:
+            break
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        Y = H + ((t - 1.0) / t_next) * (H - H_prev)
+        t = t_next
+        H_prev = H
+        H = np.maximum(0.0, Y - (G @ Y - P) / L)
+    return out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls
 
+from onmfdenoise import onmf
 from onmfdenoise.errors import BatchTooWideError, DegenerateStateError, InvalidConfigError
 from onmfdenoise.onmf import (
     OnmfState,
     SamplerConfig,
+    _aux_elements,
     aggregate,
     fit_onmf,
     sample_batch,
@@ -17,7 +21,7 @@ from onmfdenoise.onmf import (
     update_dictionary_online,
 )
 
-from tests.conftest import batch_objective_oracle
+from tests.conftest import batch_objective_oracle, reference_sparse_code
 
 
 def build_state(rng, d, k, m, t):
@@ -140,6 +144,63 @@ class TestSparseCode:
         X = np.random.default_rng(23).random((6, 4))
         assert np.array_equal(sparse_code(X, np.zeros((6, 3)), alpha), np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 5.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_coder(self, seed, alpha):
+        rng = np.random.default_rng(40 + seed)
+        d, k, m = (int(v) for v in rng.integers([5, 1, 1], [80, 60, 400]))
+        X, W = coding_problem(40 + seed, d, k, m)
+        ref = reference_sparse_code(X, W, alpha)
+        assert np.max(np.abs(sparse_code(X, W, alpha) - ref)) <= 1e-9 * np.max(ref)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("prior, k", [("s_prime", 50), ("n_prime", 10)])
+    def test_matches_reference_coder_on_fixture_priors(self, fixture_seed0, prior, k, alpha):
+        X = fixture_seed0[prior].magnitudes
+        # atoms drawn from the prior's own frames, as a trained dictionary's are
+        W = X[:, np.random.default_rng(k).choice(X.shape[1], size=k, replace=False)]
+        W = W / np.linalg.norm(W, axis=0)
+        ref = reference_sparse_code(X, W, alpha)
+        assert np.max(np.abs(sparse_code(X, W, alpha) - ref)) <= 1e-9 * np.max(ref)
+
+    def test_one_gram_product_per_step(self, monkeypatch):
+        X, W = coding_problem(24)
+        k = W.shape[1]
+        products = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, a, b, **kwargs):
+                if np.shape(b) == (k, k) or np.shape(a) == (k, k):
+                    products.append(a.shape)
+                return np.matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(onmf, "np", CountingNumpy())
+        steps = 25
+        # rel_tol 0: no column stops before the cap, so the loop runs all
+        # `steps` steps and checks the KKT residual steps + 1 times
+        H = sparse_code(X, W, 0.5, rel_tol=0.0, max_iters=steps)
+        monkeypatch.undo()
+        assert len(products) == steps + 1
+        ref = reference_sparse_code(X, W, 0.5, rel_tol=0.0, max_iters=steps)
+        assert np.max(np.abs(H - ref)) <= 1e-9 * np.max(ref)
+
+    @pytest.mark.parametrize("d, k, m", [(40, 20, 400), (100, 50, 200)])
+    @pytest.mark.parametrize("alpha", [0.0, 1e9])
+    def test_working_memory_within_aux_count(self, d, k, m, alpha):
+        X, W = coding_problem(25, d, k, m)
+        tracemalloc.start()
+        try:
+            sparse_code(X, W, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the coder's share of the count with no batch and no dictionary:
+        # A, G, M and six k x m arrays; plus a few length-m index vectors
+        assert peak <= 8 * (_aux_elements(0, k, m) + 8 * m)
+
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.data())
@@ -155,6 +216,8 @@ def test_sparse_code_is_finite_non_negative_and_zero_on_zero_input(data):
     assert H.shape == (k, m)
     assert np.all(np.isfinite(H)) and np.all(H >= 0)
     assert np.array_equal(sparse_code(np.zeros((d, m)), W, alpha), np.zeros((k, m)))
+    ref = reference_sparse_code(X, W, alpha)
+    assert np.max(np.abs(H - ref), initial=0.0) <= 1e-9 * np.max(ref, initial=0.0)
 
 
 class TestAggregate:
@@ -226,6 +289,28 @@ class TestDictionaryUpdate:
         state = OnmfState(W=np.ones((3, 2)), A=np.zeros((2, 2)), B=np.zeros((2, 3)), t=0)
         with pytest.raises(DegenerateStateError):
             update_dictionary_online(state)
+
+
+class TestSurrogate:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_trace_form(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        state, _, _ = build_state(rng, 30, 6, 8, 3)
+        W = rng.random((30, 6))
+        trace_form = 0.5 * np.trace(W @ state.A @ W.T) - np.trace(state.B @ W)
+        assert surrogate_value(W, state.A, state.B) == pytest.approx(trace_form, rel=1e-12)
+
+    def test_forms_no_d_by_d_matrix(self):
+        rng = np.random.default_rng(55)
+        d, k = 2049, 50
+        W, A, B = rng.random((d, k)), rng.random((k, k)), rng.random((k, d))
+        tracemalloc.start()
+        try:
+            surrogate_value(W, A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * d * k
 
 
 class TestOracleEquivalence:

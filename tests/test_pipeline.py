@@ -3,6 +3,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from onmfdenoise.audio_io import AudioBuffer
 from onmfdenoise.errors import DimensionMismatchError, EmptyInputError, InvalidConfigError
@@ -78,6 +81,24 @@ class TestTrain:
         )
         for got, want in zip(pair, singles):
             assert got.atoms.tobytes() == want.atoms.tobytes()
+
+    def test_online_final_loss_copies_no_prior(self):
+        from onmfdenoise.onmf import sparse_code
+        from tests.conftest import loss
+
+        # bins x frames, stored frames-major like a spectrogram's magnitudes
+        mags = np.asfortranarray(np.random.default_rng(12).random((256, 4000)))
+        sampler = SamplerConfig(batch_cols=8, steps=2, seed=0)
+        cfg = small_cfg(trainer="online", k_signal=2, train_alpha=0.5, sampler=sampler)
+        tracemalloc.start()
+        try:
+            dictionary, final_loss = fit_dictionary(mags, cfg, "signal")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mags.nbytes / 4
+        W = dictionary.atoms
+        assert final_loss == pytest.approx(loss(mags, W, sparse_code(mags, W, 0.5), 0.5), rel=1e-9)
 
     def test_empty_prior_rejected(self):
         empty = spectrogram_from(np.zeros((129, 0)))
@@ -190,6 +211,24 @@ class TestMask:
             assert np.max(np.abs(sm + nm - X)) <= 1e-12
             ratio = np.divide(sm, X, out=np.zeros_like(sm), where=X > 0)
             assert np.all(ratio >= -1e-15) and np.all(ratio <= 1 + 1e-15)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_mask_is_additive_and_splits_within_the_mixture(data):
+    shape = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    cells = st.floats(0.0, 1e3, allow_subnormal=False)
+    # estimates are often exactly zero, which exercises the 50/50 floor
+    estimates = st.one_of(st.just(0.0), st.floats(0.0, 1e6))
+    X = data.draw(arrays(np.float64, shape, elements=cells))
+    s_est = data.draw(arrays(np.float64, shape, elements=estimates))
+    n_est = data.draw(arrays(np.float64, shape, elements=estimates))
+    sm, nm = apply_mask(X, s_est, n_est)
+    assert np.max(np.abs(sm + nm - X)) <= 1e-12 * max(1.0, np.max(X))
+    # a ratio in [0, 1] puts each part between 0 and the mixture cell
+    assert np.all((sm >= 0) & (sm <= X)) and np.all((nm >= 0) & (nm <= X))
+    ratio = np.divide(sm, X, out=np.full(shape, 0.5), where=X > 0)
+    assert np.all((ratio >= 0) & (ratio <= 1))
 
 
 class TestDenoise:

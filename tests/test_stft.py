@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onmfdenoise.audio_io import AudioBuffer
 from onmfdenoise.errors import (
@@ -80,6 +82,26 @@ def test_round_trip_interior(hop_div):
     back = istft(stft(buf, params)).samples
     lo, hi = params.window_len, len(x) - params.window_len
     assert np.max(np.abs(back[lo:hi] - x[lo:hi])) <= 1e-6
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    log_window=st.integers(2, 9),
+    hop_div=st.sampled_from([2, 4]),
+    fft_mult=st.sampled_from([1, 2]),
+    extra=st.integers(0, 4000),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_round_trip_interior_property(log_window, hop_div, fft_mult, extra, scale, seed):
+    window = 2**log_window
+    params = StftParams(window_len=window, hop=window // hop_div, fft_len=fft_mult * window)
+    # any length from three windows up, so the zero-padded tail varies too
+    x = scale * np.random.default_rng(seed).uniform(-1, 1, 3 * window + extra)
+    back = istft(stft(AudioBuffer(x, SR), params)).samples
+    assert len(back) >= len(x)
+    lo, hi = window, len(x) - window
+    assert np.max(np.abs(back[lo:hi] - x[lo:hi])) <= 1e-12 * scale
 
 
 def test_istft_zero_magnitudes():
