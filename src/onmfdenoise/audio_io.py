@@ -160,7 +160,12 @@ def write_wav(buf: AudioBuffer, path) -> None:
     """Write a buffer as 16-bit PCM mono, clamping samples to [-1, 1]."""
     if len(buf) == 0:
         raise InvalidConfigError("cannot write an empty buffer")
-    q = np.clip(np.rint(buf.samples * 32768.0), -32768, 32767).astype("<i2")
+    # one float temporary, rounded and clamped in place
+    scaled = buf.samples * 32768.0
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, -32768, 32767, out=scaled)
+    q = scaled.astype("<i2")
+    del scaled  # freed before the file and its buffer are opened
     if q.nbytes > 0xFFFFFFFF - 36:
         raise InvalidConfigError("buffer too long for a RIFF file")
     rate = buf.sample_rate_hz

@@ -22,7 +22,7 @@ __all__ = ["EvalReport", "decompose", "evaluate", "INF_DB_CAP"]
 # sentinel cap used when a ratio's numerator or denominator energy is zero
 INF_DB_CAP = 300.0
 
-# denominator energies below this fraction of the estimate energy count as zero
+# an energy at most this fraction of the energy it is compared with counts as zero
 _REL_ZERO = 1e-24
 
 
@@ -72,7 +72,8 @@ def decompose(estimate: AudioBuffer, clean: AudioBuffer, noise: AudioBuffer):
 def _ratio_db(num: float, den: float) -> float:
     if num == 0.0:
         return -math.inf
-    if den <= _REL_ZERO * max(num, 1.0):
+    # relative to the numerator alone, so the test does not depend on level
+    if den <= _REL_ZERO * num:
         return math.inf
     return 10.0 * math.log10(num / den)
 

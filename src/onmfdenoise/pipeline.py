@@ -6,6 +6,11 @@ partial reconstructions are turned into a real ratio mask that restores
 exact additivity. The denoised signal reuses the noisy recording's
 phases: it is the inverse STFT of ``s = ratio * X``, with X the complex
 mixture spectrogram.
+
+Denoising holds X, the codes and the output, and otherwise works one
+block of frames at a time: the codes come from |X|^T W formed per block,
+and the inverse forms each block's estimates and ratio from the codes. No
+d x n real array is made.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ import numpy as np
 from .audio_io import AudioBuffer
 from .errors import DimensionMismatchError, EmptyInputError, InvalidConfigError
 from .nmf import Dictionary, NmfConfig, _loss_from_products, fit_nmf
-from .onmf import SamplerConfig, _code_from_products, fit_onmf, sparse_code
-from .stft import Spectrogram, StftParams, istft, stft
+# sparse_code is no longer called here, but bench/ binds it by this name
+from .onmf import SamplerConfig, _code_from_products, fit_onmf, sparse_code  # noqa: F401
+from .stft import Spectrogram, StftParams, frame_blocks, frames_per_block, istft, stft
 
 __all__ = [
     "DenoiseConfig",
@@ -61,14 +67,36 @@ class DenoiseConfig:
 
 @dataclass(frozen=True)
 class DenoiseResult:
-    """Output of ``denoise``: the mixture spectrogram X, the signal share
-    of each of its cells, the codes, and the resynthesized signal."""
+    """Output of ``denoise``: the mixture spectrogram X, the dictionaries
+    and codes that mask it, and the resynthesized signal.
+
+    ``ratio``, the signal share of each cell of X, is formed from the codes
+    on each access, block by block as the inverse formed it, so it is
+    exactly the mask that was applied; a caller that needs it more than
+    once holds on to the array itself."""
 
     mixture: Spectrogram
-    ratio: np.ndarray  # (d, n) in [0, 1]
+    w_signal: Dictionary
+    w_noise: Dictionary
     h_signal: np.ndarray
     h_noise: np.ndarray
+    mask_epsilon: float
     denoised: AudioBuffer
+
+    def _mask(self):
+        return _code_mask(
+            self.mixture, self.w_signal, self.w_noise, self.h_signal, self.h_noise,
+            self.mask_epsilon,
+        )  # fmt: skip
+
+    @property
+    def ratio(self) -> np.ndarray:  # (d, n) in [0, 1]
+        X = self.mixture
+        mask = self._mask()
+        out = np.empty((X.n_frames, X.values.shape[0]))
+        for start, stop in frame_blocks(X.params, X.n_frames):
+            out[start:stop] = mask(start, stop)
+        return out.T
 
     @property
     def s_masked(self) -> np.ndarray:
@@ -145,9 +173,20 @@ def separate(
     code_alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sparse-code X against the frozen, concatenated dictionary; returns
-    the signal and noise codes ``(h_signal, h_noise)``."""
-    W = concat_dictionaries(w_signal, w_noise)
-    H = sparse_code(X.magnitudes, W.atoms, code_alpha)
+    the signal and noise codes ``(h_signal, h_noise)``. The coder's
+    products P = |X|^T W are formed one block of frames at a time, so the
+    magnitudes of X are never held whole."""
+    W = concat_dictionaries(w_signal, w_noise).atoms
+    d, n = X.values.shape
+    if W.shape[0] != d:
+        raise DimensionMismatchError(f"W rows {W.shape[0]} != X rows {d}")
+    P = np.empty((n, W.shape[1]))
+    mags = np.empty((min(frames_per_block(X.params), n), d))
+    for start, stop in frame_blocks(X.params, n):
+        block = mags[: stop - start]
+        np.abs(X.values[:, start:stop].T, out=block)
+        np.matmul(block, W, out=P[start:stop])
+    H = _code_from_products(P, W.T @ W, code_alpha)
     return H[: w_signal.k, :], H[w_signal.k :, :]
 
 
@@ -188,6 +227,31 @@ def apply_mask(
     return s_masked, n_masked
 
 
+def _code_mask(
+    X: Spectrogram,
+    w_signal: Dictionary,
+    w_noise: Dictionary,
+    h_signal: np.ndarray,
+    h_noise: np.ndarray,
+    mask_epsilon: float,
+):
+    """X's ratio mask as ``istft`` takes it: ``mask(start, stop)`` forms
+    the frames-major estimates Hᵀ Wᵀ of frames [start, stop) and turns
+    them into S/(S+N) (``_signal_ratio``). The two block buffers are
+    reused, so each returned block is valid until the next call."""
+    s_buf = np.empty((min(frames_per_block(X.params), X.n_frames), w_signal.d))
+    n_buf = np.empty_like(s_buf)
+    ws, wn = w_signal.atoms.T, w_noise.atoms.T
+
+    def mask(start, stop):
+        m = stop - start
+        s_est = np.matmul(h_signal[:, start:stop].T, ws, out=s_buf[:m])
+        n_est = np.matmul(h_noise[:, start:stop].T, wn, out=n_buf[:m])
+        return _signal_ratio(s_est, n_est, mask_epsilon)
+
+    return mask
+
+
 def denoise_spectrogram(
     X: Spectrogram,
     w_signal: Dictionary,
@@ -202,19 +266,10 @@ def denoise_spectrogram(
     if not (math.isfinite(mask_epsilon) and mask_epsilon > 0):
         raise InvalidConfigError(f"mask floor must be finite and > 0, got {mask_epsilon}")
     h_signal, h_noise = separate(X, w_signal, w_noise, code_alpha)
-    # frames-major estimates W @ H, like the spectrogram, turned into the
-    # ratio in place: no other d x n array is formed, and the noise
-    # estimate is freed before the inverse runs
-    ratio = _signal_ratio(
-        (h_signal.T @ w_signal.atoms.T).T, (h_noise.T @ w_noise.atoms.T).T, mask_epsilon
-    )
-    audio = istft(X, mask=ratio)
+    codes = (w_signal, w_noise, h_signal, h_noise, mask_epsilon)
+    audio = istft(X, mask=_code_mask(X, *codes))
     return DenoiseResult(
-        mixture=X,
-        ratio=ratio,
-        h_signal=h_signal,
-        h_noise=h_noise,
-        denoised=AudioBuffer(audio.samples[:n_samples], X.sample_rate_hz),
+        X, *codes, denoised=AudioBuffer(audio.samples[:n_samples], X.sample_rate_hz)
     )
 
 
@@ -234,5 +289,11 @@ def denoise(
 def render_noise(result: DenoiseResult) -> AudioBuffer:
     """Resynthesize the masked noise part, (1 - ratio) * X, with the
     mixture's phases, as long as the denoised signal."""
-    audio = istft(result.mixture, mask=1.0 - result.ratio)
+    signal_share = result._mask()
+
+    def noise_share(start, stop):
+        ratio = signal_share(start, stop)
+        return np.subtract(1.0, ratio, out=ratio)
+
+    audio = istft(result.mixture, mask=noise_share)
     return AudioBuffer(audio.samples[: len(result.denoised)], audio.sample_rate_hz)

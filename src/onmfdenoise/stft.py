@@ -9,12 +9,16 @@ interior for Hann windows at 50% or 75% overlap.
 A ``Spectrogram`` keeps the complex values, so resynthesis after masking
 reuses the mixture's phases: ``istft(X, mask=ratio)`` inverts
 ``s = ratio * X`` without ever forming the phase factors or the whole
-masked spectrum. Both directions work on blocks of frames.
+masked spectrum. The mask may also be a function that forms each block's
+ratio when the inverse reaches it, so no d x n mask need exist. Both
+directions work on blocks of ``frames_per_block(params)`` frames, about
+64 Ki samples each whatever the FFT size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,15 +34,17 @@ from .errors import (
 __all__ = [
     "StftParams",
     "Spectrogram",
+    "frames_per_block",
+    "frame_blocks",
     "stft",
     "istft",
     "export_pgm",
     "export_csv",
 ]
 
-# frames per transform block: large enough to amortize the per-call cost
+# samples per transform block: large enough to amortize the per-call cost
 # of the FFT, small enough that a block's temporaries stay in cache
-BLOCK_FRAMES = 64
+BLOCK_SAMPLES = 2**16
 
 
 @dataclass(frozen=True)
@@ -93,27 +99,48 @@ class Spectrogram:
         return np.abs(self.values)
 
 
+def frames_per_block(params: StftParams) -> int:
+    """Frames per transform block: BLOCK_SAMPLES FFT samples, and at least
+    one frame (64 frames at fft_len 1024, 16 at 4096)."""
+    return max(1, BLOCK_SAMPLES // params.fft_len)
+
+
+def frame_blocks(params: StftParams, n_frames: int):
+    """Yield ``(start, stop)`` for each block of frames, in order; every
+    block but the last holds ``frames_per_block(params)`` frames."""
+    step = frames_per_block(params)
+    for start in range(0, n_frames, step):
+        yield start, min(start + step, n_frames)
+
+
 def stft(buf: AudioBuffer, params: StftParams | None = None) -> Spectrogram:
-    """Forward transform of a mono buffer, computed BLOCK_FRAMES frames at
-    a time and copied into one preallocated frames-major array."""
+    """Forward transform of a mono buffer, computed one block of frames at
+    a time into one preallocated frames-major array. Frames are read from
+    the samples in place; only the last frame, when it runs past the end,
+    is copied and zero-padded."""
     params = params or StftParams()
-    if not np.all(np.isfinite(buf.samples)):
+    samples = buf.samples
+    if not np.all(np.isfinite(samples)):
         raise NonFiniteInputError("input holds NaN or Inf samples")
     if len(buf) < params.window_len:
         raise BufferTooShortError(
             f"buffer has {len(buf)} samples, window needs {params.window_len}"
         )
     win_len, hop = params.window_len, params.hop
-    n = len(buf)
-    n_frames = 1 + int(np.ceil(max(0, n - win_len) / hop))
-    padded = np.zeros((n_frames - 1) * hop + win_len)
-    padded[:n] = buf.samples
-    frames = sliding_window_view(padded, win_len)[::hop]
+    n_frames = 1 + int(np.ceil(max(0, len(samples) - win_len) / hop))
+    # the frames that fit: all of them, or all but the last
+    frames = sliding_window_view(samples, win_len)[::hop]
     window = params.window()
     out = np.empty((n_frames, params.n_bins), dtype=np.complex128)
-    for start in range(0, n_frames, BLOCK_FRAMES):
-        stop = min(start + BLOCK_FRAMES, n_frames)
-        block = frames[start:stop] * window
+    for start, stop in frame_blocks(params, n_frames):
+        if stop <= len(frames):
+            block = frames[start:stop] * window
+        else:
+            block = np.zeros((stop - start, win_len))
+            block[:-1] = frames[start:]
+            tail = samples[(stop - 1) * hop :]
+            block[-1, : len(tail)] = tail
+            block *= window
         # assigned rather than passed as rfft's out=, which needs NumPy 2
         out[start:stop] = np.fft.rfft(block, n=params.fft_len, axis=1)
     return Spectrogram(out.T, params, buf.sample_rate_hz)
@@ -126,43 +153,71 @@ def _check_cola(params: StftParams) -> None:
         )
 
 
-def istft(spec: Spectrogram, mask: np.ndarray | None = None) -> AudioBuffer:
+def istft(
+    spec: Spectrogram, mask: np.ndarray | Callable[[int, int], np.ndarray] | None = None
+) -> AudioBuffer:
     """Overlap-add inverse; output length (n_frames-1)*hop + window_len.
 
-    With ``mask`` (real, same shape as the spectrogram) the inverse is
-    that of ``mask * spec.values``: the mixture's own phases are reused
-    without forming the masked spectrum, one block of frames at a time.
+    With ``mask`` the inverse is that of ``mask * spec.values``: the
+    mixture's own phases are reused without forming the masked spectrum,
+    one block of frames at a time. ``mask`` is a real array shaped like
+    the spectrogram, or a function ``mask(start, stop)`` that returns the
+    frames-major mask of frames [start, stop), shaped (stop - start, d);
+    it is called once per block of ``frame_blocks``, in order, and its
+    result is used before the next call.
     """
     params = spec.params
     _check_cola(params)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != spec.values.shape:
+    if mask is not None and not callable(mask):
+        array = np.asarray(mask, dtype=np.float64)
+        if array.shape != spec.values.shape:
             raise DimensionMismatchError(
-                f"mask shape {mask.shape} != spectrogram {spec.values.shape}"
+                f"mask shape {array.shape} != spectrogram {spec.values.shape}"
             )
+        mask = lambda start, stop: array[:, start:stop].T  # noqa: E731
     win_len, hop = params.window_len, params.hop
     window = params.window()
-    wsq = window**2
     n_frames = spec.n_frames
-    out_len = (n_frames - 1) * hop + win_len
-    out = np.zeros(out_len)
-    wsum = np.zeros(out_len)
-    for start in range(0, n_frames, BLOCK_FRAMES):
-        stop = min(start + BLOCK_FRAMES, n_frames)
+    R = win_len // hop
+    # the output as rows of one hop: frame f adds its piece r to row f + r
+    out = np.zeros((n_frames + R - 1, hop))
+    for start, stop in frame_blocks(params, n_frames):
         block = spec.values[:, start:stop].T
         if mask is not None:
-            block = block * mask[:, start:stop].T
+            block = block * mask(start, stop)
         frames = np.fft.irfft(block, n=params.fft_len, axis=1)[:, :win_len]
-        for f in range(start, stop):
-            lo = f * hop
-            out[lo : lo + win_len] += frames[f - start] * window
-            wsum[lo : lo + win_len] += wsq
-    # floor the normalizer: at the very edges the window-power sum decays
-    # to zero and dividing by it would blow up frames whose magnitudes
-    # were modified; flooring tapers those few samples instead
-    out /= np.maximum(wsum, 1e-2)
-    return AudioBuffer(out, spec.sample_rate_hz)
+        frames *= window
+        pieces = frames.reshape(stop - start, R, hop)
+        # r from R-1 down to 0 adds each row's terms in increasing frame
+        # order, the order of a frame-by-frame overlap-add
+        for r in range(R - 1, -1, -1):
+            out[start + r : stop + r] += pieces[:, r]
+    _normalize(out, (window**2).reshape(R, hop), n_frames)
+    return AudioBuffer(out.ravel(), spec.sample_rate_hz)
+
+
+def _normalize(rows: np.ndarray, wsq: np.ndarray, n_frames: int) -> None:
+    """Divide the overlap-add rows by their window-power sums, in place.
+
+    Row j's sum adds the window-square pieces ``wsq[j - f]`` of the frames
+    f that cover it, in increasing f. Every interior row, covered by all R
+    frames, has the same sum, so only the R - 1 head rows, one interior
+    row and the R - 1 tail rows are formed. The sum is floored: at the
+    very edges it decays to zero, and dividing by it would blow up frames
+    whose magnitudes were modified; the floor tapers those samples instead.
+    """
+    R = wsq.shape[0]
+
+    def power(j):
+        total = np.zeros(rows.shape[1])
+        for f in range(max(0, j - R + 1), min(n_frames, j + 1)):
+            total += wsq[j - f]
+        return np.maximum(total, 1e-2)
+
+    for j in (*range(R - 1), *range(max(n_frames, R - 1), len(rows))):
+        rows[j] /= power(j)
+    if n_frames >= R:
+        rows[R - 1 : n_frames] /= power(R - 1)
 
 
 def export_pgm(magnitudes: np.ndarray, path, floor_db: float = -80.0) -> None:

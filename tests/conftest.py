@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,16 @@ def make_fixture(seed):
 @pytest.fixture(scope="session")
 def fixture_seed0():
     return make_fixture(0)
+
+
+def peak_bytes(fn):
+    """Call ``fn()`` with tracemalloc on; returns (peak traced bytes, its result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def loss(X: np.ndarray, W: np.ndarray, H: np.ndarray, alpha: float) -> float:

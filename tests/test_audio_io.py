@@ -14,6 +14,7 @@ from onmfdenoise.audio_io import (
     write_wav,
 )
 from onmfdenoise.errors import InvalidConfigError, UnsupportedFormatError
+from tests.conftest import peak_bytes
 
 
 def test_read_int16_scaling(tmp_path):
@@ -239,6 +240,24 @@ def test_write_is_byte_identical_to_scipy(tmp_path):
     wavfile.write(theirs, 44100, q)
     assert ours.read_bytes() == theirs.read_bytes()
     assert len(ours.read_bytes()) == 44 + 2 * q.size
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_write_quantizes_by_rounding_then_clamping(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n = 20000
+    # exact half-LSB ties, values past full scale and the full-scale edges
+    ties = (rng.integers(-32770, 32770, n) + 0.5) / 32768.0
+    x = np.concatenate(
+        [rng.uniform(-1.5, 1.5, n), ties, [1.0, -1.0, 32767.5 / 32768, -32768.5 / 32768]]
+    )
+    rng.shuffle(x)
+    path = tmp_path / "q.wav"
+    peak, _ = peak_bytes(lambda: write_wav(AudioBuffer(x, 16000), path))
+    want = np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2")
+    assert path.read_bytes()[44:] == want.tobytes()
+    # one float temporary beside the 16-bit output
+    assert peak <= 10 * x.size + 4096
 
 
 def valid_int16_file():

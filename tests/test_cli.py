@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from onmfdenoise import cli
@@ -158,31 +160,26 @@ class TestTrain:
 
     @pytest.mark.parametrize("method", ["nmf", "onmf"])
     def test_one_prior_spectrogram_alive_at_a_time(self, tmp_path, method):
-        import tracemalloc
-
         from onmfdenoise.audio_io import read_wav
         from onmfdenoise.stft import StftParams, stft
+        from tests.conftest import peak_bytes
 
         rng = np.random.default_rng(3)
         for name in ("s", "n"):
             write_wav(AudioBuffer(0.1 * rng.standard_normal(4 * SR), SR), tmp_path / f"{name}.wav")
         params = StftParams(window_len=256, hop=128, fft_len=256)
-        tracemalloc.start()
-        try:
-            mags = stft(read_wav(tmp_path / "s.wav"), params).magnitudes
-            one_prior = tracemalloc.get_traced_memory()[1]
-            mags_bytes = mags.nbytes
-            del mags
-            tracemalloc.reset_peak()
-            argv = [
-                "train", "--method", method, "--out-dir", str(tmp_path),
-                "--signal", str(tmp_path / "s.wav"), "--noise", str(tmp_path / "n.wav"),
-                *SMALL_TRAIN,
-            ]  # fmt: skip
-            assert cli.main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        one_prior, mags = peak_bytes(
+            lambda: stft(read_wav(tmp_path / "s.wav"), params).magnitudes
+        )
+        mags_bytes = mags.nbytes
+        del mags
+        argv = [
+            "train", "--method", method, "--out-dir", str(tmp_path),
+            "--signal", str(tmp_path / "s.wav"), "--noise", str(tmp_path / "n.wav"),
+            *SMALL_TRAIN,
+        ]  # fmt: skip
+        peak, code = peak_bytes(lambda: cli.main(argv))
+        assert code == 0
         # the signal prior's magnitudes must be gone while the noise prior
         # is read and transformed
         assert peak - one_prior < 0.75 * mags_bytes
@@ -746,3 +743,59 @@ class TestConfigFile:
         res = run_cli(*common, "--config", cfg)
         assert res.returncode == 2
         assert res.stderr.startswith("error:")
+
+
+# train options, the defaults whose types _merge converts to, and values
+TRAIN_DEFAULTS = {
+    "method": "nmf", "k_signal": 50, "k_noise": 10, "train_alpha": 0.0, "seed": 0,
+    "max_iters": 500, "rel_tol": 1e-4, "steps": 100, "batch_cols": 100,
+    "sampler_mode": "uniform", "out_dir": ".", "train_log": None,
+    "window_len": 1024, "hop": 512, "fft_len": 1024,
+}  # fmt: skip
+_FLOATS = st.floats(0.0, 1e6, allow_subnormal=False)
+_PATHS = st.text("abc/._-=09", min_size=1, max_size=12).filter(lambda s: not s.startswith("-"))
+TRAIN_VALUES = {
+    key: (
+        st.sampled_from(cli._CHOICES[key]) if key in cli._CHOICES
+        else _FLOATS if isinstance(default, float)
+        else _PATHS if default is None or isinstance(default, str)
+        else st.integers(0, 10**6)
+    )
+    for key, default in TRAIN_DEFAULTS.items()
+}  # fmt: skip
+_BLANK = st.sampled_from(["", " ", "\t", "  \t "])
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "train.cfg"
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_config_file_gives_the_values_of_the_same_flags(config_path, data):
+    keys = data.draw(st.lists(st.sampled_from(sorted(TRAIN_VALUES)), unique=True))
+    values = {key: data.draw(TRAIN_VALUES[key]) for key in keys}
+    flags, lines = [], []
+    for key, value in values.items():
+        flags += ["--" + key.replace("_", "-"), str(value)]
+        # each separator spelled "-" or "_", whitespace anywhere around
+        # key, "=" and value, and an optional trailing comment
+        spelled = "".join(
+            data.draw(st.sampled_from("-_")) if ch == "_" else ch for ch in key
+        )
+        line = data.draw(_BLANK) + spelled + data.draw(_BLANK) + "="
+        line += data.draw(_BLANK) + str(value) + data.draw(_BLANK)
+        line += data.draw(st.sampled_from(["", "# note", " # k = v"]))
+        lines += data.draw(st.lists(st.sampled_from(["", "  ", "# comment", " # a = 1"]), max_size=2))
+        lines.append(line)
+    config_path.write_text("\n".join(lines) + "\n")
+    required = ["train", "--signal", "s.wav", "--noise", "n.wav"]
+    parser = cli.build_parser()
+    from_flags = cli._merge(parser.parse_args(required + flags), dict(TRAIN_DEFAULTS))
+    from_file = cli._merge(
+        parser.parse_args(required + ["--config", str(config_path)]), dict(TRAIN_DEFAULTS)
+    )
+    for key in TRAIN_DEFAULTS:
+        got, want = getattr(from_file, key), getattr(from_flags, key)
+        assert got == want and type(got) is type(want), key

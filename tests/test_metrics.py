@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onmfdenoise.audio_io import AudioBuffer
 from onmfdenoise.errors import (
@@ -115,6 +117,26 @@ def test_scale_invariance():
     assert r1.sdr_db == pytest.approx(r2.sdr_db, abs=1e-9)
     assert r1.sir_db == pytest.approx(r2.sir_db, abs=1e-9)
     assert r1.sar_db == pytest.approx(r2.sar_db, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(16, 400),
+    exponent=st.integers(-60, 60),
+)
+def test_scores_invariant_to_a_common_scale(seed, n, exponent):
+    # estimate, clean and noise all scaled by one factor: every energy
+    # scales by its square, so no score may move, however small the level
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n)
+    noise = rng.standard_normal(n)
+    est = c + 0.3 * noise + 0.05 * rng.standard_normal(n)
+    scale = 10.0**exponent
+    r1 = evaluate(*bufs(est, c, noise))
+    r2 = evaluate(*bufs(scale * est, scale * c, scale * noise))
+    for a, b in ((r1.sdr_db, r2.sdr_db), (r1.sir_db, r2.sir_db), (r1.sar_db, r2.sar_db)):
+        assert math.isfinite(b) and b == pytest.approx(a, abs=1e-6)
 
 
 def test_sir_monotone_in_noise_level():

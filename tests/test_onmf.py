@@ -1,4 +1,3 @@
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from onmfdenoise.onmf import (
     update_dictionary_online,
 )
 
-from tests.conftest import batch_objective_oracle, reference_sparse_code
+from tests.conftest import batch_objective_oracle, peak_bytes, reference_sparse_code
 
 
 def build_state(rng, d, k, m, t):
@@ -191,12 +190,7 @@ class TestSparseCode:
     @pytest.mark.parametrize("alpha", [0.0, 1e9])
     def test_working_memory_within_aux_count(self, d, k, m, alpha):
         X, W = coding_problem(25, d, k, m)
-        tracemalloc.start()
-        try:
-            sparse_code(X, W, alpha)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = peak_bytes(lambda: sparse_code(X, W, alpha))
         # the coder's share of the count with no batch and no dictionary:
         # A, G, M and six k x m arrays; plus a few length-m index vectors
         assert peak <= 8 * (_aux_elements(0, k, m) + 8 * m)
@@ -304,12 +298,7 @@ class TestSurrogate:
         rng = np.random.default_rng(55)
         d, k = 2049, 50
         W, A, B = rng.random((d, k)), rng.random((k, k)), rng.random((k, d))
-        tracemalloc.start()
-        try:
-            surrogate_value(W, A, B)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = peak_bytes(lambda: surrogate_value(W, A, B))
         assert peak <= 4 * 8 * d * k
 
 

@@ -1,4 +1,4 @@
-import tracemalloc
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,9 +19,12 @@ from onmfdenoise.pipeline import (
     denoise_spectrogram,
     separate,
     fit_dictionary,
+    render_noise,
     train_dictionaries,
+    _signal_ratio,
 )
-from onmfdenoise.stft import Spectrogram, StftParams, stft
+from onmfdenoise.stft import Spectrogram, StftParams, frames_per_block, istft, stft
+from tests.conftest import peak_bytes
 
 SR = 16000
 
@@ -90,12 +93,7 @@ class TestTrain:
         mags = np.asfortranarray(np.random.default_rng(12).random((256, 4000)))
         sampler = SamplerConfig(batch_cols=8, steps=2, seed=0)
         cfg = small_cfg(trainer="online", k_signal=2, train_alpha=0.5, sampler=sampler)
-        tracemalloc.start()
-        try:
-            dictionary, final_loss = fit_dictionary(mags, cfg, "signal")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, (dictionary, final_loss) = peak_bytes(lambda: fit_dictionary(mags, cfg, "signal"))
         assert peak <= mags.nbytes / 4
         W = dictionary.atoms
         assert final_loss == pytest.approx(loss(mags, W, sparse_code(mags, W, 0.5), 0.5), rel=1e-9)
@@ -291,13 +289,29 @@ class TestDenoise:
         w_s = Dictionary(rng.random((d, 50)))
         w_n = Dictionary(rng.random((d, 10)))
         x = AudioBuffer(rng.uniform(-0.5, 0.5, 30 * SR), SR)
-        tracemalloc.start()
-        try:
-            result = denoise(x, w_s, w_n, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, result = peak_bytes(lambda: denoise(x, w_s, w_n, cfg))
         assert peak <= 8 * result.ratio.size * 8
+
+    def test_peak_beyond_spectrogram_is_output_codes_and_blocks(self):
+        # X exists before tracing starts, so the peak is what denoising
+        # holds beyond X: the output, the codes (with the coder's working
+        # arrays) and a fixed number of blocks, the same at any duration
+        params = StftParams(window_len=4096, hop=1024, fft_len=4096)
+        rng = np.random.default_rng(16)
+        d = params.n_bins
+        w_s = Dictionary(rng.random((d, 50)))
+        w_n = Dictionary(rng.random((d, 10)))
+        block_bytes = frames_per_block(params) * params.fft_len * 8
+        beyond = []
+        for seconds in (10, 60):
+            x = AudioBuffer(rng.uniform(-0.5, 0.5, seconds * SR), SR)
+            X = stft(x, params)
+            peak, _ = peak_bytes(partial(denoise_spectrogram, X, w_s, w_n, 1.0, 1e-12, len(x)))
+            out_bytes = ((X.n_frames - 1) * params.hop + params.window_len) * 8
+            codes_bytes = (w_s.k + w_n.k) * X.n_frames * 8
+            assert peak <= out_bytes + 8 * codes_bytes + 6 * block_bytes
+            beyond.append(peak - out_bytes - codes_bytes)
+        assert abs(beyond[1] - beyond[0]) <= block_bytes
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +336,26 @@ class TestFixtureBehavior:
         result = denoise(clean, w_s, w_n, cfg)
         report = evaluate(result.denoised, clean, fixture_seed0["noise"])
         assert report.sdr_db >= 20.0
+
+    def test_ratio_is_the_applied_mask(self, fixture_seed0, trained):
+        cfg, w_s, w_n = trained
+        mixture = fixture_seed0["mixture"]
+        result = denoise(mixture, w_s, w_n, cfg)
+        X = result.mixture
+        assert X.n_frames > 2 * frames_per_block(cfg.stft)
+        ratio = result.ratio
+        assert np.all((ratio >= 0) & (ratio <= 1))
+        # the whole-matrix estimates differ from the blockwise ones in low bits only
+        hs, hn = result.h_signal, result.h_noise
+        whole = _signal_ratio(
+            (hs.T @ w_s.atoms.T).T, (hn.T @ w_n.atoms.T).T, cfg.mask_epsilon
+        )
+        np.testing.assert_allclose(ratio, whole, rtol=1e-12, atol=0)
+        n = len(mixture)
+        applied = istft(X, mask=ratio).samples[:n]
+        assert applied.tobytes() == result.denoised.samples.tobytes()
+        noise = istft(X, mask=1.0 - ratio).samples[:n]
+        assert noise.tobytes() == render_noise(result).samples.tobytes()
 
     def test_pure_noise_suppressed(self, trained):
         cfg, w_s, w_n = trained

@@ -15,7 +15,7 @@ from onmfdenoise.stft import (
     StftParams,
     export_csv,
     export_pgm,
-    BLOCK_FRAMES,
+    frames_per_block,
     istft,
     stft,
 )
@@ -185,12 +185,14 @@ def whole_matrix_istft(values, params):
     return out / np.maximum(wsum, 1e-2)
 
 
-@pytest.mark.parametrize(
-    "n_frames",
-    [1, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 1],
-)
+# zero-padded FFT: 64 frames per block, from the FFT size, not the window
+BLOCKED = StftParams(window_len=256, hop=64, fft_len=1024)
+B = frames_per_block(BLOCKED)
+
+
+@pytest.mark.parametrize("n_frames", [1, B - 1, B, B + 1, 2 * B + 1])
 def test_blocked_transforms_match_whole_matrix(n_frames):
-    params = StftParams(window_len=256, hop=64, fft_len=512)
+    params = BLOCKED
     rng = np.random.default_rng(n_frames)
     # a zero-padded tail: up to hop - 1 samples short of the last full frame
     short = int(rng.integers(0, params.hop)) if n_frames > 1 else 0
@@ -201,6 +203,50 @@ def test_blocked_transforms_match_whole_matrix(n_frames):
     mask = rng.random(spec.values.shape)
     back = istft(spec, mask=mask).samples
     assert np.max(np.abs(back - whole_matrix_istft(mask * spec.values, params))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    log_window=st.integers(4, 10),
+    hop_div=st.sampled_from([2, 4]),
+    fft_mult=st.sampled_from([1, 2]),
+    masked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_blocked_inverse_is_byte_identical_to_frame_loop(
+    log_window, hop_div, fft_mult, masked, seed, data
+):
+    window = 2**log_window
+    params = StftParams(window_len=window, hop=window // hop_div, fft_len=fft_mult * window)
+    # one to three blocks, or fewer frames than the 2R - 1 of a head and a tail
+    n_frames = data.draw(
+        st.one_of(st.integers(1, 3 * frames_per_block(params)), st.integers(1, 2 * hop_div - 2))
+    )
+    rng = np.random.default_rng(seed)
+    shape = (n_frames, params.n_bins)
+    values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).T
+    mask = rng.random(values.shape) if masked else None
+    back = istft(Spectrogram(values, params, SR), mask=mask).samples
+    want = whole_matrix_istft(values if mask is None else mask * values, params)
+    assert back.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    log_window=st.integers(4, 10),
+    hop_div=st.sampled_from([2, 4]),
+    fft_mult=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_stft_is_byte_identical_to_padded_whole_matrix(log_window, hop_div, fft_mult, seed, data):
+    window = 2**log_window
+    params = StftParams(window_len=window, hop=window // hop_div, fft_len=fft_mult * window)
+    n = data.draw(st.integers(window, window + 3 * frames_per_block(params) * params.hop))
+    x = np.random.default_rng(seed).uniform(-1, 1, n)
+    spec = stft(AudioBuffer(x, SR), params)
+    assert spec.values.tobytes() == whole_matrix_stft(x, params).tobytes()
 
 
 def test_transforms_use_numpy1_fft_signatures(monkeypatch):
