@@ -52,9 +52,6 @@ class AudioBuffer:
     def duration_s(self) -> float:
         return len(self) / self.sample_rate_hz
 
-    def rms(self) -> float:
-        return float(np.sqrt(np.mean(np.square(self.samples)))) if len(self) else 0.0
-
 
 # Full-scale divisors per on-disk dtype; 24-bit PCM arrives as int32.
 _INT_SCALE = {

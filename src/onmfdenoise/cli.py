@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 for usage/config problems, 3 for numeric
 failures (non-finite losses or masks). A ``key = value`` config file can
-supply any long-flag value; explicit flags win over the file.
+supply the value of any optional flag of the command; explicit flags win
+over the file, and keys that name no such flag are ignored.
 """
 
 from __future__ import annotations
@@ -42,40 +43,21 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-# argparse checks these for flags; _merge checks them for --config values
 _CHOICES = {"method": ("nmf", "onmf"), "sampler_mode": ("uniform", "consecutive")}
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _parse_bool(key: str, raw: str) -> bool:
-    try:
+def _config_value(action: argparse.Action, raw: str):
+    """A config-file string as the value its flag would give; argparse
+    checks flags, but not defaults, against their choices."""
+    key = action.dest
+    if action.choices and raw not in action.choices:
+        raise InvalidConfigError(f"{key} = {raw!r}: expected one of {', '.join(action.choices)}")
+    if isinstance(action.default, bool):
+        if raw.lower() not in _BOOLS:
+            raise InvalidConfigError(f"{key} = {raw!r}: expected true/false, yes/no or 1/0")
         return _BOOLS[raw.lower()]
-    except KeyError:
-        raise InvalidConfigError(
-            f"{key} = {raw!r}: expected true/false, yes/no or 1/0"
-        ) from None
-
-
-def _merge(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Fill unset (None) options from --config, then from hard defaults."""
-    file_vals = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, default in defaults.items():
-        if getattr(args, key, None) is not None:
-            continue
-        if key in file_vals:
-            raw = file_vals[key]
-            if key in _CHOICES and raw not in _CHOICES[key]:
-                raise InvalidConfigError(
-                    f"{key} = {raw!r}: expected one of {', '.join(_CHOICES[key])}"
-                )
-            if isinstance(default, bool):
-                value = _parse_bool(key, raw)
-            else:
-                value = (type(default) if default is not None else str)(raw)
-            setattr(args, key, value)
-        else:
-            setattr(args, key, default)
-    return args
+    return (action.type or str)(raw)
 
 
 def _require_files(*paths):
@@ -90,28 +72,7 @@ def _stft_params(args) -> StftParams:
     )
 
 
-_STFT_DEFAULTS = {"window_len": 1024, "hop": 512, "fft_len": 1024}
-
-
 def cmd_train(args) -> int:
-    args = _merge(
-        args,
-        {
-            "method": "nmf",
-            "k_signal": 50,
-            "k_noise": 10,
-            "train_alpha": 0.0,
-            "seed": 0,
-            "max_iters": 500,
-            "rel_tol": 1e-4,
-            "steps": 100,
-            "batch_cols": 100,
-            "sampler_mode": "uniform",
-            "out_dir": ".",
-            "train_log": None,
-            **_STFT_DEFAULTS,
-        },
-    )
     _require_files(args.signal, args.noise)
     params = _stft_params(args)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -130,6 +91,7 @@ def cmd_train(args) -> int:
         max_iters=args.max_iters,
         rel_tol=args.rel_tol,
     )
+    trained = []
     for role, path in (("signal", args.signal), ("noise", args.noise)):
         mags = compute_stft(audio_io.read_wav(path), params).magnitudes
         log = f"{args.train_log}.{role}.jsonl" if args.train_log else None
@@ -137,6 +99,9 @@ def cmd_train(args) -> int:
         del mags  # free this prior before the next one is transformed
         if not np.isfinite(final_loss):
             raise NumericFailure(f"non-finite training loss for {role} dictionary")
+        trained.append((role, dictionary, final_loss))
+    # save only when both are trained: a failed run leaves any earlier pair whole
+    for role, dictionary, final_loss in trained:
         out_path = os.path.join(args.out_dir, f"w_{role}.dict")
         nmf.save_dictionary(dictionary, out_path)
         print(f"{role}: {dictionary.k} atoms, final loss {final_loss:.6g} -> {out_path}")
@@ -144,17 +109,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    args = _merge(
-        args,
-        {
-            "alpha": 100.0,
-            "mask_epsilon": 1e-12,
-            "emit_spectrograms": False,
-            "clean": None,
-            "emit_noise": None,
-            **_STFT_DEFAULTS,
-        },
-    )
     _require_files(args.dict_signal, args.dict_noise, args.input, args.clean)
     params = _stft_params(args)
     w_signal = nmf.load_dictionary(args.dict_signal)
@@ -205,7 +159,6 @@ def _write_metric_csv(path, header, rows):
 
 
 def cmd_eval(args) -> int:
-    args = _merge(args, {"nmf": None, "onmf": None, "noisy": None, "out": None})
     _require_files(args.clean, args.noise, args.nmf, args.onmf, args.noisy)
     clean = audio_io.read_wav(args.clean)
     noise = audio_io.read_wav(args.noise)
@@ -221,15 +174,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    args = _merge(
-        args,
-        {
-            "alphas": "50,60,70,80,90",
-            "mask_epsilon": 1e-12,
-            "out": None,
-            **_STFT_DEFAULTS,
-        },
-    )
     alphas = [float(a) for a in str(args.alphas).split(",") if a.strip()]
     if not alphas:
         raise InvalidConfigError(f"--alphas {args.alphas!r} lists no weight")
@@ -257,7 +201,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_spectrogram(args) -> int:
-    args = _merge(args, {"csv": None, **_STFT_DEFAULTS})
     _require_files(args.input)
     mags = compute_stft(audio_io.read_wav(args.input), _stft_params(args)).magnitudes
     export_pgm(mags, args.out)
@@ -269,11 +212,12 @@ def cmd_spectrogram(args) -> int:
 
 def _command(sub, name, func, help, stft=True):
     """Add subcommand ``name``, run by ``func``, with --config and the STFT flags."""
-    p = sub.add_parser(name, help=help)
-    p.add_argument("--config", default=None)
+    p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p.add_argument("--config", help="key = value file of this command's optional flags")
     if stft:
-        for flag in ("--window-len", "--hop", "--fft-len"):
-            p.add_argument(flag, type=int, default=None)
+        p.add_argument("--window-len", type=int, default=1024, help="analysis window, samples")
+        p.add_argument("--hop", type=int, default=512, help="frame step, samples")
+        p.add_argument("--fft-len", type=int, default=1024, help="FFT size, a power of two")
     p.set_defaults(func=func)
     return p
 
@@ -286,39 +230,41 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _command(sub, "train", cmd_train, "learn signal and noise dictionaries")
-    p.add_argument("--method", choices=_CHOICES["method"], default=None)
+    p.add_argument("--method", choices=_CHOICES["method"], default="nmf", help="batch or online")
     p.add_argument("--signal", required=True, help="clean prior WAV")
     p.add_argument("--noise", required=True, help="noise prior WAV")
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--k-signal", type=int, default=None)
-    p.add_argument("--k-noise", type=int, default=None)
-    p.add_argument("--train-alpha", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--rel-tol", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch-cols", type=int, default=None)
-    p.add_argument("--sampler-mode", choices=_CHOICES["sampler_mode"], default=None)
-    p.add_argument("--train-log", default=None, help="JSONL training log prefix")
+    p.add_argument("--out-dir", default=".", help="where w_signal.dict and w_noise.dict go")
+    p.add_argument("--k-signal", type=int, default=50, help="signal atoms")
+    p.add_argument("--k-noise", type=int, default=10, help="noise atoms")
+    p.add_argument("--train-alpha", type=float, default=0.0, help="L1 weight in training")
+    p.add_argument("--seed", type=int, default=0, help="signal seed; noise takes seed + 1")
+    p.add_argument("--max-iters", type=int, default=500, help="batch iteration cap")
+    p.add_argument("--rel-tol", type=float, default=1e-4, help="batch stop: loss change / L0")
+    p.add_argument("--steps", type=int, default=100, help="online steps")
+    p.add_argument("--batch-cols", type=int, default=100, help="online columns per step")
+    p.add_argument(
+        "--sampler-mode", choices=_CHOICES["sampler_mode"], default="uniform", help="online sampler"
+    )
+    p.add_argument("--train-log", help="JSONL training log prefix")
 
     p = _command(sub, "denoise", cmd_denoise, "separate a noisy WAV with trained dictionaries")
     p.add_argument("--dict-signal", required=True)
     p.add_argument("--dict-noise", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--mask-epsilon", type=float, default=None)
-    p.add_argument("--clean", default=None, help="clean WAV for the reference image")
-    p.add_argument("--emit-spectrograms", action="store_true", default=None)
-    p.add_argument("--emit-noise", default=None, help="also write the noise render")
+    p.add_argument("--alpha", type=float, default=100.0, help="L1 weight of the sparse codes")
+    p.add_argument("--mask-epsilon", type=float, default=1e-12, help="mask floor on S + N")
+    p.add_argument("--clean", help="clean WAV for the reference image")
+    p.add_argument("--emit-spectrograms", action="store_true", help="write PGM images")
+    p.add_argument("--emit-noise", help="also write the noise render")
 
     p = _command(sub, "eval", cmd_eval, "SDR/SIR/SAR against references", stft=False)
     p.add_argument("--clean", required=True)
     p.add_argument("--noise", required=True)
-    p.add_argument("--nmf", default=None, help="estimate from the batch method")
-    p.add_argument("--onmf", default=None, help="estimate from the online method")
-    p.add_argument("--noisy", default=None, help="unprocessed mixture (ORIGINAL row)")
-    p.add_argument("--out", default=None, help="CSV output path")
+    p.add_argument("--nmf", help="estimate from the batch method")
+    p.add_argument("--onmf", help="estimate from the online method")
+    p.add_argument("--noisy", help="unprocessed mixture (ORIGINAL row)")
+    p.add_argument("--out", help="CSV output path")
 
     p = _command(sub, "sweep", cmd_sweep, "metrics across regularization weights")
     p.add_argument("--dict-signal", required=True)
@@ -326,22 +272,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--clean", required=True)
     p.add_argument("--noise", required=True)
-    p.add_argument("--alphas", default=None, help="comma-separated list")
-    p.add_argument("--mask-epsilon", type=float, default=None)
-    p.add_argument("--out", default=None, help="CSV output path")
+    p.add_argument("--alphas", default="50,60,70,80,90", help="comma-separated list")
+    p.add_argument("--mask-epsilon", type=float, default=1e-12, help="mask floor on S + N")
+    p.add_argument("--out", help="CSV output path")
 
     p = _command(sub, "spectrogram", cmd_spectrogram, "export a WAV's spectrogram as PGM/CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="PGM output path")
-    p.add_argument("--csv", default=None, help="optional CSV output path")
+    p.add_argument("--csv", help="optional CSV output path")
 
     return parser
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse ``argv``: explicit flags win over ``--config`` values, which
+    win over the declared defaults. Only keys that name one of the
+    command's own optional flags are read from the file."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.config:
+        command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+        options = {
+            a.dest: a
+            for a in command._actions
+            if a.option_strings and not a.required and a.dest not in ("help", "config")
+        }
+        file_vals = _read_config_file(args.config)
+        command.set_defaults(
+            **{k: _config_value(options[k], raw) for k, raw in file_vals.items() if k in options}
+        )
+        args = parser.parse_args(argv)
+    return args
+
+
+def main(argv=None) -> int:
     try:
+        args = parse_args(argv)
         return args.func(args)
     except NumericFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

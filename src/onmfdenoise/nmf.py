@@ -39,6 +39,8 @@ __all__ = [
 
 _MAGIC = b"ONMFDICT"
 _FORMAT_VERSION = 1
+# added to the denominators of the multiplicative updates
+EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
@@ -68,15 +70,14 @@ class NmfConfig:
     max_iters: int = 500
     rel_tol: float = 1e-4
     seed: int = 0
-    epsilon: float = 1e-12
 
     def __post_init__(self):
         if self.k < 1:
             raise EmptyInputError("k must be >= 1")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise InvalidConfigError(f"L1 weight must be finite and >= 0, got {self.alpha}")
-        if self.rel_tol <= 0 or self.epsilon <= 0:
-            raise ValueError("rel_tol and epsilon must be positive")
+        if self.rel_tol <= 0:
+            raise ValueError("rel_tol must be positive")
 
 
 def _conform(X, W, H):
@@ -86,7 +87,7 @@ def _conform(X, W, H):
         )
 
 
-def update_code(WtX, G, H, alpha: float = 0.0, epsilon: float = 1e-12) -> np.ndarray:
+def update_code(WtX, G, H, alpha: float = 0.0, epsilon: float = EPSILON) -> np.ndarray:
     """One multiplicative step on H from WtX = W^T X and G = W^T W; alpha
     enters the denominator."""
     if WtX.shape != H.shape or G.shape != (H.shape[0], H.shape[0]):
@@ -109,7 +110,7 @@ def _loss_from_products(x_sq: float, WtX, G, H, alpha: float) -> float:
     return 0.5 * data + alpha * float(np.sum(H))
 
 
-def _update_dictionary_normalized(X, W, H, epsilon: float = 1e-12) -> np.ndarray:
+def _update_dictionary_normalized(X, W, H, epsilon: float = EPSILON) -> np.ndarray:
     """Multiplicative W step that respects the unit-column constraint.
 
     For unit-norm columns the plain update followed by a rescale can push
@@ -170,8 +171,8 @@ def fit_nmf(X: np.ndarray, config: NmfConfig):
     l0 = _loss_from_products(x_sq, WtX, G, H, config.alpha)
     trace = [l0]
     for _ in range(config.max_iters):
-        H = update_code(WtX, G, H, config.alpha, config.epsilon)
-        W = _update_dictionary_normalized(X, W, H, config.epsilon)
+        H = update_code(WtX, G, H, config.alpha)
+        W = _update_dictionary_normalized(X, W, H)
         W, H = renormalize_pair(W, H, rng)
         WtX, G = W.T @ X, W.T @ W
         trace.append(_loss_from_products(x_sq, WtX, G, H, config.alpha))

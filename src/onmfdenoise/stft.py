@@ -52,7 +52,6 @@ class StftParams:
     window_len: int = 1024
     hop: int = 512
     fft_len: int = 1024
-    window_kind: str = "hann"
 
     def __post_init__(self):
         if self.window_len <= 0 or self.hop <= 0:
@@ -63,8 +62,6 @@ class StftParams:
             raise InvalidParamsError("fft_len must be >= window_len")
         if self.fft_len & (self.fft_len - 1):
             raise InvalidParamsError("fft_len must be a power of two")
-        if self.window_kind != "hann":
-            raise InvalidParamsError(f"unknown window {self.window_kind!r}")
 
     @property
     def n_bins(self) -> int:

@@ -1,4 +1,3 @@
-import argparse
 import subprocess
 import sys
 
@@ -230,6 +229,25 @@ class TestTrain:
         lines = res.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not (tmp_path / "w_signal.dict").exists()
+
+    def test_malformed_noise_prior_leaves_the_saved_pair_alone(self, wavs, trained, tmp_path):
+        for role in ("signal", "noise"):
+            (tmp_path / f"w_{role}.dict").write_bytes(trained[role].read_bytes())
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(wavs["noise_prior"].read_bytes()[:30])
+        res = run_cli(
+            "train",
+            "--signal", wavs["clean_prior"],
+            "--noise", cut,
+            "--out-dir", tmp_path,
+            *SMALL_TRAIN,
+            "--seed", "3",  # a completed run would write other bytes
+        )
+        assert res.returncode == 2
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        for role in ("signal", "noise"):
+            assert (tmp_path / f"w_{role}.dict").read_bytes() == trained[role].read_bytes()
 
 
 class TestDenoise:
@@ -719,8 +737,7 @@ class TestConfigFile:
             ("false", False), ("no", False), ("0", False), ("NO", False),
         ):  # fmt: skip
             cfg.write_text(f"emit-spectrograms = {raw}\n")
-            args = argparse.Namespace(config=str(cfg), emit_spectrograms=None)
-            merged = cli._merge(args, {"emit_spectrograms": False})
+            merged = cli.parse_args(["denoise", *REQUIRED["denoise"], "--config", str(cfg)])
             assert merged.emit_spectrograms is expected
 
     def test_false_boolean_writes_no_images_and_bad_value_exits_2(
@@ -744,13 +761,53 @@ class TestConfigFile:
         assert res.returncode == 2
         assert res.stderr.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["spectrogram", "denoise"])
+    def test_keys_that_are_not_the_commands_options_are_ignored(
+        self, wavs, trained, tmp_path, command
+    ):
+        # handler and parser state, required and foreign flags: a shared
+        # train/denoise file must not reach them
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(
+            "func = x\ncommand = train\nconfig = missing.cfg\n"
+            f"input = {tmp_path / 'missing.wav'}\nmethod = bogus\nk-signal = many\n"
+        )
+        argv = [command, "--input", str(wavs["mixture"]), *SMALL_STFT]
+        if command == "denoise":
+            argv += ["--dict-signal", str(trained["signal"]), "--dict-noise", str(trained["noise"])]
+        out_flag = {"spectrogram": "--out", "denoise": "--output"}[command]
+        assert cli.main([*argv, out_flag, str(tmp_path / "plain.out")]) == 0
+        assert cli.main([*argv, out_flag, str(tmp_path / "file.out"), "--config", str(cfg)]) == 0
+        assert (tmp_path / "plain.out").read_bytes() == (tmp_path / "file.out").read_bytes()
 
-# train options, the defaults whose types _merge converts to, and values
+
+# train options, their defaults (whose types --config values convert to), and values
 TRAIN_DEFAULTS = {
     "method": "nmf", "k_signal": 50, "k_noise": 10, "train_alpha": 0.0, "seed": 0,
     "max_iters": 500, "rel_tol": 1e-4, "steps": 100, "batch_cols": 100,
     "sampler_mode": "uniform", "out_dir": ".", "train_log": None,
     "window_len": 1024, "hop": 512, "fft_len": 1024,
+}  # fmt: skip
+_STFT_DEFAULTS = {"window_len": 1024, "hop": 512, "fft_len": 1024}
+COMMAND_DEFAULTS = {
+    "train": TRAIN_DEFAULTS,
+    "denoise": {
+        "alpha": 100.0, "mask_epsilon": 1e-12, "emit_spectrograms": False,
+        "clean": None, "emit_noise": None, **_STFT_DEFAULTS,
+    },
+    "eval": {"nmf": None, "onmf": None, "noisy": None, "out": None},
+    "sweep": {"alphas": "50,60,70,80,90", "mask_epsilon": 1e-12, "out": None, **_STFT_DEFAULTS},
+    "spectrogram": {"csv": None, **_STFT_DEFAULTS},
+}  # fmt: skip
+REQUIRED = {
+    "train": ["--signal", "s.wav", "--noise", "n.wav"],
+    "denoise": ["--dict-signal", "s.dict", "--dict-noise", "n.dict", "--input", "x.wav", "--output", "y.wav"],
+    "eval": ["--clean", "c.wav", "--noise", "n.wav"],
+    "sweep": [
+        "--dict-signal", "s.dict", "--dict-noise", "n.dict",
+        "--input", "x.wav", "--clean", "c.wav", "--noise", "n.wav",
+    ],
+    "spectrogram": ["--input", "x.wav", "--out", "x.pgm"],
 }  # fmt: skip
 _FLOATS = st.floats(0.0, 1e6, allow_subnormal=False)
 _PATHS = st.text("abc/._-=09", min_size=1, max_size=12).filter(lambda s: not s.startswith("-"))
@@ -791,11 +848,16 @@ def test_config_file_gives_the_values_of_the_same_flags(config_path, data):
         lines.append(line)
     config_path.write_text("\n".join(lines) + "\n")
     required = ["train", "--signal", "s.wav", "--noise", "n.wav"]
-    parser = cli.build_parser()
-    from_flags = cli._merge(parser.parse_args(required + flags), dict(TRAIN_DEFAULTS))
-    from_file = cli._merge(
-        parser.parse_args(required + ["--config", str(config_path)]), dict(TRAIN_DEFAULTS)
-    )
+    from_flags = cli.parse_args(required + flags)
+    from_file = cli.parse_args(required + ["--config", str(config_path)])
     for key in TRAIN_DEFAULTS:
         got, want = getattr(from_file, key), getattr(from_flags, key)
+        assert got == want and type(got) is type(want), key
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
+def test_each_command_parses_to_its_defaults(command):
+    args = cli.parse_args([command, *REQUIRED[command]])
+    for key, want in COMMAND_DEFAULTS[command].items():
+        got = getattr(args, key)
         assert got == want and type(got) is type(want), key

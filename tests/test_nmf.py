@@ -12,6 +12,7 @@ from onmfdenoise.errors import (
     UnsupportedFormatError,
 )
 from onmfdenoise.nmf import (
+    EPSILON,
     Dictionary,
     NmfConfig,
     _loss_from_products,
@@ -52,9 +53,9 @@ def reference_fit_nmf(X, cfg):
     trace = [loss(X, W, H, cfg.alpha)]
     for _ in range(cfg.max_iters):
         numer = W.T @ X
-        denom = W.T @ W @ H + cfg.alpha + cfg.epsilon
+        denom = W.T @ W @ H + cfg.alpha + EPSILON
         H = H * numer / denom
-        W = _update_dictionary_normalized(X, W, H, cfg.epsilon)
+        W = _update_dictionary_normalized(X, W, H, EPSILON)
         W, H = renormalize_pair(W, H, rng)
         trace.append(loss(X, W, H, cfg.alpha))
         if trace[0] > 0 and abs(trace[-1] - trace[-2]) / trace[0] < cfg.rel_tol:
