@@ -45,6 +45,7 @@ def _read_config_file(path: str) -> dict:
 
 _CHOICES = {"method": ("nmf", "onmf"), "sampler_mode": ("uniform", "consecutive")}
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
 def _config_value(action: argparse.Action, raw: str):
@@ -57,7 +58,10 @@ def _config_value(action: argparse.Action, raw: str):
         if raw.lower() not in _BOOLS:
             raise InvalidConfigError(f"{key} = {raw!r}: expected true/false, yes/no or 1/0")
         return _BOOLS[raw.lower()]
-    return (action.type or str)(raw)
+    try:
+        return (action.type or str)(raw)
+    except ValueError:
+        raise InvalidConfigError(f"{key} = {raw!r}: expected {_TYPE_NAMES[action.type]}") from None
 
 
 def _require_files(*paths):
@@ -240,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="signal seed; noise takes seed + 1")
     p.add_argument("--max-iters", type=int, default=500, help="batch iteration cap")
     p.add_argument("--rel-tol", type=float, default=1e-4, help="batch stop: loss change / L0")
-    p.add_argument("--steps", type=int, default=100, help="online steps")
+    p.add_argument("--steps", type=int, default=100, help="cap on online steps")
     p.add_argument("--batch-cols", type=int, default=100, help="online columns per step")
     p.add_argument(
         "--sampler-mode", choices=_CHOICES["sampler_mode"], default="uniform", help="online sampler"

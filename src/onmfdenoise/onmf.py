@@ -6,6 +6,12 @@ A (k x k) and B (k x d), and refits the dictionary from those aggregates
 alone. Column history is never stored, so memory stays at
 O(d*m + d*k + k^2) regardless of the spectrogram width.
 
+The step count is a cap. At the end of every full pass over the columns,
+ceil(n/m) steps, the trainer evaluates the surrogate 0.5*Tr(W A W^T) -
+Tr(B W) whose convergence Mairal et al. (JMLR 2010) and Lyu et al. (JMLR
+2020) prove, and stops once it moved by at most PASS_REL_TOL of its value
+over the last pass.
+
 The sparse coder, also used to separate a mixture, is accelerated
 projected gradient (FISTA) on the L1 non-negative least-squares problem.
 Each column stops on its own KKT residual, so a column's code does not
@@ -32,6 +38,12 @@ from .errors import (
 )
 from .nmf import Dictionary
 
+# Stopping rules: the coder's per-column KKT tolerance and iteration cap,
+# and the trainer's relative surrogate change over one pass.
+CODE_REL_TOL = 1e-3
+CODE_MAX_ITERS = 200
+PASS_REL_TOL = 1e-2
+
 __all__ = [
     "SamplerConfig",
     "OnmfState",
@@ -47,7 +59,7 @@ __all__ = [
 class SamplerConfig:
     mode: str = "uniform"  # "uniform" or "consecutive"
     batch_cols: int = 100
-    steps: int = 100
+    steps: int = 100  # a cap: fit_onmf may stop at a pass boundary before it
     seed: int = 0
 
     def __post_init__(self):
@@ -99,8 +111,8 @@ def sparse_code(
     X_t: np.ndarray,
     W: np.ndarray,
     alpha: float,
-    rel_tol: float = 1e-3,
-    max_iters: int = 200,
+    rel_tol: float = CODE_REL_TOL,
+    max_iters: int = CODE_MAX_ITERS,
 ) -> np.ndarray:
     """Non-negative L1-regularized least-squares code for a fixed dictionary.
 
@@ -130,8 +142,8 @@ def _code_from_products(
     P: np.ndarray,
     G: np.ndarray,
     alpha: float,
-    rel_tol: float = 1e-3,
-    max_iters: int = 200,
+    rel_tol: float = CODE_REL_TOL,
+    max_iters: int = CODE_MAX_ITERS,
 ) -> np.ndarray:
     """``sparse_code`` from the frames-major P = X^T W (m x k) and
     G = W^T W; returns the k x m codes. P is overwritten.
@@ -251,6 +263,13 @@ def surrogate_value(W: np.ndarray, A: np.ndarray, B: np.ndarray) -> float:
     return 0.5 * float(np.vdot(W.T @ W, A)) - float(np.einsum("ij,ji->", B, W))
 
 
+def _pass_change(f: float, f_prev: float) -> float:
+    """|f - f_prev| / |f|, the surrogate's relative change over one pass;
+    NaN or infinite when either value is, so it never meets a tolerance."""
+    diff = abs(f - f_prev)
+    return diff / abs(f) if f else (0.0 if diff == 0.0 else math.inf)
+
+
 def _aux_elements(d: int, k: int, m: int) -> int:
     """Elements of per-step working storage: batch, aggregates A and B,
     dictionary, Gram G and the coder's M = I - G/L, and the coder's six
@@ -266,11 +285,20 @@ def fit_onmf(
     sampler: SamplerConfig,
     log_path=None,
 ) -> Dictionary:
-    """Run the online factorization for sampler.steps steps.
+    """Run the online factorization for at most sampler.steps steps.
+
+    One pass over the n columns is per_pass = ceil(n / sampler.batch_cols)
+    steps. At every step t that is a multiple of per_pass the surrogate f
+    is evaluated, and training stops when an earlier boundary gave f_prev
+    and |f - f_prev| <= PASS_REL_TOL * |f|; so it never stops before two
+    passes, and a non-finite surrogate runs to the cap. The rule is the
+    same for both sampler modes.
 
     The initial dictionary is i.i.d. uniform [0, 1) with unit-normalized
     columns, seeded by sampler.seed. An optional JSON-lines log records
-    per-step surrogate value, code sparsity, and working-set size.
+    per-step surrogate value, code sparsity, and working-set size, one
+    record per step run; boundary records add ``pass_change``, the
+    relative surrogate change over the last pass (null at the first).
     """
     d, n = X.shape
     if n == 0 or d == 0:
@@ -279,6 +307,8 @@ def fit_onmf(
     W = rng.random((d, k))
     W /= np.linalg.norm(W, axis=0)[None, :]
     state = OnmfState(W=W, A=np.zeros((k, k)), B=np.zeros((k, d)), t=0)
+    per_pass = -(-n // sampler.batch_cols)
+    f_prev = None
     log_fh = open(log_path, "w") if log_path is not None else None
     try:
         for t in range(1, sampler.steps + 1):
@@ -287,14 +317,25 @@ def fit_onmf(
             state = aggregate(state, H_t, X_t)
             W_new = update_dictionary_online(state)
             state = replace(state, W=W_new)
+            boundary = t % per_pass == 0
+            if not boundary and log_fh is None:
+                continue
+            f = surrogate_value(state.W, state.A, state.B)
+            change = _pass_change(f, f_prev) if boundary and f_prev is not None else None
             if log_fh is not None:
                 record = {
                     "step": t,
-                    "surrogate": surrogate_value(state.W, state.A, state.B),
+                    "surrogate": f,
                     "code_sparsity": float(np.mean(H_t <= 1e-10)),
                     "aux_elements": _aux_elements(d, k, sampler.batch_cols),
                 }
+                if boundary:
+                    record["pass_change"] = change
                 log_fh.write(json.dumps(record) + "\n")
+            if boundary:
+                if change is not None and change <= PASS_REL_TOL:
+                    break
+                f_prev = f
     finally:
         if log_fh is not None:
             log_fh.close()

@@ -718,6 +718,23 @@ class TestConfigFile:
         assert "bogus" in lines[0]
         assert not (tmp_path / "w_signal.dict").exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("k-signal = many", "k_signal = 'many': expected an integer"),
+            ("train-alpha = lots", "train_alpha = 'lots': expected a number"),
+        ],
+    )
+    def test_value_of_the_wrong_type_names_key_and_type(self, wavs, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        argv = [
+            "train", "--signal", str(wavs["clean_prior"]), "--noise", str(wavs["noise_prior"]),
+            "--out-dir", str(tmp_path), "--config", str(cfg),
+        ]  # fmt: skip
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_malformed_config_exits_2(self, wavs, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this is not a key value pair\n")

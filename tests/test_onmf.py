@@ -1,4 +1,6 @@
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -394,19 +396,30 @@ class GuardedSource:
 
 
 class TestMemoryContract:
-    def test_consecutive_mode_touches_only_current_window(self):
+    def test_consecutive_mode_touches_only_current_window(self, tmp_path):
         rng = np.random.default_rng(18)
         X = rng.random((10, 37))
         src = GuardedSource(X)
         m, T = 8, 12
         cfg = SamplerConfig(mode="consecutive", batch_cols=m, steps=T, seed=0)
-        fit_onmf(src, 3, 0.1, cfg)
-        assert len(src.requests) == T
+        log = tmp_path / "train.jsonl"
+        fit_onmf(src, 3, 0.1, cfg, log_path=log)
+        # steps is a cap: the pass rule may stop at a boundary before it
+        assert len(src.requests) <= T
+        assert len(src.requests) == len(log.read_text().splitlines())
         n = X.shape[1]
         for t, idx in enumerate(src.requests, start=1):
             start = ((t - 1) * m) % n
             expected = (start + np.arange(m)) % n
             assert np.array_equal(idx, expected)
+
+    def test_cap_below_two_passes_runs_every_step(self):
+        # one pass is 5 steps; with fewer than 10 no boundary has an earlier one
+        rng = np.random.default_rng(18)
+        src = GuardedSource(rng.random((10, 37)))
+        T = 9
+        fit_onmf(src, 3, 0.1, SamplerConfig(mode="consecutive", batch_cols=8, steps=T, seed=0))
+        assert len(src.requests) == T
 
     def test_aux_storage_bound(self, tmp_path):
         import json
@@ -422,3 +435,89 @@ class TestMemoryContract:
             # working set must scale with d*m + d*k + k^2, never with n
             assert rec["aux_elements"] <= 4 * (d * m + d * k + k * k + k * m)
             assert rec["aux_elements"] < d * n
+
+
+def low_rank_source(seed, d=12, n=60):
+    """Columns of one fixed non-negative rank-4 model: a stationary source."""
+    rng = np.random.default_rng(seed)
+    return rng.random((d, 4)) @ rng.random((4, n))
+
+
+def read_log(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+class TestPassStop:
+    @pytest.mark.parametrize("mode", ["uniform", "consecutive"])
+    def test_stationary_source_stops_at_a_pass_boundary(self, tmp_path, mode):
+        m, cap, per_pass = 15, 400, 4
+        cfg = SamplerConfig(mode=mode, batch_cols=m, steps=cap, seed=3)
+        fit_onmf(low_rank_source(21), 4, 0.0, cfg, log_path=tmp_path / "train.jsonl")
+        run = len(read_log(tmp_path / "train.jsonl"))
+        assert 2 * per_pass <= run < cap
+        assert run % per_pass == 0
+
+    @pytest.mark.parametrize("mode", ["uniform", "consecutive"])
+    def test_stopped_runs_are_byte_identical(self, mode):
+        cfg = SamplerConfig(mode=mode, batch_cols=15, steps=400, seed=3)
+        sources = [GuardedSource(low_rank_source(22)) for _ in range(2)]
+        atoms = [fit_onmf(src, 4, 0.1, cfg).atoms.tobytes() for src in sources]
+        assert len(sources[0].requests) < 400
+        assert atoms[0] == atoms[1]
+
+    def test_log_keeps_every_step_and_gives_pass_change_at_boundaries(self, tmp_path):
+        per_pass = 4
+        cfg = SamplerConfig(mode="consecutive", batch_cols=15, steps=400, seed=3)
+        fit_onmf(low_rank_source(21), 4, 0.0, cfg, log_path=tmp_path / "train.jsonl")
+        records = read_log(tmp_path / "train.jsonl")
+        assert [rec["step"] for rec in records] == list(range(1, len(records) + 1))
+        surrogate = {rec["step"]: rec["surrogate"] for rec in records}
+        for rec in records:
+            t = rec["step"]
+            assert {"surrogate", "code_sparsity", "aux_elements"} <= rec.keys()
+            if t % per_pass:
+                assert "pass_change" not in rec
+            elif t == per_pass:
+                assert rec["pass_change"] is None  # no earlier pass to compare with
+            else:
+                f, f_prev = surrogate[t], surrogate[t - per_pass]
+                assert rec["pass_change"] == pytest.approx(abs(f - f_prev) / abs(f), rel=1e-12)
+                # the run ends at the first boundary that meets the tolerance
+                assert (rec["pass_change"] <= onmf.PASS_REL_TOL) == (t == len(records))
+
+    @pytest.mark.parametrize("logged", [False, True])
+    def test_surrogate_formed_once_per_boundary_or_logged_step(self, tmp_path, monkeypatch, logged):
+        calls = []
+
+        def counting(W, A, B):
+            calls.append(1)
+            return surrogate_value(W, A, B)
+
+        monkeypatch.setattr(onmf, "surrogate_value", counting)
+        src = GuardedSource(low_rank_source(21))
+        log = tmp_path / "train.jsonl" if logged else None
+        fit_onmf(src, 4, 0.0, SamplerConfig(batch_cols=15, steps=400, seed=3), log_path=log)
+        run = len(src.requests)
+        assert run < 400
+        assert len(calls) == (run if logged else run // 4)
+
+    def test_non_finite_surrogate_runs_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(onmf, "surrogate_value", lambda W, A, B: float("nan"))
+        src = GuardedSource(low_rank_source(21))
+        fit_onmf(src, 4, 0.0, SamplerConfig(batch_cols=15, steps=50, seed=3))
+        assert len(src.requests) == 50
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.data())
+def test_steps_caps_the_run_and_a_stop_falls_on_a_later_pass_boundary(data):
+    mode = data.draw(st.sampled_from(["uniform", "consecutive"]))
+    n = data.draw(st.integers(1, 30))
+    m = data.draw(st.integers(1, n))
+    steps = data.draw(st.integers(0, 40))
+    seed = data.draw(st.integers(0, 2**16))
+    src = GuardedSource(np.random.default_rng(seed).random((5, n)) + 0.01)
+    fit_onmf(src, 2, 0.0, SamplerConfig(mode=mode, batch_cols=m, steps=steps, seed=seed))
+    run, per_pass = len(src.requests), -(-n // m)
+    assert min(steps, 2 * per_pass) <= run <= steps
+    assert run == steps or run % per_pass == 0
