@@ -48,10 +48,6 @@ class AudioBuffer:
     def __len__(self):
         return self.samples.shape[0]
 
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.sample_rate_hz
-
 
 # Full-scale divisors per on-disk dtype; 24-bit PCM arrives as int32.
 _INT_SCALE = {
@@ -182,18 +178,16 @@ class SynthConfig:
     """Recipe for a deterministic clean/noise/mixture triple.
 
     ``chords`` is a sequence of chords played back-to-back, each lasting
-    ``segment_s`` seconds (cycled to fill the duration). A chord entry is
-    a frequency in Hz, or an (f0, f1) pair for a linear chirp across the
-    segment.
+    ``segment_s`` seconds (cycled to fill the duration); a chord is a
+    sequence of tone frequencies in Hz, each a unit sine. The noise is
+    white Gaussian, seeded by ``seed`` and scaled to ``snr_db``.
     """
 
     duration_s: float
     sample_rate_hz: int = 16000
-    chords: Sequence[Sequence] = field(default_factory=lambda: [[440.0]])
+    chords: Sequence[Sequence[float]] = field(default_factory=lambda: [[440.0]])
     segment_s: float = 0.5
     amplitude: float = 0.3
-    noise_kind: str = "white"  # "white" or "wav"
-    noise_wav: AudioBuffer | None = None
     snr_db: float = 5.0
     seed: int = 0
 
@@ -210,13 +204,7 @@ def _render_clean(cfg: SynthConfig) -> np.ndarray:
         t = np.arange(length) / sr
         seg = np.zeros(length)
         for tone in cfg.chords[chord_idx % len(cfg.chords)]:
-            if np.isscalar(tone):
-                seg += np.sin(2 * np.pi * float(tone) * t)
-            else:
-                f0, f1 = tone
-                # linear chirp: phase integral of f0 + (f1-f0) * t / seg_dur
-                dur = length / sr
-                seg += np.sin(2 * np.pi * (f0 * t + 0.5 * (f1 - f0) * t * t / dur))
+            seg += np.sin(2 * np.pi * float(tone) * t)
         out[pos : pos + length] = cfg.amplitude * seg
         pos += length
         chord_idx += 1
@@ -239,17 +227,7 @@ def synth_mixture(cfg: SynthConfig) -> tuple[AudioBuffer, AudioBuffer, AudioBuff
     if math.isinf(cfg.snr_db) and cfg.snr_db > 0:
         noise = np.zeros(n_total)
     else:
-        if cfg.noise_kind == "white":
-            rng = np.random.default_rng(cfg.seed)
-            noise = rng.standard_normal(n_total)
-        elif cfg.noise_kind == "wav":
-            if cfg.noise_wav is None or len(cfg.noise_wav) == 0:
-                raise InvalidConfigError("noise_kind='wav' requires noise_wav")
-            src = cfg.noise_wav.samples
-            reps = int(np.ceil(n_total / src.shape[0]))
-            noise = np.tile(src, reps)[:n_total].copy()
-        else:
-            raise InvalidConfigError(f"unknown noise kind {cfg.noise_kind!r}")
+        noise = np.random.default_rng(cfg.seed).standard_normal(n_total)
         rms_clean = np.sqrt(np.mean(clean**2))
         rms_noise = np.sqrt(np.mean(noise**2))
         if rms_noise == 0:

@@ -1,9 +1,10 @@
 """Command-line front end: train, denoise, eval, sweep, spectrogram.
 
 Exit codes: 0 on success, 2 for usage/config problems, 3 for numeric
-failures (non-finite losses or masks). A ``key = value`` config file can
-supply the value of any optional flag of the command; explicit flags win
-over the file, and keys that name no such flag are ignored.
+failures (``NonFiniteResultError``: non-finite losses, Gram matrices or
+output). A ``key = value`` config file can supply the value of any
+optional flag of the command; explicit flags win over the file, and keys
+that name no such flag are ignored.
 """
 
 from __future__ import annotations
@@ -16,17 +17,13 @@ import sys
 import numpy as np
 
 from . import audio_io, metrics, nmf, onmf, pipeline
-from .errors import DenoiseError, InvalidConfigError
+from .errors import DenoiseError, InvalidConfigError, NonFiniteResultError
 from .stft import StftParams, export_csv, export_pgm
 from .stft import stft as compute_stft
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-
-class NumericFailure(Exception):
-    pass
 
 
 def _read_config_file(path: str) -> dict:
@@ -101,8 +98,6 @@ def cmd_train(args) -> int:
         log = f"{args.train_log}.{role}.jsonl" if args.train_log else None
         dictionary, final_loss = pipeline.fit_dictionary(mags, cfg, role, log_path=log)
         del mags  # free this prior before the next one is transformed
-        if not np.isfinite(final_loss):
-            raise NumericFailure(f"non-finite training loss for {role} dictionary")
         trained.append((role, dictionary, final_loss))
     # save only when both are trained: a failed run leaves any earlier pair whole
     for role, dictionary, final_loss in trained:
@@ -118,27 +113,19 @@ def cmd_denoise(args) -> int:
     w_signal = nmf.load_dictionary(args.dict_signal)
     w_noise = nmf.load_dictionary(args.dict_noise)
     noisy = audio_io.read_wav(args.input)
-    cfg = pipeline.DenoiseConfig(
-        k_signal=w_signal.k,
-        k_noise=w_noise.k,
-        code_alpha=args.alpha,
-        stft=params,
-        mask_epsilon=args.mask_epsilon,
-    )
+    cfg = pipeline.DenoiseConfig(code_alpha=args.alpha, stft=params)
     result = pipeline.denoise(noisy, w_signal, w_noise, cfg)
     if not np.all(np.isfinite(result.denoised.samples)):
-        raise NumericFailure("non-finite values in the denoised signal")
+        raise NonFiniteResultError("non-finite values in the denoised signal")
     audio_io.write_wav(result.denoised, args.output)
     print(f"denoised {args.input} -> {args.output}")
     if args.emit_noise:
         audio_io.write_wav(pipeline.render_noise(result), args.emit_noise)
     if args.emit_spectrograms:
         base, _ = os.path.splitext(args.output)
-        mags = result.mixture.magnitudes
-        s_masked = result.ratio * mags
-        export_pgm(mags, base + ".noisy.pgm")
-        export_pgm(s_masked, base + ".denoised.pgm")
-        export_pgm(mags - s_masked, base + ".noise.pgm")
+        export_pgm(result.mixture.magnitudes, base + ".noisy.pgm")
+        export_pgm(result.s_masked, base + ".denoised.pgm")
+        export_pgm(result.n_masked, base + ".noise.pgm")
         if args.clean:
             clean_spec = compute_stft(audio_io.read_wav(args.clean), params)
             export_pgm(clean_spec.magnitudes, base + ".clean.pgm")
@@ -191,11 +178,9 @@ def cmd_sweep(args) -> int:
     X = compute_stft(noisy, params)
     rows = []
     for alpha in alphas:
-        result = pipeline.denoise_spectrogram(
-            X, w_signal, w_noise, alpha, args.mask_epsilon, len(noisy)
-        )
+        result = pipeline.denoise_spectrogram(X, w_signal, w_noise, alpha, len(noisy))
         if not np.all(np.isfinite(result.denoised.samples)):
-            raise NumericFailure(f"non-finite denoised signal at alpha={alpha}")
+            raise NonFiniteResultError(f"non-finite denoised signal at alpha={alpha}")
         rows.append((f"{alpha:g}", *_metric_cells(result.denoised, clean, noise)))
     if args.out:
         _write_metric_csv(args.out, ("alpha", "SDR", "SIR", "SAR"), rows)
@@ -257,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--alpha", type=float, default=100.0, help="L1 weight of the sparse codes")
-    p.add_argument("--mask-epsilon", type=float, default=1e-12, help="mask floor on S + N")
     p.add_argument("--clean", help="clean WAV for the reference image")
     p.add_argument("--emit-spectrograms", action="store_true", help="write PGM images")
     p.add_argument("--emit-noise", help="also write the noise render")
@@ -277,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clean", required=True)
     p.add_argument("--noise", required=True)
     p.add_argument("--alphas", default="50,60,70,80,90", help="comma-separated list")
-    p.add_argument("--mask-epsilon", type=float, default=1e-12, help="mask floor on S + N")
     p.add_argument("--out", help="CSV output path")
 
     p = _command(sub, "spectrogram", cmd_spectrogram, "export a WAV's spectrogram as PGM/CSV")
@@ -313,7 +296,7 @@ def main(argv=None) -> int:
     try:
         args = parse_args(argv)
         return args.func(args)
-    except NumericFailure as exc:
+    except NonFiniteResultError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (DenoiseError, ValueError, OSError) as exc:

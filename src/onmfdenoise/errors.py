@@ -47,3 +47,7 @@ class ZeroReferenceError(DenoiseError):
 
 class NonFiniteInputError(DenoiseError):
     """Input samples contain NaN or Inf."""
+
+
+class NonFiniteResultError(DenoiseError):
+    """A computation produced NaN or Inf."""

@@ -125,19 +125,17 @@ def _update_dictionary_normalized(X, W, H, epsilon: float = EPSILON) -> np.ndarr
     return W * numer / denom
 
 
-def renormalize_pair(W, H, rng=None, dead_tol: float = 1e-12):
+def renormalize_pair(W, H, rng):
     """Scale W columns to unit L2 and H rows inversely; WH is preserved.
 
-    Columns with vanishing norm are reinitialized from ``rng`` (their H
+    Columns with norm below 1e-12 are reinitialized from ``rng`` (their H
     rows zeroed) so atoms cannot die permanently.
     """
     W = W.copy()
     H = H.copy()
     norms = np.linalg.norm(W, axis=0)
-    dead = norms < dead_tol
+    dead = norms < 1e-12
     if np.any(dead):
-        if rng is None:
-            rng = np.random.default_rng(0)
         W[:, dead] = rng.random((W.shape[0], int(dead.sum())))
         H[dead, :] = 0.0
         norms = np.linalg.norm(W, axis=0)

@@ -35,6 +35,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     InvalidConfigError,
+    NonFiniteResultError,
 )
 from .nmf import Dictionary
 
@@ -125,7 +126,8 @@ def sparse_code(
     last iterate. The step size and momentum depend only on W and the step
     number, so each column's code does not depend on which other columns
     are coded with it. An all-zero dictionary gives zero codes. A negative
-    or non-finite alpha raises ``InvalidConfigError``.
+    or non-finite alpha raises ``InvalidConfigError``, and a W^T W that is
+    not finite ``NonFiniteResultError``.
 
     Each step forms one k x k product, M @ h with M = I - G/L, which serves
     both the KKT check and, by linearity, the momentum step
@@ -161,6 +163,8 @@ def _code_from_products(
     """
     if not (math.isfinite(alpha) and alpha >= 0):
         raise InvalidConfigError(f"L1 weight must be finite and >= 0, got {alpha}")
+    if not np.all(np.isfinite(G)):
+        raise NonFiniteResultError("W^T W of the dictionary is not finite")
     m, k = P.shape
     out = np.zeros((m, k))
     L = float(np.linalg.eigvalsh(G)[-1]) if k else 0.0
@@ -270,6 +274,12 @@ def _pass_change(f: float, f_prev: float) -> float:
     return diff / abs(f) if f else (0.0 if diff == 0.0 else math.inf)
 
 
+def _json_number(x):
+    """x, or None (JSON null) when it is NaN or infinite, which strict
+    JSON cannot spell."""
+    return x if x is None or math.isfinite(x) else None
+
+
 def _aux_elements(d: int, k: int, m: int) -> int:
     """Elements of per-step working storage: batch, aggregates A and B,
     dictionary, Gram G and the coder's M = I - G/L, and the coder's six
@@ -298,7 +308,8 @@ def fit_onmf(
     columns, seeded by sampler.seed. An optional JSON-lines log records
     per-step surrogate value, code sparsity, and working-set size, one
     record per step run; boundary records add ``pass_change``, the
-    relative surrogate change over the last pass (null at the first).
+    relative surrogate change over the last pass (null at the first). A
+    non-finite value is written as null.
     """
     d, n = X.shape
     if n == 0 or d == 0:
@@ -325,12 +336,12 @@ def fit_onmf(
             if log_fh is not None:
                 record = {
                     "step": t,
-                    "surrogate": f,
+                    "surrogate": _json_number(f),
                     "code_sparsity": float(np.mean(H_t <= 1e-10)),
                     "aux_elements": _aux_elements(d, k, sampler.batch_cols),
                 }
                 if boundary:
-                    record["pass_change"] = change
+                    record["pass_change"] = _json_number(change)
                 log_fh.write(json.dumps(record) + "\n")
             if boundary:
                 if change is not None and change <= PASS_REL_TOL:

@@ -15,16 +15,14 @@ d x n real array is made.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .errors import DimensionMismatchError, EmptyInputError, InvalidConfigError
+from .errors import DimensionMismatchError, EmptyInputError, NonFiniteResultError
 from .nmf import Dictionary, NmfConfig, _loss_from_products, fit_nmf
-# sparse_code is no longer called here, but bench/ binds it by this name
-from .onmf import SamplerConfig, _code_from_products, fit_onmf, sparse_code  # noqa: F401
+from .onmf import SamplerConfig, _code_from_products, fit_onmf
 from .stft import Spectrogram, StftParams, frame_blocks, frames_per_block, istft, stft
 
 __all__ = [
@@ -38,6 +36,9 @@ __all__ = [
     "denoise",
     "denoise_spectrogram",
 ]
+
+# the ratio mask splits a cell 50/50 where S + N is below this floor
+MASK_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,6 @@ class DenoiseConfig:
     code_alpha: float = 100.0
     stft: StftParams = field(default_factory=StftParams)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    mask_epsilon: float = 1e-12
     seed: int = 0
     max_iters: int = 500
     rel_tol: float = 1e-4
@@ -80,14 +80,10 @@ class DenoiseResult:
     w_noise: Dictionary
     h_signal: np.ndarray
     h_noise: np.ndarray
-    mask_epsilon: float
     denoised: AudioBuffer
 
     def _mask(self):
-        return _code_mask(
-            self.mixture, self.w_signal, self.w_noise, self.h_signal, self.h_noise,
-            self.mask_epsilon,
-        )  # fmt: skip
+        return _code_mask(self.mixture, self.w_signal, self.w_noise, self.h_signal, self.h_noise)
 
     @property
     def ratio(self) -> np.ndarray:  # (d, n) in [0, 1]
@@ -117,6 +113,7 @@ def fit_dictionary(
     Size and seed come from ``role``: ``cfg.k_signal`` and ``cfg.seed``, or
     ``cfg.k_noise`` and ``cfg.seed + 1``. Online training codes the prior
     once for the final loss and writes its JSON-lines log to ``log_path``.
+    A final loss that is not finite raises ``NonFiniteResultError``.
     """
     k, seed = {"signal": (cfg.k_signal, cfg.seed), "noise": (cfg.k_noise, cfg.seed + 1)}[role]
     if mags.size == 0:
@@ -130,17 +127,21 @@ def fit_dictionary(
             seed=seed,
         )
         dictionary, _, trace = fit_nmf(mags, nmf_cfg)
-        return dictionary, trace[-1]
-    sampler = replace(
-        cfg.sampler, batch_cols=min(cfg.sampler.batch_cols, mags.shape[1]), seed=seed
-    )
-    dictionary = fit_onmf(mags, k, cfg.train_alpha, sampler, log_path=log_path)
-    W = dictionary.atoms
-    XtW, G = mags.T @ W, W.T @ W
-    H = _code_from_products(XtW.copy(), G, cfg.train_alpha)
-    flat = mags.ravel(order="K")
-    x_sq = float(np.vdot(flat, flat))
-    return dictionary, _loss_from_products(x_sq, XtW.T, G, H, cfg.train_alpha)
+        final_loss = trace[-1]
+    else:
+        sampler = replace(
+            cfg.sampler, batch_cols=min(cfg.sampler.batch_cols, mags.shape[1]), seed=seed
+        )
+        dictionary = fit_onmf(mags, k, cfg.train_alpha, sampler, log_path=log_path)
+        W = dictionary.atoms
+        XtW, G = mags.T @ W, W.T @ W
+        H = _code_from_products(XtW.copy(), G, cfg.train_alpha)
+        flat = mags.ravel(order="K")
+        x_sq = float(np.vdot(flat, flat))
+        final_loss = _loss_from_products(x_sq, XtW.T, G, H, cfg.train_alpha)
+    if not np.isfinite(final_loss):
+        raise NonFiniteResultError(f"non-finite training loss for {role} dictionary")
+    return dictionary, final_loss
 
 
 def train_dictionaries(
@@ -155,10 +156,6 @@ def train_dictionaries(
 def concat_dictionaries(w_signal: Dictionary, w_noise: Dictionary) -> Dictionary:
     """Stack atoms side by side, signal columns first; column order is the
     contract used to split codes afterwards."""
-    if w_signal.k == 0:
-        return w_noise
-    if w_noise.k == 0:
-        return w_signal
     if w_signal.d != w_noise.d:
         raise DimensionMismatchError(
             f"row counts differ: {w_signal.d} vs {w_noise.d}"
@@ -186,42 +183,35 @@ def separate(
         block = mags[: stop - start]
         np.abs(X.values[:, start:stop].T, out=block)
         np.matmul(block, W, out=P[start:stop])
-    H = _code_from_products(P, W.T @ W, code_alpha)
+    with np.errstate(over="ignore"):  # the coder rejects a G that overflowed
+        G = W.T @ W
+    H = _code_from_products(P, G, code_alpha)
     return H[: w_signal.k, :], H[w_signal.k :, :]
 
 
-def _signal_ratio(
-    s_est: np.ndarray, n_est: np.ndarray, mask_epsilon: float
-) -> np.ndarray:
-    """S/(S+N), or 0.5 where S+N < mask_epsilon; computed in place, so
+def _signal_ratio(s_est: np.ndarray, n_est: np.ndarray) -> np.ndarray:
+    """S/(S+N), or 0.5 where S+N < MASK_FLOOR; computed in place, so
     both arguments are overwritten and the first one is returned."""
     denom = n_est
     denom += s_est
-    ok = denom >= mask_epsilon
+    ok = denom >= MASK_FLOOR
     np.divide(s_est, denom, out=s_est, where=ok)
     s_est[~ok] = 0.5
     return s_est
 
 
 def apply_mask(
-    X: np.ndarray,
-    s_est: np.ndarray,
-    n_est: np.ndarray,
-    mask_epsilon: float = 1e-12,
+    X: np.ndarray, s_est: np.ndarray, n_est: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ratio-mask the mixture magnitudes so the parts add back to X.
 
-    s = S*X/(S+N) and n = N*X/(S+N); cells where S+N < mask_epsilon get
+    s = S*X/(S+N) and n = N*X/(S+N); cells where S+N < MASK_FLOOR get
     a 50/50 split of X, which keeps additivity exact everywhere.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.shape != s_est.shape or X.shape != n_est.shape:
         raise DimensionMismatchError("mask operands do not conform")
-    ratio = _signal_ratio(
-        np.array(s_est, dtype=np.float64),
-        np.array(n_est, dtype=np.float64),
-        mask_epsilon,
-    )
+    ratio = _signal_ratio(np.array(s_est, dtype=np.float64), np.array(n_est, dtype=np.float64))
     s_masked = ratio * X
     n_masked = X - s_masked
     return s_masked, n_masked
@@ -233,7 +223,6 @@ def _code_mask(
     w_noise: Dictionary,
     h_signal: np.ndarray,
     h_noise: np.ndarray,
-    mask_epsilon: float,
 ):
     """X's ratio mask as ``istft`` takes it: ``mask(start, stop)`` forms
     the frames-major estimates Hᵀ Wᵀ of frames [start, stop) and turns
@@ -247,7 +236,7 @@ def _code_mask(
         m = stop - start
         s_est = np.matmul(h_signal[:, start:stop].T, ws, out=s_buf[:m])
         n_est = np.matmul(h_noise[:, start:stop].T, wn, out=n_buf[:m])
-        return _signal_ratio(s_est, n_est, mask_epsilon)
+        return _signal_ratio(s_est, n_est)
 
     return mask
 
@@ -257,16 +246,12 @@ def denoise_spectrogram(
     w_signal: Dictionary,
     w_noise: Dictionary,
     code_alpha: float,
-    mask_epsilon: float,
     n_samples: int,
 ) -> DenoiseResult:
     """Denoise a mixture already transformed with ``X.params``; the output
-    is cut to ``n_samples``. A mask floor that is not finite and positive
-    raises ``InvalidConfigError``."""
-    if not (math.isfinite(mask_epsilon) and mask_epsilon > 0):
-        raise InvalidConfigError(f"mask floor must be finite and > 0, got {mask_epsilon}")
+    is cut to ``n_samples``."""
     h_signal, h_noise = separate(X, w_signal, w_noise, code_alpha)
-    codes = (w_signal, w_noise, h_signal, h_noise, mask_epsilon)
+    codes = (w_signal, w_noise, h_signal, h_noise)
     audio = istft(X, mask=_code_mask(X, *codes))
     return DenoiseResult(
         X, *codes, denoised=AudioBuffer(audio.samples[:n_samples], X.sample_rate_hz)
@@ -281,9 +266,7 @@ def denoise(
 ) -> DenoiseResult:
     """Full pipeline on a noisy buffer; returns the mixture spectrogram,
     the mask and the codes along with the denoised signal."""
-    return denoise_spectrogram(
-        stft(x, cfg.stft), w_signal, w_noise, cfg.code_alpha, cfg.mask_epsilon, len(x)
-    )
+    return denoise_spectrogram(stft(x, cfg.stft), w_signal, w_noise, cfg.code_alpha, len(x))
 
 
 def render_noise(result: DenoiseResult) -> AudioBuffer:

@@ -9,8 +9,8 @@ interior for Hann windows at 50% or 75% overlap.
 A ``Spectrogram`` keeps the complex values, so resynthesis after masking
 reuses the mixture's phases: ``istft(X, mask=ratio)`` inverts
 ``s = ratio * X`` without ever forming the phase factors or the whole
-masked spectrum. The mask may also be a function that forms each block's
-ratio when the inverse reaches it, so no d x n mask need exist. Both
+masked spectrum. The mask is a function that forms each block's ratio
+when the inverse reaches it, so no d x n mask need exist. Both
 directions work on blocks of ``frames_per_block(params)`` frames, about
 64 Ki samples each whatever the FFT size.
 """
@@ -24,12 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioBuffer
-from .errors import (
-    BufferTooShortError,
-    DimensionMismatchError,
-    InvalidParamsError,
-    NonFiniteInputError,
-)
+from .errors import BufferTooShortError, InvalidParamsError, NonFiniteInputError
 
 __all__ = [
     "StftParams",
@@ -150,28 +145,18 @@ def _check_cola(params: StftParams) -> None:
         )
 
 
-def istft(
-    spec: Spectrogram, mask: np.ndarray | Callable[[int, int], np.ndarray] | None = None
-) -> AudioBuffer:
+def istft(spec: Spectrogram, mask: Callable[[int, int], np.ndarray] | None = None) -> AudioBuffer:
     """Overlap-add inverse; output length (n_frames-1)*hop + window_len.
 
-    With ``mask`` the inverse is that of ``mask * spec.values``: the
-    mixture's own phases are reused without forming the masked spectrum,
-    one block of frames at a time. ``mask`` is a real array shaped like
-    the spectrogram, or a function ``mask(start, stop)`` that returns the
-    frames-major mask of frames [start, stop), shaped (stop - start, d);
-    it is called once per block of ``frame_blocks``, in order, and its
-    result is used before the next call.
+    With ``mask`` the inverse is that of the real ratio times
+    ``spec.values``: the mixture's own phases are reused without forming
+    the masked spectrum, one block of frames at a time. ``mask(start,
+    stop)`` returns the frames-major ratio of frames [start, stop), shaped
+    (stop - start, d); it is called once per block of ``frame_blocks``, in
+    order, and its result is used before the next call.
     """
     params = spec.params
     _check_cola(params)
-    if mask is not None and not callable(mask):
-        array = np.asarray(mask, dtype=np.float64)
-        if array.shape != spec.values.shape:
-            raise DimensionMismatchError(
-                f"mask shape {array.shape} != spectrogram {spec.values.shape}"
-            )
-        mask = lambda start, stop: array[:, start:stop].T  # noqa: E731
     win_len, hop = params.window_len, params.hop
     window = params.window()
     n_frames = spec.n_frames
@@ -217,8 +202,9 @@ def _normalize(rows: np.ndarray, wsq: np.ndarray, n_frames: int) -> None:
         rows[R - 1 : n_frames] /= power(R - 1)
 
 
-def export_pgm(magnitudes: np.ndarray, path, floor_db: float = -80.0) -> None:
+def export_pgm(magnitudes: np.ndarray, path) -> None:
     """Write magnitudes as an 8-bit P5 PGM, log-scaled relative to the max."""
+    floor_db = -80.0  # black; the max is white
     mags = np.asarray(magnitudes, dtype=np.float64)
     peak = mags.max()
     if peak <= 0:

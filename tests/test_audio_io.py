@@ -103,14 +103,6 @@ def test_synth_deterministic():
         assert np.array_equal(x.samples, y.samples)
 
 
-def test_synth_chirp_support():
-    cfg = SynthConfig(
-        duration_s=0.5, chords=[[(200.0, 400.0)]], snr_db=np.inf, seed=0
-    )
-    clean, _, _ = synth_mixture(cfg)
-    assert np.any(clean.samples)
-
-
 @pytest.mark.parametrize(
     "bad",
     [

@@ -332,9 +332,6 @@ class TestDenoise:
             ("--alpha", "nan"),
             ("--alpha", "inf"),
             ("--alpha", "-1000"),
-            ("--mask-epsilon", "nan"),
-            ("--mask-epsilon", "0"),
-            ("--mask-epsilon", "-1"),
         ],
     )
     def test_invalid_weight_or_floor_exits_2(self, wavs, trained, tmp_path, flag, value):
@@ -352,6 +349,28 @@ class TestDenoise:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not (tmp_path / "out.wav").exists()
 
+
+    def test_overflowing_dictionary_exits_3(self, wavs, trained, tmp_path):
+        # finite atoms of about 1e200 load, but W^T W overflows
+        from onmfdenoise.nmf import Dictionary, load_dictionary, save_dictionary
+
+        big = {}
+        for role in ("signal", "noise"):
+            big[role] = tmp_path / f"{role}.dict"
+            save_dictionary(Dictionary(load_dictionary(trained[role]).atoms * 1e200), big[role])
+        out = tmp_path / "den.wav"
+        res = run_cli(
+            "denoise",
+            "--dict-signal", big["signal"],
+            "--dict-noise", big["noise"],
+            "--input", wavs["mixture"],
+            "--output", out,
+            *SMALL_STFT,
+        )
+        assert res.returncode == 3
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not out.exists()
 
     def test_zero_atom_dictionary_exits_2(self, wavs, trained, tmp_path):
         empty = zero_atom_dictionary(tmp_path)
@@ -782,12 +801,13 @@ class TestConfigFile:
     def test_keys_that_are_not_the_commands_options_are_ignored(
         self, wavs, trained, tmp_path, command
     ):
-        # handler and parser state, required and foreign flags: a shared
-        # train/denoise file must not reach them
+        # handler and parser state, required and foreign flags, and a key of
+        # a removed flag: a shared train/denoise file must not reach them
         cfg = tmp_path / "other.cfg"
         cfg.write_text(
             "func = x\ncommand = train\nconfig = missing.cfg\n"
             f"input = {tmp_path / 'missing.wav'}\nmethod = bogus\nk-signal = many\n"
+            "mask-epsilon = nan\n"
         )
         argv = [command, "--input", str(wavs["mixture"]), *SMALL_STFT]
         if command == "denoise":
@@ -809,11 +829,11 @@ _STFT_DEFAULTS = {"window_len": 1024, "hop": 512, "fft_len": 1024}
 COMMAND_DEFAULTS = {
     "train": TRAIN_DEFAULTS,
     "denoise": {
-        "alpha": 100.0, "mask_epsilon": 1e-12, "emit_spectrograms": False,
+        "alpha": 100.0, "emit_spectrograms": False,
         "clean": None, "emit_noise": None, **_STFT_DEFAULTS,
     },
     "eval": {"nmf": None, "onmf": None, "noisy": None, "out": None},
-    "sweep": {"alphas": "50,60,70,80,90", "mask_epsilon": 1e-12, "out": None, **_STFT_DEFAULTS},
+    "sweep": {"alphas": "50,60,70,80,90", "out": None, **_STFT_DEFAULTS},
     "spectrogram": {"csv": None, **_STFT_DEFAULTS},
 }  # fmt: skip
 REQUIRED = {
@@ -878,3 +898,8 @@ def test_each_command_parses_to_its_defaults(command):
     for key, want in COMMAND_DEFAULTS[command].items():
         got = getattr(args, key)
         assert got == want and type(got) is type(want), key
+    # every optional flag has a row above, so a new setting shows up here
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+    optional = {a.dest for a in sub._actions if a.option_strings and not a.required}
+    assert optional - {"help", "config"} == set(COMMAND_DEFAULTS[command])

@@ -164,7 +164,7 @@ class TestRenormalize:
         rng = np.random.default_rng(7)
         W = rng.random((6, 3)) * 5
         H = rng.random((3, 4))
-        W2, H2 = renormalize_pair(W, H)
+        W2, H2 = renormalize_pair(W, H, np.random.default_rng(0))
         assert np.max(np.abs(W @ H - W2 @ H2)) <= 1e-12
         assert np.allclose(np.linalg.norm(W2, axis=0), 1.0, atol=1e-12)
 

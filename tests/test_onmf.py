@@ -9,7 +9,12 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls
 
 from onmfdenoise import onmf
-from onmfdenoise.errors import BatchTooWideError, DegenerateStateError, InvalidConfigError
+from onmfdenoise.errors import (
+    BatchTooWideError,
+    DegenerateStateError,
+    InvalidConfigError,
+    NonFiniteResultError,
+)
 from onmfdenoise.onmf import (
     OnmfState,
     SamplerConfig,
@@ -506,6 +511,41 @@ class TestPassStop:
         src = GuardedSource(low_rank_source(21))
         fit_onmf(src, 4, 0.0, SamplerConfig(batch_cols=15, steps=50, seed=3))
         assert len(src.requests) == 50
+
+
+def _reject_constant(name):
+    raise AssertionError(f"bare {name} is not JSON")
+
+
+def strict_json_lines(path):
+    return [json.loads(line, parse_constant=_reject_constant) for line in open(path)]
+
+
+class TestNonFinite:
+    def test_overflowing_prior_logs_null_and_raises(self, tmp_path):
+        # one 1e308 entry overflows the aggregates: the surrogate and the
+        # dictionary go non-finite, and coding against it raises
+        X = np.random.default_rng(0).random((6, 20))
+        X[2, 7] = 1e308
+        log = tmp_path / "log.jsonl"
+        sampler = SamplerConfig(mode="consecutive", batch_cols=5, steps=12)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteResultError):
+            fit_onmf(X, 2, 0.0, sampler, log_path=log)
+        records = strict_json_lines(log)
+        assert records[0]["surrogate"] is not None and records[-1]["surrogate"] is None
+
+    def test_non_finite_pass_change_logged_as_null(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(onmf, "surrogate_value", lambda W, A, B: float("inf"))
+        log = tmp_path / "log.jsonl"
+        fit_onmf(low_rank_source(21), 4, 0.0, SamplerConfig(batch_cols=15, steps=12), log_path=log)
+        records = strict_json_lines(log)
+        assert len(records) == 12 and all(r["surrogate"] is None for r in records)
+        assert [r["pass_change"] for r in records if "pass_change" in r] == [None] * 3
+
+    def test_non_finite_gram_raises_before_coding(self):
+        W = np.full((5, 3), 1e200)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteResultError):
+            sparse_code(np.ones((5, 4)), W, 0.0)
 
 
 @settings(max_examples=80, deadline=None, database=None)

@@ -4,17 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onmfdenoise.audio_io import AudioBuffer
-from onmfdenoise.errors import (
-    BufferTooShortError,
-    DimensionMismatchError,
-    InvalidParamsError,
-    NonFiniteInputError,
-)
+from onmfdenoise.errors import BufferTooShortError, InvalidParamsError, NonFiniteInputError
 from onmfdenoise.stft import (
     Spectrogram,
     StftParams,
     export_csv,
     export_pgm,
+    frame_blocks,
     frames_per_block,
     istft,
     stft,
@@ -25,6 +21,11 @@ SR = 16000
 
 def covered_length(params, n_frames):
     return (n_frames - 1) * params.hop + params.window_len
+
+
+def blocks_of(mask):
+    """A whole d x n mask array as the block function ``istft`` takes."""
+    return lambda a, b: mask[:, a:b].T
 
 
 def test_param_validation():
@@ -140,13 +141,18 @@ def test_istft_rejects_non_cola_hop():
 def test_istft_mask_identity_zero_and_shape():
     params = StftParams()
     rng = np.random.default_rng(2)
-    x = rng.uniform(-0.5, 0.5, covered_length(params, 12))
+    x = rng.uniform(-0.5, 0.5, covered_length(params, 150))
     spec = stft(AudioBuffer(x, SR), params)
-    same = istft(spec, mask=np.ones(spec.values.shape))
-    assert np.array_equal(same.samples, istft(spec).samples)
-    assert not np.any(istft(spec, mask=np.zeros(spec.values.shape)).samples)
-    with pytest.raises(DimensionMismatchError):
-        istft(spec, mask=np.ones((spec.values.shape[0], spec.n_frames - 1)))
+    calls = []
+
+    def ones(start, stop):
+        calls.append((start, stop))
+        return np.ones((stop - start, params.n_bins))
+
+    assert np.array_equal(istft(spec, mask=ones).samples, istft(spec).samples)
+    # one call per block, in order, for the frames-major (stop - start, d) mask
+    assert calls == list(frame_blocks(params, spec.n_frames)) and len(calls) == 3
+    assert not np.any(istft(spec, mask=blocks_of(np.zeros(spec.values.shape))).samples)
 
 
 def test_istft_recovers_tonal_signal():
@@ -201,7 +207,7 @@ def test_blocked_transforms_match_whole_matrix(n_frames):
     assert spec.n_frames == n_frames
     assert np.max(np.abs(spec.values - whole_matrix_stft(x, params))) <= 1e-12
     mask = rng.random(spec.values.shape)
-    back = istft(spec, mask=mask).samples
+    back = istft(spec, mask=blocks_of(mask)).samples
     assert np.max(np.abs(back - whole_matrix_istft(mask * spec.values, params))) <= 1e-12
 
 
@@ -227,7 +233,8 @@ def test_blocked_inverse_is_byte_identical_to_frame_loop(
     shape = (n_frames, params.n_bins)
     values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).T
     mask = rng.random(values.shape) if masked else None
-    back = istft(Spectrogram(values, params, SR), mask=mask).samples
+    block_mask = None if mask is None else blocks_of(mask)
+    back = istft(Spectrogram(values, params, SR), mask=block_mask).samples
     want = whole_matrix_istft(values if mask is None else mask * values, params)
     assert back.tobytes() == want.tobytes()
 
@@ -260,7 +267,7 @@ def test_transforms_use_numpy1_fft_signatures(monkeypatch):
     x = np.random.default_rng(0).uniform(-1, 1, covered_length(params, 70))
     spec = stft(AudioBuffer(x, SR), params)
     assert np.max(np.abs(spec.values - whole_matrix_stft(x, params))) <= 1e-12
-    istft(spec, mask=np.ones(spec.values.shape))
+    istft(spec, mask=blocks_of(np.ones(spec.values.shape)))
 
 
 def test_non_finite_samples_rejected():
