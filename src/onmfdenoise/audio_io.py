@@ -9,7 +9,7 @@ stored in the next whole byte), or IEEE float at 32 or 64 bits, either
 as plain format tags or under ``WAVE_FORMAT_EXTENSIBLE``, with any
 number of channels (averaged to mono). Chunks other than
 ``fmt `` and ``data`` are skipped. Anything else, including big-endian
-RIFX and RF64, raises ``UnsupportedFormatError``. ``write_wav`` writes
+RIFX and RF64, raises ``InvalidInputError``. ``write_wav`` writes
 one layout: a 44-byte header and 16-bit PCM mono samples.
 """
 
@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidConfigError, UnsupportedFormatError
+from .errors import InvalidInputError
 
 __all__ = [
     "AudioBuffer",
@@ -43,7 +43,7 @@ class AudioBuffer:
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         if self.sample_rate_hz <= 0:
-            raise InvalidConfigError("sample_rate_hz must be positive")
+            raise InvalidInputError("sample_rate_hz must be positive")
 
     def __len__(self):
         return self.samples.shape[0]
@@ -73,22 +73,22 @@ _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 def _parse_fmt(body) -> tuple[int, int, np.dtype, int]:
     """(sample rate, channels, sample dtype, bytes per sample) of a fmt chunk."""
     if len(body) < 16:
-        raise UnsupportedFormatError(f"fmt chunk of {len(body)} bytes, need 16")
+        raise InvalidInputError(f"fmt chunk of {len(body)} bytes, need 16")
     tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", body)
     if tag == _EXTENSIBLE:
         if len(body) < 40 or body[28:40] != _GUID_TAIL:
-            raise UnsupportedFormatError("unknown WAVE_FORMAT_EXTENSIBLE sub-format")
+            raise InvalidInputError("unknown WAVE_FORMAT_EXTENSIBLE sub-format")
         tag = struct.unpack_from("<I", body, 24)[0]
     width = (bits + 7) // 8
     dtype = _DTYPES.get((tag, width))
     if dtype is None or (tag == _FLOAT and bits != 8 * width):
-        raise UnsupportedFormatError(f"unsupported format tag {tag} at {bits} bits")
+        raise InvalidInputError(f"unsupported format tag {tag} at {bits} bits")
     if channels == 0 or block_align != channels * width:
-        raise UnsupportedFormatError(
+        raise InvalidInputError(
             f"block align {block_align} for {channels} channels of {width} bytes"
         )
     if rate == 0:
-        raise UnsupportedFormatError("sample rate is 0")
+        raise InvalidInputError("sample rate is 0")
     return rate, channels, dtype, width
 
 
@@ -100,7 +100,7 @@ def _parse_wave(raw: memoryview) -> tuple[int, int, np.ndarray]:
     the file keeps its whole frames.
     """
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise UnsupportedFormatError(
+        raise InvalidInputError(
             f"not a little-endian RIFF/WAVE file: {bytes(raw[:4])!r}"
         )
     fmt = None
@@ -122,7 +122,7 @@ def _parse_wave(raw: memoryview) -> tuple[int, int, np.ndarray]:
                 return rate, channels, wide.view(dtype).ravel()
             return rate, channels, np.frombuffer(body, dtype, n)
         pos += 8 + size + (size & 1)
-    raise UnsupportedFormatError("no data chunk" if fmt else "no fmt chunk before the data")
+    raise InvalidInputError("no data chunk" if fmt else "no fmt chunk before the data")
 
 
 def read_wav(path) -> AudioBuffer:
@@ -135,10 +135,10 @@ def read_wav(path) -> AudioBuffer:
         raw = memoryview(fh.read())
     try:
         rate, channels, data = _parse_wave(raw)
-    except UnsupportedFormatError as exc:
-        raise UnsupportedFormatError(f"{path}: {exc}") from None
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
     if data.size == 0:
-        raise UnsupportedFormatError(f"{path}: empty data chunk")
+        raise InvalidInputError(f"{path}: empty data chunk")
     x = data.astype(np.float64)
     if data.dtype in _INT_SCALE:
         if data.dtype == np.dtype(np.uint8):
@@ -152,15 +152,16 @@ def read_wav(path) -> AudioBuffer:
 def write_wav(buf: AudioBuffer, path) -> None:
     """Write a buffer as 16-bit PCM mono, clamping samples to [-1, 1]."""
     if len(buf) == 0:
-        raise InvalidConfigError("cannot write an empty buffer")
-    # one float temporary, rounded and clamped in place
-    scaled = buf.samples * 32768.0
+        raise InvalidInputError("cannot write an empty buffer")
+    # one float temporary, clamped before it is scaled so no sample overflows
+    scaled = np.clip(buf.samples, -1.0, 1.0)
+    scaled *= 32768.0
     np.rint(scaled, out=scaled)
     np.clip(scaled, -32768, 32767, out=scaled)
     q = scaled.astype("<i2")
     del scaled  # freed before the file and its buffer are opened
     if q.nbytes > 0xFFFFFFFF - 36:
-        raise InvalidConfigError("buffer too long for a RIFF file")
+        raise InvalidInputError("buffer too long for a RIFF file")
     rate = buf.sample_rate_hz
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
@@ -218,9 +219,9 @@ def synth_mixture(cfg: SynthConfig) -> tuple[AudioBuffer, AudioBuffer, AudioBuff
     the noise achieves the requested SNR. Deterministic for a fixed seed.
     """
     if not (cfg.duration_s > 0):
-        raise InvalidConfigError("duration must be positive")
+        raise InvalidInputError("duration must be positive")
     if math.isnan(cfg.snr_db):
-        raise InvalidConfigError("SNR is NaN")
+        raise InvalidInputError("SNR is NaN")
     clean = _render_clean(cfg)
     n_total = clean.shape[0]
 
@@ -231,7 +232,7 @@ def synth_mixture(cfg: SynthConfig) -> tuple[AudioBuffer, AudioBuffer, AudioBuff
         rms_clean = np.sqrt(np.mean(clean**2))
         rms_noise = np.sqrt(np.mean(noise**2))
         if rms_noise == 0:
-            raise InvalidConfigError("noise source is silent")
+            raise InvalidInputError("noise source is silent")
         target_rms = rms_clean / (10.0 ** (cfg.snr_db / 20.0))
         noise *= target_rms / rms_noise
 

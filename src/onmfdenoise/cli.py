@@ -1,10 +1,11 @@
 """Command-line front end: train, denoise, eval, sweep, spectrogram.
 
-Exit codes: 0 on success, 2 for usage/config problems, 3 for numeric
-failures (``NonFiniteResultError``: non-finite losses, Gram matrices or
-output). A ``key = value`` config file can supply the value of any
-optional flag of the command; explicit flags win over the file, and keys
-that name no such flag are ignored.
+Exit codes: 0 on success, 2 for usage/config problems
+(``InvalidInputError``), 3 for numeric failures (``NonFiniteResultError``:
+non-finite energies, losses, products or output). A ``key = value``
+config file can supply the value of any optional flag of the command;
+explicit flags win over the file, and keys that name no such flag are
+ignored.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ import csv
 import os
 import sys
 
-import numpy as np
-
 from . import audio_io, metrics, nmf, onmf, pipeline
-from .errors import DenoiseError, InvalidConfigError, NonFiniteResultError
+from .errors import DenoiseError, InvalidInputError, NonFiniteResultError
 from .stft import StftParams, export_csv, export_pgm
 from .stft import stft as compute_stft
 
@@ -34,7 +33,7 @@ def _read_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise DenoiseError(f"{path}: bad config line {line!r}")
+                raise InvalidInputError(f"{path}: bad config line {line!r}")
             key, val = line.split("=", 1)
             values[key.strip().replace("-", "_")] = val.strip()
     return values
@@ -50,21 +49,21 @@ def _config_value(action: argparse.Action, raw: str):
     checks flags, but not defaults, against their choices."""
     key = action.dest
     if action.choices and raw not in action.choices:
-        raise InvalidConfigError(f"{key} = {raw!r}: expected one of {', '.join(action.choices)}")
+        raise InvalidInputError(f"{key} = {raw!r}: expected one of {', '.join(action.choices)}")
     if isinstance(action.default, bool):
         if raw.lower() not in _BOOLS:
-            raise InvalidConfigError(f"{key} = {raw!r}: expected true/false, yes/no or 1/0")
+            raise InvalidInputError(f"{key} = {raw!r}: expected true/false, yes/no or 1/0")
         return _BOOLS[raw.lower()]
     try:
         return (action.type or str)(raw)
     except ValueError:
-        raise InvalidConfigError(f"{key} = {raw!r}: expected {_TYPE_NAMES[action.type]}") from None
+        raise InvalidInputError(f"{key} = {raw!r}: expected {_TYPE_NAMES[action.type]}") from None
 
 
 def _require_files(*paths):
     for p in paths:
         if p is not None and not os.path.exists(p):
-            raise DenoiseError(f"input file not found: {p}")
+            raise InvalidInputError(f"input file not found: {p}")
 
 
 def _stft_params(args) -> StftParams:
@@ -115,8 +114,6 @@ def cmd_denoise(args) -> int:
     noisy = audio_io.read_wav(args.input)
     cfg = pipeline.DenoiseConfig(code_alpha=args.alpha, stft=params)
     result = pipeline.denoise(noisy, w_signal, w_noise, cfg)
-    if not np.all(np.isfinite(result.denoised.samples)):
-        raise NonFiniteResultError("non-finite values in the denoised signal")
     audio_io.write_wav(result.denoised, args.output)
     print(f"denoised {args.input} -> {args.output}")
     if args.emit_noise:
@@ -134,7 +131,7 @@ def cmd_denoise(args) -> int:
 
 def _metric_cells(estimate, clean, noise) -> tuple[str, str, str]:
     """SDR, SIR and SAR as CSV cells; signals of unequal length raise
-    ``LengthMismatchError`` rather than being cut to the shortest."""
+    ``InvalidInputError`` rather than being cut to the shortest."""
     report = metrics.evaluate(estimate, clean, noise)
     return tuple(
         f"{metrics.db_for_csv(db):.4f}" for db in (report.sdr_db, report.sir_db, report.sar_db)
@@ -165,9 +162,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    alphas = [float(a) for a in str(args.alphas).split(",") if a.strip()]
+    try:
+        alphas = [float(a) for a in str(args.alphas).split(",") if a.strip()]
+    except ValueError as exc:
+        raise InvalidInputError(f"--alphas {args.alphas!r}: {exc}") from None
     if not alphas:
-        raise InvalidConfigError(f"--alphas {args.alphas!r} lists no weight")
+        raise InvalidInputError(f"--alphas {args.alphas!r} lists no weight")
     _require_files(args.dict_signal, args.dict_noise, args.input, args.clean, args.noise)
     params = _stft_params(args)
     w_signal = nmf.load_dictionary(args.dict_signal)
@@ -179,8 +179,6 @@ def cmd_sweep(args) -> int:
     rows = []
     for alpha in alphas:
         result = pipeline.denoise_spectrogram(X, w_signal, w_noise, alpha, len(noisy))
-        if not np.all(np.isfinite(result.denoised.samples)):
-            raise NonFiniteResultError(f"non-finite denoised signal at alpha={alpha}")
         rows.append((f"{alpha:g}", *_metric_cells(result.denoised, clean, noise)))
     if args.out:
         _write_metric_csv(args.out, ("alpha", "SDR", "SIR", "SAR"), rows)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .errors import LengthMismatchError, NonFiniteInputError, ZeroReferenceError
+from .errors import InvalidInputError
 
 __all__ = ["EvalReport", "decompose", "evaluate", "INF_DB_CAP"]
 
@@ -36,18 +36,18 @@ class EvalReport:
 
 def _as_vectors(estimate: AudioBuffer, clean: AudioBuffer, noise: AudioBuffer):
     if not (len(estimate) == len(clean) == len(noise)):
-        raise LengthMismatchError(
+        raise InvalidInputError(
             f"lengths differ: estimate={len(estimate)}, clean={len(clean)}, "
             f"noise={len(noise)}"
         )
     if not (estimate.sample_rate_hz == clean.sample_rate_hz == noise.sample_rate_hz):
-        raise LengthMismatchError(
+        raise InvalidInputError(
             f"sample rates differ: estimate={estimate.sample_rate_hz}, "
             f"clean={clean.sample_rate_hz}, noise={noise.sample_rate_hz}"
         )
     for name, buf in (("estimate", estimate), ("clean", clean), ("noise", noise)):
         if not np.all(np.isfinite(buf.samples)):
-            raise NonFiniteInputError(f"{name} signal contains NaN or Inf samples")
+            raise InvalidInputError(f"{name} signal contains NaN or Inf samples")
     return estimate.samples, clean.samples, noise.samples
 
 
@@ -56,7 +56,7 @@ def decompose(estimate: AudioBuffer, clean: AudioBuffer, noise: AudioBuffer):
     e, c, n = _as_vectors(estimate, clean, noise)
     cc = float(c @ c)
     if cc == 0.0:
-        raise ZeroReferenceError("clean reference is identically zero")
+        raise InvalidInputError("clean reference is identically zero")
     s_target = (float(e @ c) / cc) * c
     n_perp = n - (float(n @ c) / cc) * c
     npnp = float(n_perp @ n_perp)

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    InvalidConfigError,
-    UnsupportedFormatError,
-)
+from .errors import InvalidInputError
 
 __all__ = [
     "Dictionary",
@@ -52,7 +47,7 @@ class Dictionary:
     def __post_init__(self):
         object.__setattr__(self, "atoms", np.asarray(self.atoms, dtype=np.float64))
         if self.atoms.ndim != 2:
-            raise DimensionMismatchError("atoms must be a 2-D matrix")
+            raise InvalidInputError("atoms must be a 2-D matrix")
 
     @property
     def d(self) -> int:
@@ -73,16 +68,16 @@ class NmfConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise EmptyInputError("k must be >= 1")
+            raise InvalidInputError("k must be >= 1")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise InvalidConfigError(f"L1 weight must be finite and >= 0, got {self.alpha}")
+            raise InvalidInputError(f"L1 weight must be finite and >= 0, got {self.alpha}")
         if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+            raise InvalidInputError("rel_tol must be positive")
 
 
 def _conform(X, W, H):
     if W.shape[0] != X.shape[0] or H.shape[1] != X.shape[1] or W.shape[1] != H.shape[0]:
-        raise DimensionMismatchError(
+        raise InvalidInputError(
             f"shapes do not conform: X{X.shape}, W{W.shape}, H{H.shape}"
         )
 
@@ -91,7 +86,7 @@ def update_code(WtX, G, H, alpha: float = 0.0, epsilon: float = EPSILON) -> np.n
     """One multiplicative step on H from WtX = W^T X and G = W^T W; alpha
     enters the denominator."""
     if WtX.shape != H.shape or G.shape != (H.shape[0], H.shape[0]):
-        raise DimensionMismatchError(
+        raise InvalidInputError(
             f"shapes do not conform: WtX{WtX.shape}, G{G.shape}, H{H.shape}"
         )
     return H * WtX / (G @ H + alpha + epsilon)
@@ -154,9 +149,9 @@ def fit_nmf(X: np.ndarray, config: NmfConfig):
     """
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
-        raise EmptyInputError("cannot factorize an empty matrix")
+        raise InvalidInputError("cannot factorize an empty matrix")
     if np.any(X < 0):
-        raise ValueError("X must be non-negative")
+        raise InvalidInputError("X must be non-negative")
     d, n = X.shape
     rng = np.random.default_rng(config.seed)
     W = rng.random((d, config.k))
@@ -191,25 +186,25 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
 def load_dictionary(path) -> Dictionary:
     """Read a ``save_dictionary`` file; a file with no rows or no atoms,
     cut short, with bytes past its payload, or with a NaN, Inf or negative
-    atom entry raises ``UnsupportedFormatError``."""
+    atom entry raises ``InvalidInputError``."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _MAGIC:
-            raise UnsupportedFormatError(f"{path}: bad magic {magic!r}")
+            raise InvalidInputError(f"{path}: bad magic {magic!r}")
         header = fh.read(12)
         if len(header) != 12:
-            raise UnsupportedFormatError(f"{path}: header cut short")
+            raise InvalidInputError(f"{path}: header cut short")
         version, d, k = struct.unpack("<III", header)
         if version != _FORMAT_VERSION:
-            raise UnsupportedFormatError(f"{path}: unknown version {version}")
+            raise InvalidInputError(f"{path}: unknown version {version}")
         if d == 0 or k == 0:
-            raise UnsupportedFormatError(f"{path}: empty {d}x{k} dictionary")
+            raise InvalidInputError(f"{path}: empty {d}x{k} dictionary")
         payload = fh.read()
     if len(payload) != 8 * d * k:
-        raise UnsupportedFormatError(
+        raise InvalidInputError(
             f"{path}: payload of {len(payload)} bytes, expected {8 * d * k} for {d}x{k}"
         )
     data = np.frombuffer(payload, dtype="<f8")
     if not np.all(np.isfinite(data)) or np.any(data < 0):
-        raise UnsupportedFormatError(f"{path}: atoms must be finite and non-negative")
+        raise InvalidInputError(f"{path}: atoms must be finite and non-negative")
     return Dictionary(data.reshape(d, k).copy())

@@ -29,14 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    BatchTooWideError,
-    DegenerateStateError,
-    DimensionMismatchError,
-    EmptyInputError,
-    InvalidConfigError,
-    NonFiniteResultError,
-)
+from .errors import InvalidInputError, NonFiniteResultError
 from .nmf import Dictionary
 
 # Stopping rules: the coder's per-column KKT tolerance and iteration cap,
@@ -65,9 +58,9 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.mode not in ("uniform", "consecutive"):
-            raise ValueError(f"unknown sampler mode {self.mode!r}")
+            raise InvalidInputError(f"unknown sampler mode {self.mode!r}")
         if self.batch_cols < 1 or self.steps < 0:
-            raise ValueError("batch_cols must be >= 1 and steps >= 0")
+            raise InvalidInputError("batch_cols must be >= 1 and steps >= 0")
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,7 @@ def sample_batch(X, cfg: SamplerConfig, t: int) -> np.ndarray:
     n = X.shape[1]
     m = cfg.batch_cols
     if m > n:
-        raise BatchTooWideError(f"batch of {m} columns from a {n}-column matrix")
+        raise InvalidInputError(f"batch of {m} columns from a {n}-column matrix")
     if cfg.mode == "uniform":
         rng = np.random.default_rng([cfg.seed, t])
         idx = rng.integers(0, n, size=m)
@@ -126,7 +119,7 @@ def sparse_code(
     last iterate. The step size and momentum depend only on W and the step
     number, so each column's code does not depend on which other columns
     are coded with it. An all-zero dictionary gives zero codes. A negative
-    or non-finite alpha raises ``InvalidConfigError``, and a W^T W that is
+    or non-finite alpha raises ``InvalidInputError``, and a W^T W that is
     not finite ``NonFiniteResultError``.
 
     Each step forms one k x k product, M @ h with M = I - G/L, which serves
@@ -136,7 +129,7 @@ def sparse_code(
     X_t = np.asarray(X_t, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
     if W.shape[0] != X_t.shape[0]:
-        raise DimensionMismatchError(f"W rows {W.shape[0]} != X rows {X_t.shape[0]}")
+        raise InvalidInputError(f"W rows {W.shape[0]} != X rows {X_t.shape[0]}")
     return _code_from_products(X_t.T @ W, W.T @ W, alpha, rel_tol, max_iters)
 
 
@@ -162,7 +155,7 @@ def _code_from_products(
     then are the arrays compacted, a copy of contiguous rows.
     """
     if not (math.isfinite(alpha) and alpha >= 0):
-        raise InvalidConfigError(f"L1 weight must be finite and >= 0, got {alpha}")
+        raise InvalidInputError(f"L1 weight must be finite and >= 0, got {alpha}")
     if not np.all(np.isfinite(G)):
         raise NonFiniteResultError("W^T W of the dictionary is not finite")
     m, k = P.shape
@@ -226,7 +219,7 @@ def _code_from_products(
 def aggregate(state: OnmfState, H_t: np.ndarray, X_t: np.ndarray) -> OnmfState:
     """Fold step t's batch into the running averages A and B."""
     if H_t.shape[1] != X_t.shape[1] or H_t.shape[0] != state.A.shape[0]:
-        raise DimensionMismatchError(
+        raise InvalidInputError(
             f"H{H_t.shape} does not conform with X{X_t.shape} / A{state.A.shape}"
         )
     t = state.t + 1
@@ -245,7 +238,7 @@ def update_dictionary_online(state: OnmfState, normalize: bool = True) -> np.nda
     columns that project to zero keep their previous direction.
     """
     if state.t < 1 or not np.any(state.A):
-        raise DegenerateStateError("no aggregated information yet")
+        raise InvalidInputError("no aggregated information yet")
     A, B = state.A, state.B
     W = state.W.copy()
     for j in range(W.shape[1]):
@@ -313,7 +306,7 @@ def fit_onmf(
     """
     d, n = X.shape
     if n == 0 or d == 0:
-        raise EmptyInputError("cannot factorize an empty matrix")
+        raise InvalidInputError("cannot factorize an empty matrix")
     rng = np.random.default_rng(sampler.seed)
     W = rng.random((d, k))
     W /= np.linalg.norm(W, axis=0)[None, :]

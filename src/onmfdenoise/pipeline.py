@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .errors import DimensionMismatchError, EmptyInputError, NonFiniteResultError
+from .errors import InvalidInputError, NonFiniteResultError
 from .nmf import Dictionary, NmfConfig, _loss_from_products, fit_nmf
 from .onmf import SamplerConfig, _code_from_products, fit_onmf
 from .stft import Spectrogram, StftParams, frame_blocks, frames_per_block, istft, stft
@@ -60,9 +60,9 @@ class DenoiseConfig:
 
     def __post_init__(self):
         if self.trainer not in ("batch", "online"):
-            raise ValueError(f"unknown trainer {self.trainer!r}")
+            raise InvalidInputError(f"unknown trainer {self.trainer!r}")
         if self.k_signal < 1 or self.k_noise < 1:
-            raise ValueError("dictionary sizes must be >= 1")
+            raise InvalidInputError("dictionary sizes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -113,11 +113,19 @@ def fit_dictionary(
     Size and seed come from ``role``: ``cfg.k_signal`` and ``cfg.seed``, or
     ``cfg.k_noise`` and ``cfg.seed + 1``. Online training codes the prior
     once for the final loss and writes its JSON-lines log to ``log_path``.
-    A final loss that is not finite raises ``NonFiniteResultError``.
+    A non-finite prior energy ||X||^2 or final loss raises ``NonFiniteResultError``.
     """
-    k, seed = {"signal": (cfg.k_signal, cfg.seed), "noise": (cfg.k_noise, cfg.seed + 1)}[role]
+    sizes = {"signal": (cfg.k_signal, cfg.seed), "noise": (cfg.k_noise, cfg.seed + 1)}
+    if role not in sizes:
+        raise InvalidInputError(f"unknown dictionary role {role!r}: expected signal or noise")
+    k, seed = sizes[role]
     if mags.size == 0:
-        raise EmptyInputError("prior spectrogram is empty")
+        raise InvalidInputError("prior spectrogram is empty")
+    flat = mags.ravel(order="K")
+    with np.errstate(over="ignore"):
+        x_sq = float(np.vdot(flat, flat))
+    if not np.isfinite(x_sq):
+        raise NonFiniteResultError(f"energy of the {role} prior is not finite")
     if cfg.trainer == "batch":
         nmf_cfg = NmfConfig(
             k=k,
@@ -136,8 +144,6 @@ def fit_dictionary(
         W = dictionary.atoms
         XtW, G = mags.T @ W, W.T @ W
         H = _code_from_products(XtW.copy(), G, cfg.train_alpha)
-        flat = mags.ravel(order="K")
-        x_sq = float(np.vdot(flat, flat))
         final_loss = _loss_from_products(x_sq, XtW.T, G, H, cfg.train_alpha)
     if not np.isfinite(final_loss):
         raise NonFiniteResultError(f"non-finite training loss for {role} dictionary")
@@ -157,7 +163,7 @@ def concat_dictionaries(w_signal: Dictionary, w_noise: Dictionary) -> Dictionary
     """Stack atoms side by side, signal columns first; column order is the
     contract used to split codes afterwards."""
     if w_signal.d != w_noise.d:
-        raise DimensionMismatchError(
+        raise InvalidInputError(
             f"row counts differ: {w_signal.d} vs {w_noise.d}"
         )
     return Dictionary(np.hstack([w_signal.atoms, w_noise.atoms]))
@@ -172,19 +178,22 @@ def separate(
     """Sparse-code X against the frozen, concatenated dictionary; returns
     the signal and noise codes ``(h_signal, h_noise)``. The coder's
     products P = |X|^T W are formed one block of frames at a time, so the
-    magnitudes of X are never held whole."""
+    magnitudes of X are never held whole. A P or W^T W that is not finite
+    raises ``NonFiniteResultError`` before any coding."""
     W = concat_dictionaries(w_signal, w_noise).atoms
     d, n = X.values.shape
     if W.shape[0] != d:
-        raise DimensionMismatchError(f"W rows {W.shape[0]} != X rows {d}")
+        raise InvalidInputError(f"W rows {W.shape[0]} != X rows {d}")
     P = np.empty((n, W.shape[1]))
     mags = np.empty((min(frames_per_block(X.params), n), d))
-    for start, stop in frame_blocks(X.params, n):
-        block = mags[: stop - start]
-        np.abs(X.values[:, start:stop].T, out=block)
-        np.matmul(block, W, out=P[start:stop])
-    with np.errstate(over="ignore"):  # the coder rejects a G that overflowed
+    with np.errstate(over="ignore"):  # an overflowed P or G is rejected with its type
+        for start, stop in frame_blocks(X.params, n):
+            block = mags[: stop - start]
+            np.abs(X.values[:, start:stop].T, out=block)
+            np.matmul(block, W, out=P[start:stop])
         G = W.T @ W
+    if not np.all(np.isfinite(P)):
+        raise NonFiniteResultError("|X|^T W of the mixture is not finite")
     H = _code_from_products(P, G, code_alpha)
     return H[: w_signal.k, :], H[w_signal.k :, :]
 
@@ -210,7 +219,7 @@ def apply_mask(
     """
     X = np.asarray(X, dtype=np.float64)
     if X.shape != s_est.shape or X.shape != n_est.shape:
-        raise DimensionMismatchError("mask operands do not conform")
+        raise InvalidInputError("mask operands do not conform")
     ratio = _signal_ratio(np.array(s_est, dtype=np.float64), np.array(n_est, dtype=np.float64))
     s_masked = ratio * X
     n_masked = X - s_masked
@@ -249,10 +258,13 @@ def denoise_spectrogram(
     n_samples: int,
 ) -> DenoiseResult:
     """Denoise a mixture already transformed with ``X.params``; the output
-    is cut to ``n_samples``."""
+    is cut to ``n_samples``. A denoised signal that is not finite raises
+    ``NonFiniteResultError``."""
     h_signal, h_noise = separate(X, w_signal, w_noise, code_alpha)
     codes = (w_signal, w_noise, h_signal, h_noise)
     audio = istft(X, mask=_code_mask(X, *codes))
+    if not np.all(np.isfinite(audio.samples)):
+        raise NonFiniteResultError(f"non-finite denoised signal at alpha={code_alpha:g}")
     return DenoiseResult(
         X, *codes, denoised=AudioBuffer(audio.samples[:n_samples], X.sample_rate_hz)
     )

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioBuffer
-from .errors import BufferTooShortError, InvalidParamsError, NonFiniteInputError
+from .errors import InvalidInputError
 
 __all__ = [
     "StftParams",
@@ -50,13 +50,13 @@ class StftParams:
 
     def __post_init__(self):
         if self.window_len <= 0 or self.hop <= 0:
-            raise InvalidParamsError("window_len and hop must be positive")
+            raise InvalidInputError("window_len and hop must be positive")
         if self.hop > self.window_len:
-            raise InvalidParamsError("hop must not exceed window_len")
+            raise InvalidInputError("hop must not exceed window_len")
         if self.fft_len < self.window_len:
-            raise InvalidParamsError("fft_len must be >= window_len")
+            raise InvalidInputError("fft_len must be >= window_len")
         if self.fft_len & (self.fft_len - 1):
-            raise InvalidParamsError("fft_len must be a power of two")
+            raise InvalidInputError("fft_len must be a power of two")
 
     @property
     def n_bins(self) -> int:
@@ -113,9 +113,9 @@ def stft(buf: AudioBuffer, params: StftParams | None = None) -> Spectrogram:
     params = params or StftParams()
     samples = buf.samples
     if not np.all(np.isfinite(samples)):
-        raise NonFiniteInputError("input holds NaN or Inf samples")
+        raise InvalidInputError("input holds NaN or Inf samples")
     if len(buf) < params.window_len:
-        raise BufferTooShortError(
+        raise InvalidInputError(
             f"buffer has {len(buf)} samples, window needs {params.window_len}"
         )
     win_len, hop = params.window_len, params.hop
@@ -140,7 +140,7 @@ def stft(buf: AudioBuffer, params: StftParams | None = None) -> Spectrogram:
 
 def _check_cola(params: StftParams) -> None:
     if params.hop * 2 != params.window_len and params.hop * 4 != params.window_len:
-        raise InvalidParamsError(
+        raise InvalidInputError(
             "inverse needs Hann with hop = window_len/2 or window_len/4"
         )
 

@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from onmfdenoise.audio_io import AudioBuffer, SynthConfig, synth_mixture
-from onmfdenoise.errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    InvalidConfigError,
-)
+from onmfdenoise.errors import InvalidInputError
 from onmfdenoise.nmf import _conform
 from onmfdenoise.stft import StftParams, stft
 
@@ -97,9 +93,9 @@ def batch_objective_oracle(X_batches, H_list, W: np.ndarray) -> float:
     constant in the X_s, this equals the aggregated surrogate.
     """
     if len(X_batches) != len(H_list):
-        raise DimensionMismatchError("batch and code lists differ in length")
+        raise InvalidInputError("batch and code lists differ in length")
     if not X_batches:
-        raise EmptyInputError("no batches")
+        raise InvalidInputError("no batches")
     total = 0.0
     for X_s, H_s in zip(X_batches, H_list):
         resid = X_s - W @ H_s
@@ -130,9 +126,9 @@ def reference_sparse_code(
     X_t = np.asarray(X_t, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
     if W.shape[0] != X_t.shape[0]:
-        raise DimensionMismatchError(f"W rows {W.shape[0]} != X rows {X_t.shape[0]}")
+        raise InvalidInputError(f"W rows {W.shape[0]} != X rows {X_t.shape[0]}")
     if not (math.isfinite(alpha) and alpha >= 0):
-        raise InvalidConfigError(f"L1 weight must be finite and >= 0, got {alpha}")
+        raise InvalidInputError(f"L1 weight must be finite and >= 0, got {alpha}")
     k, m = W.shape[1], X_t.shape[1]
     out = np.zeros((k, m))
     G = W.T @ W

@@ -1,4 +1,6 @@
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from onmfdenoise.audio_io import (
     synth_mixture,
     write_wav,
 )
-from onmfdenoise.errors import InvalidConfigError, UnsupportedFormatError
+from onmfdenoise.errors import InvalidInputError
 from tests.conftest import peak_bytes
 
 
@@ -47,14 +49,14 @@ def test_read_missing_file():
 def test_read_empty_data_chunk(tmp_path):
     path = tmp_path / "empty.wav"
     wavfile.write(path, 8000, np.zeros(0, dtype=np.int16))
-    with pytest.raises(UnsupportedFormatError):
+    with pytest.raises(InvalidInputError, match="empty data chunk"):
         read_wav(path)
 
 
 def test_read_not_a_wav(tmp_path):
     path = tmp_path / "junk.wav"
     path.write_bytes(b"this is not RIFF data at all")
-    with pytest.raises(UnsupportedFormatError):
+    with pytest.raises(InvalidInputError, match="not a little-endian RIFF/WAVE file"):
         read_wav(path)
 
 
@@ -69,14 +71,16 @@ def test_write_read_round_trip(tmp_path):
 
 def test_write_clamps_overrange(tmp_path):
     path = tmp_path / "c.wav"
-    write_wav(AudioBuffer(np.array([1.5, -2.0]), 8000), path)
+    # samples too large to scale without overflow clamp with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_wav(AudioBuffer(np.array([1.5, -2.0, 1e308, -1e308, np.inf]), 8000), path)
     _, raw = wavfile.read(path)
-    assert raw[0] == 32767
-    assert raw[1] == -32768
+    assert raw.tolist() == [32767, -32768, 32767, -32768, 32767]
 
 
 def test_write_empty_buffer_rejected(tmp_path):
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InvalidInputError, match="cannot write an empty buffer"):
         write_wav(AudioBuffer(np.zeros(0), 8000), tmp_path / "e.wav")
 
 
@@ -112,7 +116,8 @@ def test_synth_deterministic():
     ],
 )
 def test_synth_invalid_config(bad):
-    with pytest.raises(InvalidConfigError):
+    message = "SNR is NaN" if "snr_db" in bad else "duration must be positive"
+    with pytest.raises(InvalidInputError, match=message):
         synth_mixture(SynthConfig(**bad))
 
 
@@ -260,39 +265,76 @@ ZEROS = chunk(b"data", bytes(8))
 
 
 @pytest.mark.parametrize(
-    "raw",
+    ("raw", "message"),
     [
-        pytest.param(valid_int16_file()[:30], id="cut-inside-header"),
-        pytest.param(valid_int16_file()[:10], id="cut-inside-riff-header"),
-        pytest.param(riff(ZEROS), id="no-fmt-chunk"),
-        pytest.param(riff(fmt_chunk()), id="no-data-chunk"),
+        pytest.param(
+            valid_int16_file()[:30], "fmt chunk of 10 bytes, need 16", id="cut-inside-header"
+        ),
+        pytest.param(
+            valid_int16_file()[:10],
+            "not a little-endian RIFF/WAVE file: b'RIFF'",
+            id="cut-inside-riff-header",
+        ),
+        pytest.param(riff(ZEROS), "no fmt chunk before the data", id="no-fmt-chunk"),
+        pytest.param(riff(fmt_chunk()), "no data chunk", id="no-data-chunk"),
         pytest.param(
             riff(chunk(b"fmt ", struct.pack("<HHIIH", 1, 1, 8000, 16000, 2)), ZEROS),
+            "fmt chunk of 14 bytes, need 16",
             id="short-fmt-chunk",
         ),
-        pytest.param(riff(fmt_chunk(channels=2, block_align=2), ZEROS), id="block-align"),
-        pytest.param(riff(fmt_chunk(channels=0), ZEROS), id="zero-channels"),
-        pytest.param(riff(fmt_chunk(rate=0), ZEROS), id="zero-rate"),
-        pytest.param(riff(fmt_chunk(tag=2), ZEROS), id="adpcm-tag"),
-        pytest.param(riff(fmt_chunk(bits=64), ZEROS), id="64-bit-pcm"),
-        pytest.param(riff(fmt_chunk(tag=3, bits=16), ZEROS), id="16-bit-float"),
-        pytest.param(riff(fmt_chunk(bits=0, block_align=0), ZEROS), id="0-bit"),
+        pytest.param(
+            riff(fmt_chunk(channels=2, block_align=2), ZEROS),
+            "block align 2 for 2 channels of 2 bytes",
+            id="block-align",
+        ),
+        pytest.param(
+            riff(fmt_chunk(channels=0), ZEROS),
+            "block align 0 for 0 channels of 2 bytes",
+            id="zero-channels",
+        ),
+        pytest.param(riff(fmt_chunk(rate=0), ZEROS), "sample rate is 0", id="zero-rate"),
+        pytest.param(
+            riff(fmt_chunk(tag=2), ZEROS), "unsupported format tag 2 at 16 bits", id="adpcm-tag"
+        ),
+        pytest.param(
+            riff(fmt_chunk(bits=64), ZEROS), "unsupported format tag 1 at 64 bits", id="64-bit-pcm"
+        ),
+        pytest.param(
+            riff(fmt_chunk(tag=3, bits=16), ZEROS),
+            "unsupported format tag 3 at 16 bits",
+            id="16-bit-float",
+        ),
+        pytest.param(
+            riff(fmt_chunk(bits=0, block_align=0), ZEROS),
+            "unsupported format tag 1 at 0 bits",
+            id="0-bit",
+        ),
         pytest.param(
             riff(extensible_fmt(1, 1, 16, tail=bytes(12)), ZEROS),
+            "unknown WAVE_FORMAT_EXTENSIBLE sub-format",
             id="unknown-extensible-guid",
         ),
         pytest.param(
             riff(fmt_chunk(0xFFFE, extra=struct.pack("<H", 0)), ZEROS),
+            "unknown WAVE_FORMAT_EXTENSIBLE sub-format",
             id="extensible-without-extension",
         ),
-        pytest.param(valid_int16_file().replace(b"RIFF", b"RIFX", 1), id="big-endian-rifx"),
-        pytest.param(riff(fmt_chunk(), chunk(b"data", b"\x00")), id="data-shorter-than-a-frame"),
+        pytest.param(
+            valid_int16_file().replace(b"RIFF", b"RIFX", 1),
+            "not a little-endian RIFF/WAVE file: b'RIFX'",
+            id="big-endian-rifx",
+        ),
+        pytest.param(
+            riff(fmt_chunk(), chunk(b"data", b"\x00")),
+            "empty data chunk",
+            id="data-shorter-than-a-frame",
+        ),
     ],
 )
-def test_malformed_files_raise_unsupported_format(tmp_path, raw):
+def test_malformed_files_raise_unsupported_format(tmp_path, raw, message):
     path = tmp_path / "bad.wav"
     path.write_bytes(raw)
-    with pytest.raises(UnsupportedFormatError):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
         read_wav(path)
 
 
@@ -314,11 +356,11 @@ def scratch_wav(tmp_path_factory):
 
 
 def reads_or_rejects(path, raw):
-    """read_wav gives a non-empty buffer or UnsupportedFormatError, nothing else."""
+    """read_wav gives a non-empty buffer or InvalidInputError, nothing else."""
     path.write_bytes(raw)
     try:
         buf = read_wav(path)
-    except UnsupportedFormatError:
+    except InvalidInputError:
         return
     assert isinstance(buf, AudioBuffer) and len(buf) > 0
 

@@ -9,6 +9,7 @@ from scipy.io import wavfile
 
 from onmfdenoise import cli
 from onmfdenoise.audio_io import AudioBuffer, write_wav
+from onmfdenoise.errors import InvalidInputError
 
 SR = 16000
 SMALL_STFT = ["--window-len", "256", "--hop", "128", "--fft-len", "256"]
@@ -59,6 +60,17 @@ def zero_atom_dictionary(tmp_path):
 
     path = tmp_path / "empty.dict"
     save_dictionary(Dictionary(np.zeros((129, 0))), path)
+    return path
+
+
+def huge_float_wav(tmp_path):
+    """A 1 s 64-bit float WAV of finite samples, one of them 1e308: read
+    as-is, it passes every input check, and its spectrum's energy
+    overflows."""
+    samples = np.zeros(SR)
+    samples[SR // 2] = 1e308
+    path = tmp_path / "huge.wav"
+    wavfile.write(path, SR, samples)
     return path
 
 
@@ -230,6 +242,21 @@ class TestTrain:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not (tmp_path / "w_signal.dict").exists()
 
+    @pytest.mark.parametrize("method", ["nmf", "onmf"])
+    def test_overflowing_float_prior_exits_3_with_one_error_line(self, tmp_path, method):
+        huge = huge_float_wav(tmp_path)
+        res = run_cli(
+            "train",
+            "--method", method,
+            "--signal", huge,
+            "--noise", huge,
+            "--out-dir", tmp_path,
+            *SMALL_TRAIN,
+        )
+        assert res.returncode == 3
+        assert res.stderr.splitlines() == ["error: energy of the signal prior is not finite"]
+        assert not (tmp_path / "w_signal.dict").exists()
+
     def test_malformed_noise_prior_leaves_the_saved_pair_alone(self, wavs, trained, tmp_path):
         for role in ("signal", "noise"):
             (tmp_path / f"w_{role}.dict").write_bytes(trained[role].read_bytes())
@@ -370,6 +397,20 @@ class TestDenoise:
         assert res.returncode == 3
         lines = res.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not out.exists()
+
+    def test_overflowing_float_input_exits_3_with_one_error_line(self, trained, tmp_path):
+        out = tmp_path / "den.wav"
+        res = run_cli(
+            "denoise",
+            "--dict-signal", trained["signal"],
+            "--dict-noise", trained["noise"],
+            "--input", huge_float_wav(tmp_path),
+            "--output", out,
+            *SMALL_STFT,
+        )
+        assert res.returncode == 3
+        assert res.stderr.splitlines() == ["error: |X|^T W of the mixture is not finite"]
         assert not out.exists()
 
     def test_zero_atom_dictionary_exits_2(self, wavs, trained, tmp_path):
@@ -580,6 +621,19 @@ class TestSweep:
         lines = res.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out.exists()
+
+    def test_alpha_that_is_not_a_number_is_invalid_input_naming_it(self, wavs, trained):
+        args = cli.parse_args([
+            "sweep",
+            "--dict-signal", str(trained["signal"]),
+            "--dict-noise", str(trained["noise"]),
+            "--input", str(wavs["mixture"]),
+            "--clean", str(wavs["clean"]),
+            "--noise", str(wavs["noise"]),
+            "--alphas", "5,x",
+        ])
+        with pytest.raises(InvalidInputError, match=r"^--alphas '5,x': .*'x'"):
+            args.func(args)
 
     def test_zero_atom_dictionary_exits_2(self, wavs, trained, tmp_path):
         empty = zero_atom_dictionary(tmp_path)

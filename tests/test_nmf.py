@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onmfdenoise.errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    InvalidConfigError,
-    UnsupportedFormatError,
-)
+from onmfdenoise.errors import InvalidInputError
 from onmfdenoise.nmf import (
     EPSILON,
     Dictionary,
@@ -104,7 +99,7 @@ class TestLoss:
             assert 0.0 <= value <= 1e-12 * float(x @ x)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InvalidInputError, match="shapes do not conform"):
             loss(np.ones((3, 3)), np.ones((3, 2)), np.ones((3, 3)), 0.0)
 
 
@@ -129,7 +124,7 @@ class TestUpdates:
 
     def test_code_update_dimension_mismatch(self):
         W = np.ones((4, 2))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InvalidInputError, match="shapes do not conform: WtX"):
             update_code(W.T @ np.ones((4, 3)), W.T @ W, np.ones((3, 3)))
 
     def test_dictionary_update_identity_at_exact_fit(self):
@@ -212,12 +207,12 @@ class TestFit:
         assert np.allclose(np.linalg.norm(W.atoms, axis=0), 1.0, atol=1e-12)
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InvalidInputError, match="cannot factorize an empty matrix"):
             fit_nmf(np.zeros((0, 0)), NmfConfig(k=1))
 
     @pytest.mark.parametrize("alpha", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
     def test_invalid_alpha_rejected(self, alpha):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError, match="L1 weight must be finite and >= 0"):
             NmfConfig(k=2, alpha=alpha)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 100.0])
@@ -264,7 +259,7 @@ class TestPersistence:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.dict"
         path.write_bytes(b"NOTADICT" + b"\x00" * 20)
-        with pytest.raises(UnsupportedFormatError):
+        with pytest.raises(InvalidInputError, match="bad magic"):
             load_dictionary(path)
 
     def test_header_cut_short_rejected(self, tmp_path):
@@ -273,21 +268,21 @@ class TestPersistence:
         raw = path.read_bytes()
         for cut in range(8, 20):
             path.write_bytes(raw[:cut])
-            with pytest.raises(UnsupportedFormatError):
+            with pytest.raises(InvalidInputError, match="header cut short"):
                 load_dictionary(path)
 
     def test_bytes_past_payload_rejected(self, tmp_path):
         path = tmp_path / "w.dict"
         save_dictionary(Dictionary(np.ones((3, 2))), path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
-        with pytest.raises(UnsupportedFormatError):
+        with pytest.raises(InvalidInputError, match="payload of 56 bytes, expected 48 for 3x2"):
             load_dictionary(path)
 
     @pytest.mark.parametrize("shape", [(4, 0), (0, 2)])
     def test_dictionary_without_rows_or_atoms_rejected(self, tmp_path, shape):
         path = tmp_path / "w.dict"
         save_dictionary(Dictionary(np.zeros(shape)), path)
-        with pytest.raises(UnsupportedFormatError):
+        with pytest.raises(InvalidInputError, match=f"empty {shape[0]}x{shape[1]} dictionary"):
             load_dictionary(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
@@ -296,7 +291,7 @@ class TestPersistence:
         atoms[2, 1] = bad
         path = tmp_path / "w.dict"
         save_dictionary(Dictionary(atoms), path)
-        with pytest.raises(UnsupportedFormatError):
+        with pytest.raises(InvalidInputError, match="atoms must be finite and non-negative"):
             load_dictionary(path)
 
 
@@ -314,11 +309,11 @@ def scratch_dict(tmp_path_factory):
 
 
 def loads_or_rejects(path, raw):
-    """load_dictionary gives a Dictionary or UnsupportedFormatError, nothing else."""
+    """load_dictionary gives a Dictionary or InvalidInputError, nothing else."""
     path.write_bytes(raw)
     try:
         back = load_dictionary(path)
-    except UnsupportedFormatError:
+    except InvalidInputError:
         return
     assert isinstance(back, Dictionary)
     assert np.all(np.isfinite(back.atoms)) and np.all(back.atoms >= 0)

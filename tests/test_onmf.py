@@ -9,12 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls
 
 from onmfdenoise import onmf
-from onmfdenoise.errors import (
-    BatchTooWideError,
-    DegenerateStateError,
-    InvalidConfigError,
-    NonFiniteResultError,
-)
+from onmfdenoise.errors import InvalidInputError, NonFiniteResultError
 from onmfdenoise.onmf import (
     OnmfState,
     SamplerConfig,
@@ -62,7 +57,7 @@ class TestSampler:
         assert not np.array_equal(sample_batch(X, cfg, 4), sample_batch(X, cfg, 5))
 
     def test_batch_too_wide(self):
-        with pytest.raises(BatchTooWideError):
+        with pytest.raises(InvalidInputError, match="batch of 4 columns from a 3-column matrix"):
             sample_batch(np.ones((2, 3)), SamplerConfig(batch_cols=4), 1)
 
 
@@ -105,7 +100,7 @@ class TestSparseCode:
     @pytest.mark.parametrize("alpha", [-5.0, -1e-300, np.nan, np.inf, -np.inf])
     def test_invalid_alpha_rejected(self, alpha):
         rng = np.random.default_rng(20)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError, match="L1 weight must be finite and >= 0"):
             sparse_code(rng.random((4, 2)), rng.random((4, 3)), alpha)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 5.0])
@@ -288,7 +283,7 @@ class TestDictionaryUpdate:
 
     def test_degenerate_state_rejected(self):
         state = OnmfState(W=np.ones((3, 2)), A=np.zeros((2, 2)), B=np.zeros((2, 3)), t=0)
-        with pytest.raises(DegenerateStateError):
+        with pytest.raises(InvalidInputError, match="no aggregated information yet"):
             update_dictionary_online(state)
 
 

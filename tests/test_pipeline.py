@@ -1,3 +1,4 @@
+import warnings
 from functools import partial
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from onmfdenoise.audio_io import AudioBuffer
-from onmfdenoise.errors import DimensionMismatchError, EmptyInputError, NonFiniteResultError
+from onmfdenoise.errors import InvalidInputError, NonFiniteResultError
 from onmfdenoise.nmf import Dictionary
 from onmfdenoise.onmf import SamplerConfig
 from onmfdenoise.pipeline import (
@@ -100,7 +101,7 @@ class TestTrain:
 
     def test_empty_prior_rejected(self):
         empty = spectrogram_from(np.zeros((129, 0)))
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InvalidInputError, match="prior spectrogram is empty"):
             train_dictionaries(empty, empty, small_cfg())
 
     @pytest.mark.parametrize("trainer", ["batch", "online"])
@@ -138,7 +139,7 @@ class TestConcat:
         assert np.allclose(np.linalg.norm(w.atoms, axis=0), 1.0, atol=1e-12)
 
     def test_row_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InvalidInputError, match="row counts differ: 4 vs 5"):
             concat_dictionaries(Dictionary(np.ones((4, 2))), Dictionary(np.ones((5, 2))))
 
 
@@ -278,6 +279,29 @@ class TestDenoise:
         X = stft(x, cfg.stft)
         assert np.max(np.abs(result.s_masked + result.n_masked - X.magnitudes)) <= 1e-9
 
+
+    def test_overflowing_mixture_raises_non_finite_result(self):
+        # one finite sample of 1e308 overflows |X|^T W against unnormalised
+        # atoms; the error comes before any coding, with no warning
+        cfg = small_cfg()
+        rng = np.random.default_rng(17)
+        w_s = Dictionary(rng.random((cfg.stft.n_bins, 3)))
+        w_n = Dictionary(rng.random((cfg.stft.n_bins, 2)))
+        x = np.zeros(SR)
+        x[SR // 2] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError, match=r"\|X\|\^T W of the mixture"):
+                denoise(AudioBuffer(x, SR), w_s, w_n, cfg)
+
+    def test_non_finite_denoised_signal_raises(self, monkeypatch):
+        cfg = small_cfg()
+        w_s, w_n = self._dictionaries(cfg.stft.n_bins)
+        monkeypatch.setattr(
+            "onmfdenoise.pipeline.istft", lambda X, mask: AudioBuffer(np.full(3000, np.nan), SR)
+        )
+        with pytest.raises(NonFiniteResultError, match="non-finite denoised signal at alpha=100"):
+            denoise(AudioBuffer(np.zeros(3000), SR), w_s, w_n, cfg)
 
     def test_peak_memory_bounded_by_spectrogram_size(self):
         # 30 s at 4096/1024: the mixture's STFT, its magnitudes and the two

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onmfdenoise.audio_io import AudioBuffer
-from onmfdenoise.errors import BufferTooShortError, InvalidParamsError, NonFiniteInputError
+from onmfdenoise.errors import InvalidInputError
 from onmfdenoise.stft import (
     Spectrogram,
     StftParams,
@@ -29,16 +29,16 @@ def blocks_of(mask):
 
 
 def test_param_validation():
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(InvalidInputError, match="hop must not exceed window_len"):
         StftParams(window_len=512, hop=1024)
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(InvalidInputError, match="fft_len must be a power of two"):
         StftParams(window_len=1000, hop=500, fft_len=1000)  # not a power of two
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(InvalidInputError, match="fft_len must be >= window_len"):
         StftParams(window_len=1024, hop=512, fft_len=512)
 
 
 def test_buffer_too_short():
-    with pytest.raises(BufferTooShortError):
+    with pytest.raises(InvalidInputError, match="buffer has 100 samples, window needs 1024"):
         stft(AudioBuffer(np.zeros(100), SR), StftParams())
 
 
@@ -134,7 +134,7 @@ def test_istft_linearity_on_interior():
 def test_istft_rejects_non_cola_hop():
     params = StftParams(window_len=1024, hop=300, fft_len=1024)
     spec = stft(AudioBuffer(np.ones(4096), SR), params)
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(InvalidInputError, match="inverse needs Hann with hop = window_len/2"):
         istft(spec)
 
 
@@ -274,7 +274,7 @@ def test_non_finite_samples_rejected():
     for bad in (np.nan, np.inf, -np.inf):
         x = np.zeros(4096)
         x[100] = bad
-        with pytest.raises(NonFiniteInputError):
+        with pytest.raises(InvalidInputError, match="input holds NaN or Inf samples"):
             stft(AudioBuffer(x, SR), StftParams())
 
 
