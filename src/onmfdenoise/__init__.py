@@ -30,6 +30,6 @@ from .pipeline import (
     separate,
     train_dictionaries,
 )
-from .stft import Spectrogram, StftParams, istft, stft
+from .stft import Spectrogram, StftParams, istft, stft, stft_magnitudes
 
 __version__ = "0.1.0"

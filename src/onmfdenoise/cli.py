@@ -17,7 +17,7 @@ import sys
 
 from . import audio_io, metrics, nmf, onmf, pipeline
 from .errors import DenoiseError, InvalidInputError, NonFiniteResultError
-from .stft import StftParams, export_csv, export_pgm
+from .stft import StftParams, export_csv, export_pgm, stft_magnitudes
 from .stft import stft as compute_stft
 
 EXIT_OK = 0
@@ -93,7 +93,7 @@ def cmd_train(args) -> int:
     )
     trained = []
     for role, path in (("signal", args.signal), ("noise", args.noise)):
-        mags = compute_stft(audio_io.read_wav(path), params).magnitudes
+        mags = stft_magnitudes(audio_io.read_wav(path), params)
         log = f"{args.train_log}.{role}.jsonl" if args.train_log else None
         dictionary, final_loss = pipeline.fit_dictionary(mags, cfg, role, log_path=log)
         del mags  # free this prior before the next one is transformed
@@ -124,8 +124,7 @@ def cmd_denoise(args) -> int:
         export_pgm(result.s_masked, base + ".denoised.pgm")
         export_pgm(result.n_masked, base + ".noise.pgm")
         if args.clean:
-            clean_spec = compute_stft(audio_io.read_wav(args.clean), params)
-            export_pgm(clean_spec.magnitudes, base + ".clean.pgm")
+            export_pgm(stft_magnitudes(audio_io.read_wav(args.clean), params), base + ".clean.pgm")
     return EXIT_OK
 
 
@@ -189,7 +188,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_spectrogram(args) -> int:
     _require_files(args.input)
-    mags = compute_stft(audio_io.read_wav(args.input), _stft_params(args)).magnitudes
+    mags = stft_magnitudes(audio_io.read_wav(args.input), _stft_params(args))
     export_pgm(mags, args.out)
     if args.csv:
         export_csv(mags, args.csv)

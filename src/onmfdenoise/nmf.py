@@ -9,7 +9,9 @@ the regularized loss up.
 
 The trainer forms W^T X and W^T W once per dictionary and takes both the
 loss of that iterate, ||X||^2 - 2<W^T X, H> + <W^T W, H H^T>, and the next
-code step from them; it never forms the d x n residual X - WH.
+code step from them; it never forms the d x n residual X - WH. The
+dictionary step and the rescale run in place, in three d x k buffers
+allocated once per fit.
 """
 
 from __future__ import annotations
@@ -105,37 +107,62 @@ def _loss_from_products(x_sq: float, WtX, G, H, alpha: float) -> float:
     return 0.5 * data + alpha * float(np.sum(H))
 
 
-def _update_dictionary_normalized(X, W, H, epsilon: float = EPSILON) -> np.ndarray:
+def _update_dictionary_normalized(X, W, H, epsilon: float = EPSILON, work=None) -> np.ndarray:
     """Multiplicative W step that respects the unit-column constraint.
 
     For unit-norm columns the plain update followed by a rescale can push
     the L1 term of the loss up; the correction terms below keep the full
     regularized loss non-increasing once columns are renormalized.
+
+    With ``work``, three d x k arrays it overwrites, the step is taken in
+    W itself, which is returned, and no d x k array is allocated; without
+    it the step goes to a new array and W is left alone.
     """
     _conform(X, W, H)
-    XHt = X @ H.T
-    WHHt = W @ (H @ H.T)
-    numer = XHt + W * np.sum(W * WHHt, axis=0)[None, :]
-    denom = WHHt + W * np.sum(W * XHt, axis=0)[None, :] + epsilon
-    return W * numer / denom
+    if work is None:
+        W = W.copy()
+        work = np.empty((3, *W.shape))
+    XHt, WHHt, scratch = work
+    np.matmul(X, H.T, out=XHt)
+    np.matmul(W, H @ H.T, out=WHHt)
+    sum_numer = np.sum(np.multiply(W, WHHt, out=scratch), axis=0)
+    sum_denom = np.sum(np.multiply(W, XHt, out=scratch), axis=0)
+    # numerator XHt + W * sum_numer, denominator WHHt + W * sum_denom + epsilon
+    XHt += np.multiply(W, sum_numer[None, :], out=scratch)
+    WHHt += np.multiply(W, sum_denom[None, :], out=scratch)
+    WHHt += epsilon
+    W *= XHt
+    W /= WHHt
+    return W
+
+
+def _renormalize(W, H, rng, scratch) -> None:
+    """``renormalize_pair`` in place, with ``scratch``, a d x k array it
+    overwrites, in place of the norm's two d x k temporaries."""
+
+    def column_norms():
+        # np.linalg.norm(W, axis=0), the same sums in the same order
+        return np.sqrt(np.add.reduce(np.multiply(W, W, out=scratch), axis=0))
+
+    norms = column_norms()
+    dead = norms < 1e-12
+    if np.any(dead):
+        W[:, dead] = rng.random((W.shape[0], int(dead.sum())))
+        H[dead, :] = 0.0
+        norms = column_norms()
+    W /= norms[None, :]
+    H *= norms[:, None]
 
 
 def renormalize_pair(W, H, rng):
     """Scale W columns to unit L2 and H rows inversely; WH is preserved.
 
     Columns with norm below 1e-12 are reinitialized from ``rng`` (their H
-    rows zeroed) so atoms cannot die permanently.
+    rows zeroed) so atoms cannot die permanently. Returns new arrays.
     """
     W = W.copy()
     H = H.copy()
-    norms = np.linalg.norm(W, axis=0)
-    dead = norms < 1e-12
-    if np.any(dead):
-        W[:, dead] = rng.random((W.shape[0], int(dead.sum())))
-        H[dead, :] = 0.0
-        norms = np.linalg.norm(W, axis=0)
-    W /= norms[None, :]
-    H *= norms[:, None]
+    _renormalize(W, H, rng, np.empty_like(W))
     return W, H
 
 
@@ -146,6 +173,12 @@ def fit_nmf(X: np.ndarray, config: NmfConfig):
     random initialization and trace[i] the loss after iteration i, both
     computed from W^T X and W^T W. Stops when
     |L_i - L_{i-1}| / L_0 < rel_tol or max_iters is reached.
+
+    Besides X and the k x n codes and products, the trainer holds W and
+    three d x k buffers, allocated once: the W step and the rescale run in
+    place in them, with the operations of ``_update_dictionary_normalized``
+    and ``renormalize_pair`` in the same order, so the result is the same
+    bit for bit.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
@@ -156,8 +189,9 @@ def fit_nmf(X: np.ndarray, config: NmfConfig):
     rng = np.random.default_rng(config.seed)
     W = rng.random((d, config.k))
     H = rng.random((config.k, n))
+    work = np.empty((3, d, config.k))
     # start on the unit-column manifold so every iteration sees unit atoms
-    W, H = renormalize_pair(W, H, rng)
+    _renormalize(W, H, rng, work[2])
     x = X.ravel(order="K")
     x_sq = float(x @ x)
     WtX, G = W.T @ X, W.T @ W
@@ -165,8 +199,8 @@ def fit_nmf(X: np.ndarray, config: NmfConfig):
     trace = [l0]
     for _ in range(config.max_iters):
         H = update_code(WtX, G, H, config.alpha)
-        W = _update_dictionary_normalized(X, W, H)
-        W, H = renormalize_pair(W, H, rng)
+        _update_dictionary_normalized(X, W, H, work=work)
+        _renormalize(W, H, rng, work[2])
         WtX, G = W.T @ X, W.T @ W
         trace.append(_loss_from_products(x_sq, WtX, G, H, config.alpha))
         if l0 > 0 and abs(trace[-1] - trace[-2]) / l0 < config.rel_tol:

@@ -223,9 +223,20 @@ def aggregate(state: OnmfState, H_t: np.ndarray, X_t: np.ndarray) -> OnmfState:
             f"H{H_t.shape} does not conform with X{X_t.shape} / A{state.A.shape}"
         )
     t = state.t + 1
-    A = ((t - 1) * state.A + H_t @ H_t.T) / t
-    B = ((t - 1) * state.B + H_t @ X_t.T) / t
+    A = _fold(state.A, t, H_t @ H_t.T)
+    B = _fold(state.B, t, H_t @ X_t.T)
     return replace(state, A=A, B=B, t=t)
+
+
+def _fold(total: np.ndarray, t: int, batch: np.ndarray) -> np.ndarray:
+    """((t - 1) * total + batch) / t, formed in ``batch``, which is
+    returned: each row of ``(t - 1) * total`` goes through one reused row
+    vector, so no second whole-size array is made."""
+    row = np.empty(total.shape[1])
+    for new, old in zip(batch, total):
+        new += np.multiply(old, t - 1, out=row)
+    batch /= t
+    return batch
 
 
 def update_dictionary_online(state: OnmfState, normalize: bool = True) -> np.ndarray:
@@ -241,13 +252,18 @@ def update_dictionary_online(state: OnmfState, normalize: bool = True) -> np.nda
         raise InvalidInputError("no aggregated information yet")
     A, B = state.A, state.B
     W = state.W.copy()
+    w = np.empty(W.shape[0])  # each column's update, formed in place
     for j in range(W.shape[1]):
-        w = np.maximum(0.0, W[:, j] + (B[j, :] - W @ A[:, j]) / (A[j, j] + 1e-12))
+        np.matmul(W, A[:, j], out=w)
+        np.subtract(B[j, :], w, out=w)
+        w /= A[j, j] + 1e-12
+        w += W[:, j]
+        np.maximum(0.0, w, out=w)
         if normalize:
             norm = np.linalg.norm(w)
             if norm < 1e-12:
                 continue  # keep previous unit-norm column
-            w = w / norm
+            w /= norm
         W[:, j] = w
     return W
 
@@ -277,7 +293,13 @@ def _aux_elements(d: int, k: int, m: int) -> int:
     """Elements of per-step working storage: batch, aggregates A and B,
     dictionary, Gram G and the coder's M = I - G/L, and the coder's six
     k x m arrays: codes, P_L = (W^T X - alpha)/L, iterate H, M H, the
-    previous step's M H, and the KKT and step buffer."""
+    previous step's M H, and the KKT and step buffer.
+
+    It leaves out arrays that live only while one replaces another: the
+    new B while a batch is folded in and the new W while the dictionary is
+    refit (one d x k array at a time, with A and the codes' k x k products
+    beside it), the previous step's codes while the next batch is coded,
+    and vectors of length d, k or m."""
     return d * m + k * k + k * d + d * k + 2 * k * k + 6 * k * m
 
 
@@ -298,7 +320,9 @@ def fit_onmf(
     same for both sampler modes.
 
     The initial dictionary is i.i.d. uniform [0, 1) with unit-normalized
-    columns, seeded by sampler.seed. An optional JSON-lines log records
+    columns, seeded by sampler.seed. While every batch so far has coded to
+    zero, so A is still zero (a prior that starts with silence), the
+    dictionary is not refit. An optional JSON-lines log records
     per-step surrogate value, code sparsity, and working-set size, one
     record per step run; boundary records add ``pass_change``, the
     relative surrogate change over the last pass (null at the first). A
@@ -311,6 +335,7 @@ def fit_onmf(
     W = rng.random((d, k))
     W /= np.linalg.norm(W, axis=0)[None, :]
     state = OnmfState(W=W, A=np.zeros((k, k)), B=np.zeros((k, d)), t=0)
+    del W  # the state holds it, and a refit replaces it there
     per_pass = -(-n // sampler.batch_cols)
     f_prev = None
     log_fh = open(log_path, "w") if log_path is not None else None
@@ -319,8 +344,10 @@ def fit_onmf(
             X_t = sample_batch(X, sampler, t)
             H_t = sparse_code(X_t, state.W, alpha)
             state = aggregate(state, H_t, X_t)
-            W_new = update_dictionary_online(state)
-            state = replace(state, W=W_new)
+            del X_t  # freed before the refit and the next batch
+            # while every batch so far coded to zero there is nothing to fit
+            if np.any(state.A):
+                state = replace(state, W=update_dictionary_online(state))
             boundary = t % per_pass == 0
             if not boundary and log_fh is None:
                 continue

@@ -110,10 +110,14 @@ def fit_dictionary(
     """Learn the ``role`` ("signal" or "noise") dictionary from the
     magnitudes of its prior; returns it with its final training loss.
 
-    Size and seed come from ``role``: ``cfg.k_signal`` and ``cfg.seed``, or
-    ``cfg.k_noise`` and ``cfg.seed + 1``. Online training codes the prior
-    once for the final loss and writes its JSON-lines log to ``log_path``.
-    A non-finite prior energy ||X||^2 or final loss raises ``NonFiniteResultError``.
+    ``mags`` is bins x frames; the CLI passes ``stft_magnitudes``' array,
+    so no complex spectrum of the prior is made. Size and seed come from
+    ``role``: ``cfg.k_signal`` and ``cfg.seed``, or ``cfg.k_noise`` and
+    ``cfg.seed + 1``. Online training codes the prior once for the final
+    loss and writes its JSON-lines log to ``log_path``. An empty or silent
+    (all-zero) prior raises ``InvalidInputError`` naming the role, as
+    neither trainer can learn from it; a non-finite prior energy ||X||^2
+    or final loss raises ``NonFiniteResultError``.
     """
     sizes = {"signal": (cfg.k_signal, cfg.seed), "noise": (cfg.k_noise, cfg.seed + 1)}
     if role not in sizes:
@@ -126,6 +130,8 @@ def fit_dictionary(
         x_sq = float(np.vdot(flat, flat))
     if not np.isfinite(x_sq):
         raise NonFiniteResultError(f"energy of the {role} prior is not finite")
+    if x_sq == 0.0:
+        raise InvalidInputError(f"the {role} prior is silent: its magnitudes are all zero")
     if cfg.trainer == "batch":
         nmf_cfg = NmfConfig(
             k=k,

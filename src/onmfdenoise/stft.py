@@ -6,6 +6,10 @@ frequency bins are kept (d = fft_len/2 + 1). Reconstruction uses
 overlap-add with window-square normalization, which is exact in the
 interior for Hann windows at 50% or 75% overlap.
 
+``stft_magnitudes`` gives only |X|, for callers that read nothing else;
+it runs the same framing and block loop as ``stft``, so the complex
+spectrum exists one block at a time.
+
 A ``Spectrogram`` keeps the complex values, so resynthesis after masking
 reuses the mixture's phases: ``istft(X, mask=ratio)`` inverts
 ``s = ratio * X`` without ever forming the phase factors or the whole
@@ -32,6 +36,7 @@ __all__ = [
     "frames_per_block",
     "frame_blocks",
     "stft",
+    "stft_magnitudes",
     "istft",
     "export_pgm",
     "export_csv",
@@ -105,12 +110,12 @@ def frame_blocks(params: StftParams, n_frames: int):
         yield start, min(start + step, n_frames)
 
 
-def stft(buf: AudioBuffer, params: StftParams | None = None) -> Spectrogram:
-    """Forward transform of a mono buffer, computed one block of frames at
-    a time into one preallocated frames-major array. Frames are read from
-    the samples in place; only the last frame, when it runs past the end,
-    is copied and zero-padded."""
-    params = params or StftParams()
+def _forward(buf: AudioBuffer, params: StftParams, magnitudes: bool) -> np.ndarray:
+    """The forward transform's one framing and FFT loop: fills a
+    frames-major (n_frames, d) array one block of frames at a time, with
+    each block's ``rfft`` or, for ``magnitudes``, its ``np.abs``. Frames are
+    read from the samples in place; only the last frame, when it runs past
+    the end, is copied and zero-padded."""
     samples = buf.samples
     if not np.all(np.isfinite(samples)):
         raise InvalidInputError("input holds NaN or Inf samples")
@@ -123,7 +128,8 @@ def stft(buf: AudioBuffer, params: StftParams | None = None) -> Spectrogram:
     # the frames that fit: all of them, or all but the last
     frames = sliding_window_view(samples, win_len)[::hop]
     window = params.window()
-    out = np.empty((n_frames, params.n_bins), dtype=np.complex128)
+    dtype = np.float64 if magnitudes else np.complex128
+    out = np.empty((n_frames, params.n_bins), dtype=dtype)
     for start, stop in frame_blocks(params, n_frames):
         if stop <= len(frames):
             block = frames[start:stop] * window
@@ -133,9 +139,31 @@ def stft(buf: AudioBuffer, params: StftParams | None = None) -> Spectrogram:
             tail = samples[(stop - 1) * hop :]
             block[-1, : len(tail)] = tail
             block *= window
-        # assigned rather than passed as rfft's out=, which needs NumPy 2
-        out[start:stop] = np.fft.rfft(block, n=params.fft_len, axis=1)
-    return Spectrogram(out.T, params, buf.sample_rate_hz)
+        # written from rfft's result rather than through its out=, which
+        # needs NumPy 2
+        spectrum = np.fft.rfft(block, n=params.fft_len, axis=1)
+        if magnitudes:
+            np.abs(spectrum, out=out[start:stop])
+        else:
+            out[start:stop] = spectrum
+    return out
+
+
+def stft(buf: AudioBuffer, params: StftParams | None = None) -> Spectrogram:
+    """Forward transform of a mono buffer, computed one block of frames at
+    a time into one preallocated frames-major array."""
+    params = params or StftParams()
+    return Spectrogram(_forward(buf, params, magnitudes=False).T, params, buf.sample_rate_hz)
+
+
+def stft_magnitudes(buf: AudioBuffer, params: StftParams | None = None) -> np.ndarray:
+    """``np.abs(stft(buf, params).values)``, bit for bit and laid out the
+    same way (bins x frames, a view of a frames-major array), without the
+    complex spectrum: only one block of it exists at a time, so the
+    transform holds half the memory of ``stft``. For callers that read
+    only |X|."""
+    params = params or StftParams()
+    return _forward(buf, params, magnitudes=True).T
 
 
 def _check_cola(params: StftParams) -> None:

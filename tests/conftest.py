@@ -1,5 +1,7 @@
 import math
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from onmfdenoise.audio_io import AudioBuffer, SynthConfig, synth_mixture
 from onmfdenoise.errors import InvalidInputError
 from onmfdenoise.nmf import _conform
 from onmfdenoise.stft import StftParams, stft
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # chord vocabulary used by the synthetic denoising fixture
 BASE_TONES = [220, 247, 262, 294, 330, 349, 392, 440, 494, 523]
@@ -64,6 +68,15 @@ def make_fixture(seed):
 @pytest.fixture(scope="session")
 def fixture_seed0():
     return make_fixture(0)
+
+
+def child_env() -> dict:
+    """The environment for a spawned interpreter: this one's, with the
+    package's ``src`` directory first on PYTHONPATH, so the child imports
+    the package under test however pytest itself was started."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 
 def peak_bytes(fn):

@@ -27,7 +27,7 @@ from onmfdenoise.onmf import (
 from onmfdenoise.pipeline import DenoiseConfig, apply_mask, denoise, train_dictionaries
 from onmfdenoise.stft import StftParams, istft, stft
 
-from tests.conftest import FIXTURE_STFT, batch_objective_oracle, make_fixture
+from tests.conftest import FIXTURE_STFT, batch_objective_oracle, child_env, make_fixture
 
 SR = 16000
 SEEDS = (0, 1, 2)
@@ -263,6 +263,7 @@ def test_cli_runs_are_byte_deterministic(tmp_path):
                 [sys.executable, "-m", "onmfdenoise.cli", *map(str, args)],
                 capture_output=True,
                 text=True,
+                env=child_env(),
             )
             assert res.returncode == 0, res.stderr
             return res

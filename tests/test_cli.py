@@ -10,6 +10,7 @@ from scipy.io import wavfile
 from onmfdenoise import cli
 from onmfdenoise.audio_io import AudioBuffer, write_wav
 from onmfdenoise.errors import InvalidInputError
+from tests.conftest import child_env
 
 SR = 16000
 SMALL_STFT = ["--window-len", "256", "--hop", "128", "--fft-len", "256"]
@@ -25,6 +26,7 @@ def run_cli(*args):
         [sys.executable, "-m", "onmfdenoise.cli", *map(str, args)],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
 
 
@@ -194,6 +196,60 @@ class TestTrain:
         # the signal prior's magnitudes must be gone while the noise prior
         # is read and transformed
         assert peak - one_prior < 0.75 * mags_bytes
+
+    @pytest.mark.parametrize("method", ["nmf", "onmf"])
+    def test_peak_is_one_prior_its_magnitudes_and_a_few_blocks(self, tmp_path, method):
+        from onmfdenoise.stft import StftParams, frames_per_block
+        from tests.conftest import peak_bytes
+
+        n = 30 * SR  # many transform blocks long
+        rng = np.random.default_rng(4)
+        for name in ("s", "n"):
+            write_wav(AudioBuffer(0.1 * rng.standard_normal(n), SR), tmp_path / f"{name}.wav")
+        params = StftParams(window_len=256, hop=128, fft_len=256)
+        n_frames = 1 + -(-(n - params.window_len) // params.hop)
+        mags_bytes = 8 * params.n_bins * n_frames
+        block_bytes = 16 * params.n_bins * frames_per_block(params)  # one complex block
+        argv = [
+            "train", "--method", method, "--out-dir", str(tmp_path),
+            "--signal", str(tmp_path / "s.wav"), "--noise", str(tmp_path / "n.wav"),
+            *SMALL_TRAIN,
+        ]  # fmt: skip
+        peak, code = peak_bytes(lambda: cli.main(argv))
+        assert code == 0
+        # the samples, their magnitudes and the transform's block arrays;
+        # no complex spectrum, twice the size of the magnitudes
+        assert peak <= 8 * n + mags_bytes + 4 * block_bytes
+
+    @pytest.mark.parametrize("method", ["nmf", "onmf"])
+    def test_silent_prior_exits_2_naming_it(self, wavs, tmp_path, method):
+        silent = tmp_path / "silent.wav"
+        wavfile.write(silent, SR, np.zeros(2 * SR, dtype=np.float32))
+        res = run_cli(
+            "train",
+            "--method", method,
+            "--signal", wavs["clean_prior"],
+            "--noise", silent,
+            "--out-dir", tmp_path,
+            *SMALL_TRAIN,
+        )  # fmt: skip
+        assert res.returncode == 2
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and "the noise prior is silent" in lines[0]
+        assert not (tmp_path / "w_signal.dict").exists()
+
+    def test_prior_that_starts_with_silence_trains_online(self, tmp_path):
+        samples = np.zeros(7 * SR, dtype=np.float32)
+        samples[5 * SR :] = 0.1 * np.random.default_rng(5).standard_normal(2 * SR)
+        prior = tmp_path / "late.wav"
+        wavfile.write(prior, SR, samples)
+        res = run_cli(
+            "train",
+            "--method", "onmf", "--sampler-mode", "consecutive",
+            "--signal", prior, "--noise", prior, "--out-dir", tmp_path,
+        )  # fmt: skip
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "w_signal.dict").exists() and (tmp_path / "w_noise.dict").exists()
 
     def test_deterministic_artifacts(self, wavs, tmp_path):
         outs = []
@@ -721,6 +777,7 @@ def test_cli_import_does_not_load_scipy():
         ],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"

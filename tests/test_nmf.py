@@ -18,7 +18,7 @@ from onmfdenoise.nmf import (
     save_dictionary,
     update_code,
 )
-from tests.conftest import loss
+from tests.conftest import loss, peak_bytes
 
 
 def naive_loss(X, W, H, alpha):
@@ -231,6 +231,14 @@ class TestFit:
         X[2, 3] = np.nan
         _, _, trace = fit_nmf(X, NmfConfig(k=2, max_iters=3))
         assert np.all(np.isnan(trace))
+
+    def test_working_set_is_four_dictionaries(self):
+        # a 2-minute-scale prior's width at the fixture STFT (d = 2049)
+        d, n, k = 2049, 154, 50
+        X = np.random.default_rng(17).random((d, n))
+        peak, _ = peak_bytes(lambda: fit_nmf(X, NmfConfig(k=k, max_iters=3, seed=0)))
+        # W and three d x k buffers, plus the k x n codes and their products
+        assert peak <= 3.6 * 2**20
 
     @pytest.mark.parametrize("source, seed, k", [("s_prime", 0, 50), ("n_prime", 1, 10)])
     def test_matches_residual_reference_on_fixture(self, fixture_seed0, source, seed, k):

@@ -421,6 +421,27 @@ class TestMemoryContract:
         fit_onmf(src, 3, 0.1, SamplerConfig(mode="consecutive", batch_cols=8, steps=T, seed=0))
         assert len(src.requests) == T
 
+    def test_traced_peak_within_aux_count_and_one_dictionary(self):
+        d, n, k, m = 2049, 1000, 50, 100
+        X = np.random.default_rng(20).random((d, n))
+        cfg = SamplerConfig(mode="consecutive", batch_cols=m, steps=12, seed=0)
+        peak, _ = peak_bytes(lambda: fit_onmf(X, k, 0.1, cfg))
+        # the count leaves out the second d x k array alive while B is
+        # folded or W refit, and vectors of length d, k or m
+        assert peak <= 8 * (_aux_elements(d, k, m) + d * k + 4 * d)
+
+    def test_silent_first_batches_skip_the_refit(self):
+        rng = np.random.default_rng(21)
+        X = rng.random((10, 40))
+        X[:, :16] = 0.0  # the first two consecutive batches are silent
+        cfg = SamplerConfig(mode="consecutive", batch_cols=8, steps=6, seed=4)
+        W = fit_onmf(X, 3, 0.0, cfg).atoms
+        init = np.random.default_rng(4).random((10, 3))
+        init /= np.linalg.norm(init, axis=0)
+        # the later batches moved the dictionary off its start
+        assert not np.array_equal(W, init)
+        assert np.allclose(np.linalg.norm(W, axis=0), 1.0, atol=1e-12)
+
     def test_aux_storage_bound(self, tmp_path):
         import json
 

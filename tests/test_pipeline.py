@@ -105,6 +105,12 @@ class TestTrain:
             train_dictionaries(empty, empty, small_cfg())
 
     @pytest.mark.parametrize("trainer", ["batch", "online"])
+    @pytest.mark.parametrize("role", ["signal", "noise"])
+    def test_silent_prior_rejected_naming_its_role(self, trainer, role):
+        with pytest.raises(InvalidInputError, match=f"the {role} prior is silent"):
+            fit_dictionary(np.zeros((129, 30)), small_cfg(trainer=trainer), role)
+
+    @pytest.mark.parametrize("trainer", ["batch", "online"])
     def test_overflowing_prior_raises_non_finite_result(self, trainer):
         mags = np.random.default_rng(0).random((6, 20))
         mags[2, 7] = 1e308

@@ -14,6 +14,7 @@ from onmfdenoise.stft import (
     frames_per_block,
     istft,
     stft,
+    stft_magnitudes,
 )
 
 SR = 16000
@@ -254,6 +255,28 @@ def test_stft_is_byte_identical_to_padded_whole_matrix(log_window, hop_div, fft_
     x = np.random.default_rng(seed).uniform(-1, 1, n)
     spec = stft(AudioBuffer(x, SR), params)
     assert spec.values.tobytes() == whole_matrix_stft(x, params).tobytes()
+    assert stft_magnitudes(AudioBuffer(x, SR), params).tobytes() == np.abs(spec.values).tobytes()
+
+
+HALF = StftParams(window_len=256, hop=128, fft_len=256)
+
+
+@pytest.mark.parametrize(
+    "params, n_frames, short",
+    [
+        (HALF, 2 * frames_per_block(HALF) + 3, 37),  # hop = window/2, zero-padded last frame
+        (BLOCKED, B + 5, 50),  # hop = window/4, fft_len > window_len, zero-padded last frame
+        (BLOCKED, 1, 0),  # exactly one frame
+        (HALF, frames_per_block(HALF), 0),  # exactly one block
+    ],
+)
+def test_magnitudes_are_abs_of_stft_bit_for_bit(params, n_frames, short):
+    x = np.random.default_rng(n_frames).uniform(-1, 1, covered_length(params, n_frames) - short)
+    want = np.abs(stft(AudioBuffer(x, SR), params).values)
+    mags = stft_magnitudes(AudioBuffer(x, SR), params)
+    assert mags.shape == want.shape == (params.n_bins, n_frames)
+    assert mags.tobytes() == want.tobytes()
+    assert mags.T.flags.c_contiguous  # frames-major, like a spectrogram's values
 
 
 def test_transforms_use_numpy1_fft_signatures(monkeypatch):
@@ -267,6 +290,7 @@ def test_transforms_use_numpy1_fft_signatures(monkeypatch):
     x = np.random.default_rng(0).uniform(-1, 1, covered_length(params, 70))
     spec = stft(AudioBuffer(x, SR), params)
     assert np.max(np.abs(spec.values - whole_matrix_stft(x, params))) <= 1e-12
+    assert np.array_equal(stft_magnitudes(AudioBuffer(x, SR), params), np.abs(spec.values))
     istft(spec, mask=blocks_of(np.ones(spec.values.shape)))
 
 
@@ -274,8 +298,9 @@ def test_non_finite_samples_rejected():
     for bad in (np.nan, np.inf, -np.inf):
         x = np.zeros(4096)
         x[100] = bad
-        with pytest.raises(InvalidInputError, match="input holds NaN or Inf samples"):
-            stft(AudioBuffer(x, SR), StftParams())
+        for transform in (stft, stft_magnitudes):
+            with pytest.raises(InvalidInputError, match="input holds NaN or Inf samples"):
+                transform(AudioBuffer(x, SR), StftParams())
 
 
 def test_parseval_per_frame():
