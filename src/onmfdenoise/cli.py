@@ -120,9 +120,17 @@ def cmd_denoise(args) -> int:
         audio_io.write_wav(pipeline.render_noise(result), args.emit_noise)
     if args.emit_spectrograms:
         base, _ = os.path.splitext(args.output)
-        export_pgm(result.mixture.magnitudes, base + ".noisy.pgm")
-        export_pgm(result.s_masked, base + ".denoised.pgm")
-        export_pgm(result.n_masked, base + ".noise.pgm")
+        # |X| and the ratio once each: s = ratio * |X| in the ratio's
+        # buffer, then n = |X| - s in that of |X|, as s_masked and n_masked
+        mags = result.mixture.magnitudes
+        export_pgm(mags, base + ".noisy.pgm")
+        s_masked = result.ratio
+        s_masked *= mags
+        export_pgm(s_masked, base + ".denoised.pgm")
+        mags -= s_masked
+        del s_masked
+        export_pgm(mags, base + ".noise.pgm")
+        del mags
         if args.clean:
             export_pgm(stft_magnitudes(audio_io.read_wav(args.clean), params), base + ".clean.pgm")
     return EXIT_OK

@@ -11,7 +11,9 @@ The trainer forms W^T X and W^T W once per dictionary and takes both the
 loss of that iterate, ||X||^2 - 2<W^T X, H> + <W^T W, H H^T>, and the next
 code step from them; it never forms the d x n residual X - WH. The
 dictionary step and the rescale run in place, in three d x k buffers
-allocated once per fit.
+allocated once per fit. W and those buffers are column-major, so each atom
+is contiguous: with k far below d, BLAS writes X H^T faster into them, and
+the column sums, broadcasts and norms run down contiguous columns.
 """
 
 from __future__ import annotations
@@ -107,6 +109,13 @@ def _loss_from_products(x_sq: float, WtX, G, H, alpha: float) -> float:
     return 0.5 * data + alpha * float(np.sum(H))
 
 
+def _column_major_work(d: int, k: int) -> np.ndarray:
+    """Three column-major d x k buffers, ``work[0]`` to ``work[2]``, in one
+    allocation, which is returned to the system whole; three separate ones
+    can stay resident as heap fragments after the fit."""
+    return np.empty((3, k, d)).transpose(0, 2, 1)
+
+
 def _update_dictionary_normalized(X, W, H, epsilon: float = EPSILON, work=None) -> np.ndarray:
     """Multiplicative W step that respects the unit-column constraint.
 
@@ -116,12 +125,13 @@ def _update_dictionary_normalized(X, W, H, epsilon: float = EPSILON, work=None) 
 
     With ``work``, three d x k arrays it overwrites, the step is taken in
     W itself, which is returned, and no d x k array is allocated; without
-    it the step goes to a new array and W is left alone.
+    it the step goes to a new column-major array, as ``fit_nmf`` lays out
+    W, and W is left alone.
     """
     _conform(X, W, H)
     if work is None:
-        W = W.copy()
-        work = np.empty((3, *W.shape))
+        W = W.copy(order="F")
+        work = _column_major_work(*W.shape)
     XHt, WHHt, scratch = work
     np.matmul(X, H.T, out=XHt)
     np.matmul(W, H @ H.T, out=WHHt)
@@ -158,9 +168,10 @@ def renormalize_pair(W, H, rng):
     """Scale W columns to unit L2 and H rows inversely; WH is preserved.
 
     Columns with norm below 1e-12 are reinitialized from ``rng`` (their H
-    rows zeroed) so atoms cannot die permanently. Returns new arrays.
+    rows zeroed) so atoms cannot die permanently. Returns new arrays, W
+    column-major as ``fit_nmf`` lays it out.
     """
-    W = W.copy()
+    W = W.copy(order="F")
     H = H.copy()
     _renormalize(W, H, rng, np.empty_like(W))
     return W, H
@@ -175,21 +186,27 @@ def fit_nmf(X: np.ndarray, config: NmfConfig):
     |L_i - L_{i-1}| / L_0 < rel_tol or max_iters is reached.
 
     Besides X and the k x n codes and products, the trainer holds W and
-    three d x k buffers, allocated once: the W step and the rescale run in
-    place in them, with the operations of ``_update_dictionary_normalized``
-    and ``renormalize_pair`` in the same order, so the result is the same
-    bit for bit.
+    three d x k buffers, allocated once and column-major: the W step and
+    the rescale run in place in them, with the operations, order and layout
+    of ``_update_dictionary_normalized`` and ``renormalize_pair``, so W, H
+    and the trace equal that step-by-step reference bit for bit. A NaN or
+    infinite entry of X raises ``InvalidInputError`` before any iteration.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
         raise InvalidInputError("cannot factorize an empty matrix")
-    if np.any(X < 0):
+    # min and max are NaN when X holds a NaN, so these two passes see every
+    # entry without a d x n mask
+    lo, hi = float(X.min()), float(X.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidInputError("X must be finite: it holds NaN or Inf entries")
+    if lo < 0:
         raise InvalidInputError("X must be non-negative")
     d, n = X.shape
     rng = np.random.default_rng(config.seed)
-    W = rng.random((d, config.k))
+    W = np.asfortranarray(rng.random((d, config.k)))
     H = rng.random((config.k, n))
-    work = np.empty((3, d, config.k))
+    work = _column_major_work(d, config.k)
     # start on the unit-column manifold so every iteration sees unit atoms
     _renormalize(W, H, rng, work[2])
     x = X.ravel(order="K")

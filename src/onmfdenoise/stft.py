@@ -231,21 +231,30 @@ def _normalize(rows: np.ndarray, wsq: np.ndarray, n_frames: int) -> None:
 
 
 def export_pgm(magnitudes: np.ndarray, path) -> None:
-    """Write magnitudes as an 8-bit P5 PGM, log-scaled relative to the max."""
+    """Write magnitudes as an 8-bit P5 PGM, log-scaled relative to the max.
+
+    Each step runs in place on one float copy of the input, so the call
+    holds that copy and the uint8 image beside the input."""
     floor_db = -80.0  # black; the max is white
     mags = np.asarray(magnitudes, dtype=np.float64)
     peak = mags.max()
     if peak <= 0:
-        db = np.full_like(mags, floor_db)
+        pix = np.zeros(mags.shape, dtype=np.uint8)
     else:
+        db = np.divide(mags, peak)
         with np.errstate(divide="ignore"):
-            db = 20.0 * np.log10(mags / peak)
-        db = np.maximum(db, floor_db)
-    pix = np.rint((db - floor_db) / (-floor_db) * 255.0).astype(np.uint8)
+            np.log10(db, out=db)
+        db *= 20.0
+        np.maximum(db, floor_db, out=db)
+        db -= floor_db
+        db /= -floor_db
+        db *= 255.0
+        np.rint(db, out=db)
+        pix = db.astype(np.uint8, order="C")
     d, n = pix.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{n} {d}\n255\n".encode("ascii"))
-        fh.write(pix.tobytes())
+        fh.write(pix.data)
 
 
 def export_csv(magnitudes: np.ndarray, path) -> None:

@@ -391,6 +391,61 @@ class TestDenoise:
         assert (tmp_path / "noise_part.wav").exists()
 
 
+    def test_images_equal_those_of_the_masked_parts(self, wavs, trained, tmp_path):
+        from onmfdenoise import pipeline
+        from onmfdenoise.audio_io import read_wav
+        from onmfdenoise.nmf import load_dictionary
+        from onmfdenoise.stft import StftParams, export_pgm
+
+        argv = [
+            "denoise", "--dict-signal", str(trained["signal"]),
+            "--dict-noise", str(trained["noise"]), "--input", str(wavs["mixture"]),
+            "--output", str(tmp_path / "den.wav"), "--alpha", "1", "--emit-spectrograms",
+            *SMALL_STFT,
+        ]  # fmt: skip
+        assert cli.main(argv) == 0
+        cfg = pipeline.DenoiseConfig(
+            code_alpha=1.0, stft=StftParams(window_len=256, hop=128, fft_len=256)
+        )
+        result = pipeline.denoise(
+            read_wav(wavs["mixture"]),
+            load_dictionary(trained["signal"]),
+            load_dictionary(trained["noise"]),
+            cfg,
+        )
+        for suffix, image in (
+            ("noisy", result.mixture.magnitudes),
+            ("denoised", result.s_masked),
+            ("noise", result.n_masked),
+        ):
+            export_pgm(image, tmp_path / "ref.pgm")
+            assert (tmp_path / f"den.{suffix}.pgm").read_bytes() == (
+                tmp_path / "ref.pgm"
+            ).read_bytes()
+
+    def test_images_hold_the_magnitudes_and_ratio_once(self, trained, tmp_path):
+        from tests.conftest import peak_bytes
+
+        n = 16 * SR
+        rng = np.random.default_rng(5)
+        write_wav(AudioBuffer(0.1 * rng.standard_normal(n), SR), tmp_path / "m.wav")
+        n_frames = 1 + -(-(n - 256) // 128)
+        real_bytes = 8 * 129 * n_frames  # one bins x frames float64 array
+        argv = [
+            "denoise", "--dict-signal", str(trained["signal"]),
+            "--dict-noise", str(trained["noise"]), "--input", str(tmp_path / "m.wav"),
+            "--output", str(tmp_path / "den.wav"), *SMALL_STFT,
+        ]  # fmt: skip
+        assert cli.main(argv) == 0  # the first call's one-time allocations
+        plain, code = peak_bytes(lambda: cli.main(argv))
+        assert code == 0
+        emitting, code = peak_bytes(lambda: cli.main([*argv, "--emit-spectrograms"]))
+        assert code == 0
+        # |X|, the ratio and export_pgm's working copy, less what the plain
+        # command had already freed; forming either of the first two again
+        # costs close to one more bins x frames array
+        assert emitting - plain <= 2.25 * real_bytes
+
     def test_nan_sample_exits_2_with_one_error_line(self, wavs, trained, tmp_path):
         samples = np.zeros(SR, dtype=np.float32)
         samples[SR // 2] = np.nan

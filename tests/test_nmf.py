@@ -226,11 +226,13 @@ class TestFit:
             assert len(trace) == j + 1
             assert trace[j] == pytest.approx(loss(X, W.atoms, H, alpha), rel=1e-12)
 
-    def test_non_finite_input_gives_non_finite_trace(self):
-        X = np.ones((5, 4))
-        X[2, 3] = np.nan
-        _, _, trace = fit_nmf(X, NmfConfig(k=2, max_iters=3))
-        assert np.all(np.isnan(trace))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # neither is negative, and a NaN loss never meets the stop rule
+        X = np.random.default_rng(18).random((20, 30))
+        X[7, 11] = bad
+        with pytest.raises(InvalidInputError, match="X must be finite"):
+            fit_nmf(X, NmfConfig(k=3))
 
     def test_working_set_is_four_dictionaries(self):
         # a 2-minute-scale prior's width at the fixture STFT (d = 2049)
@@ -239,6 +241,31 @@ class TestFit:
         peak, _ = peak_bytes(lambda: fit_nmf(X, NmfConfig(k=k, max_iters=3, seed=0)))
         # W and three d x k buffers, plus the k x n codes and their products
         assert peak <= 3.6 * 2**20
+
+    def test_atoms_and_w_step_buffers_are_column_major(self, monkeypatch):
+        import onmfdenoise.nmf as nmf_mod
+
+        written = []
+
+        def recording_step(X, W, H, epsilon=EPSILON, work=None):
+            written.extend([W, *work])
+            return _update_dictionary_normalized(X, W, H, epsilon, work)
+
+        monkeypatch.setattr(nmf_mod, "_update_dictionary_normalized", recording_step)
+        X = np.random.default_rng(19).random((30, 20))
+        W, _, _ = fit_nmf(X, NmfConfig(k=4, max_iters=2))
+        # each atom contiguous: BLAS writes X H^T at full speed, and the
+        # column sums and norms run down contiguous columns
+        assert W.atoms.flags.f_contiguous
+        assert len(written) == 8
+        assert all(a.shape == (30, 4) and a.flags.f_contiguous for a in written)
+
+    def test_w_step_and_rescale_copies_are_column_major(self):
+        rng = np.random.default_rng(20)
+        W, H = rng.random((9, 3)), rng.random((3, 5))
+        W2, _ = renormalize_pair(W, H, np.random.default_rng(0))
+        assert W2.flags.f_contiguous
+        assert _update_dictionary_normalized(rng.random((9, 5)), W, H).flags.f_contiguous
 
     @pytest.mark.parametrize("source, seed, k", [("s_prime", 0, 50), ("n_prime", 1, 10)])
     def test_matches_residual_reference_on_fixture(self, fixture_seed0, source, seed, k):
@@ -258,6 +285,13 @@ class TestPersistence:
         save_dictionary(d, path)
         back = load_dictionary(path)
         assert np.array_equal(back.atoms, d.atoms)
+
+    def test_column_major_atoms_save_as_their_row_major_copy(self, tmp_path):
+        atoms = np.asfortranarray(np.random.default_rng(21).random((7, 3)))
+        save_dictionary(Dictionary(atoms), tmp_path / "f.dict")
+        save_dictionary(Dictionary(np.ascontiguousarray(atoms)), tmp_path / "c.dict")
+        assert (tmp_path / "f.dict").read_bytes() == (tmp_path / "c.dict").read_bytes()
+        assert np.array_equal(load_dictionary(tmp_path / "f.dict").atoms, atoms)
 
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "w.dict"

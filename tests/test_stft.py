@@ -16,6 +16,7 @@ from onmfdenoise.stft import (
     stft,
     stft_magnitudes,
 )
+from tests.conftest import peak_bytes
 
 SR = 16000
 
@@ -327,6 +328,45 @@ def test_export_pgm(tmp_path):
     assert header.split(b"\n")[0] == b"P5"
     assert header.split(b"\n")[1] == b"9 16"
     assert len(rest) == 16 * 9
+
+
+def pgm_pixels(path, d, n):
+    header = f"P5\n{n} {d}\n255\n".encode("ascii")
+    raw = path.read_bytes()
+    assert raw.startswith(header)
+    return np.frombuffer(raw[len(header) :], dtype=np.uint8).reshape(d, n)
+
+
+def reference_pgm_pixels(mags):
+    """The image as whole-array expressions: dB below the max, floored at
+    -80 dB, mapped onto 0..255."""
+    peak = mags.max()
+    if peak <= 0:
+        return np.zeros(mags.shape, dtype=np.uint8)
+    with np.errstate(divide="ignore"):
+        db = np.maximum(20.0 * np.log10(mags / peak), -80.0)
+    return np.rint((db - -80.0) / 80.0 * 255.0).astype(np.uint8)
+
+
+@pytest.mark.parametrize("case", ["C", "F", "zero-cell", "silent"])
+def test_export_pgm_matches_whole_array_reference(tmp_path, case):
+    mags = np.random.default_rng(6).random((40, 30)) ** 4
+    if case == "F":
+        mags = np.asfortranarray(mags)
+    elif case == "zero-cell":
+        mags[3, 5] = 0.0
+    elif case == "silent":
+        mags[:] = 0.0
+    path = tmp_path / "s.pgm"
+    export_pgm(mags, path)
+    assert np.array_equal(pgm_pixels(path, 40, 30), reference_pgm_pixels(mags))
+
+
+def test_export_pgm_holds_one_float_buffer(tmp_path):
+    mags = np.random.default_rng(7).random((513, 300))
+    peak, _ = peak_bytes(lambda: export_pgm(mags, tmp_path / "s.pgm"))
+    # one float64 working copy and the uint8 image
+    assert peak <= 1.2 * mags.nbytes
 
 
 def test_export_csv_round_trip(tmp_path):
