@@ -149,19 +149,35 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer(samples=x, sample_rate_hz=rate)
 
 
+# samples quantized per step of write_wav
+_WRITE_BLOCK = 2**16
+
+
 def write_wav(buf: AudioBuffer, path) -> None:
-    """Write a buffer as 16-bit PCM mono, clamping samples to [-1, 1]."""
-    if len(buf) == 0:
+    """Write a buffer as 16-bit PCM mono, clamping samples to [-1, 1]
+    (so ±inf write as full scale). A NaN sample raises
+    ``InvalidInputError`` naming its index, before the file is opened."""
+    n = len(buf)
+    if n == 0:
         raise InvalidInputError("cannot write an empty buffer")
-    # one float temporary, clamped before it is scaled so no sample overflows
-    scaled = np.clip(buf.samples, -1.0, 1.0)
-    scaled *= 32768.0
-    np.rint(scaled, out=scaled)
-    np.clip(scaled, -32768, 32767, out=scaled)
-    q = scaled.astype("<i2")
-    del scaled  # freed before the file and its buffer are opened
-    if q.nbytes > 0xFFFFFFFF - 36:
+    if 2 * n > 0xFFFFFFFF - 36:
         raise InvalidInputError("buffer too long for a RIFF file")
+    # quantized block by block into the payload through one float block,
+    # clamped before it is scaled so no sample overflows
+    q = np.empty(n, dtype="<i2")
+    scaled = np.empty(min(n, _WRITE_BLOCK))
+    for start in range(0, n, _WRITE_BLOCK):
+        stop = min(start + _WRITE_BLOCK, n)
+        block = scaled[: stop - start]
+        np.clip(buf.samples[start:stop], -1.0, 1.0, out=block)
+        if np.isnan(block.min()):  # the min is NaN when any sample is
+            first = start + int(np.flatnonzero(np.isnan(block))[0])
+            raise InvalidInputError(f"cannot write a NaN sample at index {first}")
+        block *= 32768.0
+        np.rint(block, out=block)
+        np.clip(block, -32768, 32767, out=block)
+        q[start:stop] = block
+    del scaled, block  # freed before the file and its buffer are opened
     rate = buf.sample_rate_hz
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",

@@ -111,20 +111,25 @@ def cmd_denoise(args) -> int:
     params = _stft_params(args)
     w_signal = nmf.load_dictionary(args.dict_signal)
     w_noise = nmf.load_dictionary(args.dict_noise)
+    # the samples are dropped once transformed: denoising holds X, the
+    # codes and the output, and one block of anything else
     noisy = audio_io.read_wav(args.input)
-    cfg = pipeline.DenoiseConfig(code_alpha=args.alpha, stft=params)
-    result = pipeline.denoise(noisy, w_signal, w_noise, cfg)
+    X, n_samples = compute_stft(noisy, params), len(noisy)
+    del noisy
+    result = pipeline.denoise_spectrogram(X, w_signal, w_noise, args.alpha, n_samples)
+    del X
     audio_io.write_wav(result.denoised, args.output)
     print(f"denoised {args.input} -> {args.output}")
     if args.emit_noise:
         audio_io.write_wav(pipeline.render_noise(result), args.emit_noise)
     if args.emit_spectrograms:
         base, _ = os.path.splitext(args.output)
-        # |X| and the ratio once each: s = ratio * |X| in the ratio's
+        # |X| and the ratio once each, and X, the codes and the output
+        # freed before the first image; s = ratio * |X| in the ratio's
         # buffer, then n = |X| - s in that of |X|, as s_masked and n_masked
-        mags = result.mixture.magnitudes
+        mags, s_masked = result.mixture.magnitudes, result.ratio
+        del result
         export_pgm(mags, base + ".noisy.pgm")
-        s_masked = result.ratio
         s_masked *= mags
         export_pgm(s_masked, base + ".denoised.pgm")
         mags -= s_masked

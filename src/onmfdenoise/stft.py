@@ -16,7 +16,11 @@ reuses the mixture's phases: ``istft(X, mask=ratio)`` inverts
 masked spectrum. The mask is a function that forms each block's ratio
 when the inverse reaches it, so no d x n mask need exist. Both
 directions work on blocks of ``frames_per_block(params)`` frames, about
-64 Ki samples each whatever the FFT size.
+64 Ki samples each whatever the FFT size, and beyond their input and
+output hold one block of each working array: the forward transform
+windows each block's frames into one reused buffer, and the inverse
+forms ratio * X in one reused complex block (none without a mask); each
+block's FFT result is freed before the next block's is taken.
 """
 
 from __future__ import annotations
@@ -130,22 +134,25 @@ def _forward(buf: AudioBuffer, params: StftParams, magnitudes: bool) -> np.ndarr
     window = params.window()
     dtype = np.float64 if magnitudes else np.complex128
     out = np.empty((n_frames, params.n_bins), dtype=dtype)
+    windowed = np.empty((min(frames_per_block(params), n_frames), win_len))
     for start, stop in frame_blocks(params, n_frames):
+        block = windowed[: stop - start]
         if stop <= len(frames):
-            block = frames[start:stop] * window
+            np.multiply(frames[start:stop], window, out=block)
         else:
-            block = np.zeros((stop - start, win_len))
             block[:-1] = frames[start:]
             tail = samples[(stop - 1) * hop :]
             block[-1, : len(tail)] = tail
+            block[-1, len(tail) :] = 0.0
             block *= window
         # written from rfft's result rather than through its out=, which
-        # needs NumPy 2
+        # needs NumPy 2; the result is freed before the next one is taken
         spectrum = np.fft.rfft(block, n=params.fft_len, axis=1)
         if magnitudes:
             np.abs(spectrum, out=out[start:stop])
         else:
             out[start:stop] = spectrum
+        del spectrum
     return out
 
 
@@ -191,10 +198,12 @@ def istft(spec: Spectrogram, mask: Callable[[int, int], np.ndarray] | None = Non
     R = win_len // hop
     # the output as rows of one hop: frame f adds its piece r to row f + r
     out = np.zeros((n_frames + R - 1, hop))
+    if mask is not None:
+        masked = np.empty((min(frames_per_block(params), n_frames), params.n_bins), complex)
     for start, stop in frame_blocks(params, n_frames):
         block = spec.values[:, start:stop].T
         if mask is not None:
-            block = block * mask(start, stop)
+            block = np.multiply(block, mask(start, stop), out=masked[: stop - start])
         frames = np.fft.irfft(block, n=params.fft_len, axis=1)[:, :win_len]
         frames *= window
         pieces = frames.reshape(stop - start, R, hop)
@@ -202,6 +211,7 @@ def istft(spec: Spectrogram, mask: Callable[[int, int], np.ndarray] | None = Non
         # order, the order of a frame-by-frame overlap-add
         for r in range(R - 1, -1, -1):
             out[start + r : stop + r] += pieces[:, r]
+        del frames, pieces  # freed before the next block's inverse
     _normalize(out, (window**2).reshape(R, hop), n_frames)
     return AudioBuffer(out.ravel(), spec.sample_rate_hz)
 

@@ -257,6 +257,37 @@ def test_write_quantizes_by_rounding_then_clamping(tmp_path, seed):
     assert peak <= 10 * x.size + 4096
 
 
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1, 5 * 2**16 + 3])
+def test_write_quantizes_block_by_block_into_the_payload(tmp_path, n):
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1.5, 1.5, n)
+    x[rng.integers(0, n, 8)] = np.inf
+    x[rng.integers(0, n, 8)] = -np.inf
+    path = tmp_path / "q.wav"
+    peak, _ = peak_bytes(lambda: write_wav(AudioBuffer(x, 16000), path))
+    want = np.clip(np.rint(np.clip(x, -1.0, 1.0) * 32768.0), -32768, 32767).astype("<i2")
+    assert path.read_bytes()[44:] == want.tobytes()
+    # the 16-bit payload and one block of 2**16 float samples
+    assert peak <= 2 * n + 8 * min(n, 2**16) + 4096
+
+
+@pytest.mark.parametrize("first", [1, 2**16 + 3])
+@pytest.mark.parametrize("existing", [False, True])
+def test_write_rejects_nan_before_opening_the_file(tmp_path, first, existing):
+    x = np.full(2**17, 0.25)
+    x[[first, first + 1, -1]] = np.nan
+    x[0], x[2] = np.inf, -np.inf
+    path = tmp_path / "nan.wav"
+    if existing:
+        path.write_bytes(b"an earlier file")
+    with pytest.raises(InvalidInputError, match=rf"NaN sample at index {first}\b"):
+        write_wav(AudioBuffer(x, 16000), path)
+    if existing:
+        assert path.read_bytes() == b"an earlier file"
+    else:
+        assert not path.exists()
+
+
 def valid_int16_file():
     return riff(fmt_chunk(), chunk(b"data", np.arange(-8, 8, dtype="<i2").tobytes()))
 

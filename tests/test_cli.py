@@ -446,6 +446,33 @@ class TestDenoise:
         # costs close to one more bins x frames array
         assert emitting - plain <= 2.25 * real_bytes
 
+    def test_peak_holds_no_copy_of_the_input_samples(self, trained, tmp_path):
+        from functools import partial
+
+        from onmfdenoise.audio_io import read_wav
+        from onmfdenoise.nmf import load_dictionary
+        from onmfdenoise.pipeline import denoise_spectrogram
+        from onmfdenoise.stft import StftParams, stft
+        from tests.conftest import peak_bytes
+
+        n = 60 * SR  # its float64 samples outweigh every block
+        rng = np.random.default_rng(6)
+        write_wav(AudioBuffer(0.1 * rng.standard_normal(n), SR), tmp_path / "m.wav")
+        argv = [
+            "denoise", "--dict-signal", str(trained["signal"]),
+            "--dict-noise", str(trained["noise"]), "--input", str(tmp_path / "m.wav"),
+            "--output", str(tmp_path / "den.wav"), "--alpha", "1", *SMALL_STFT,
+        ]  # fmt: skip
+        assert cli.main(argv) == 0  # the first call's one-time allocations
+        peak, code = peak_bytes(lambda: cli.main(argv))
+        assert code == 0
+        X = stft(read_wav(tmp_path / "m.wav"), StftParams(window_len=256, hop=128, fft_len=256))
+        w_s, w_n = load_dictionary(trained["signal"]), load_dictionary(trained["noise"])
+        denoising, _ = peak_bytes(partial(denoise_spectrogram, X, w_s, w_n, 1.0, n))
+        # X and what denoising holds beyond it, plus less than the 8n bytes
+        # of the samples: the 16-bit payload and a block while writing
+        assert peak - X.values.nbytes - denoising < 4 * n
+
     def test_nan_sample_exits_2_with_one_error_line(self, wavs, trained, tmp_path):
         samples = np.zeros(SR, dtype=np.float32)
         samples[SR // 2] = np.nan

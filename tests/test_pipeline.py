@@ -22,6 +22,7 @@ from onmfdenoise.pipeline import (
     fit_dictionary,
     render_noise,
     train_dictionaries,
+    _code_mask,
     _signal_ratio,
 )
 from onmfdenoise.stft import Spectrogram, StftParams, frames_per_block, istft, stft
@@ -342,6 +343,23 @@ class TestDenoise:
             assert peak <= out_bytes + 8 * codes_bytes + 6 * block_bytes
             beyond.append(peak - out_bytes - codes_bytes)
         assert abs(beyond[1] - beyond[0]) <= block_bytes
+
+    def test_masked_inverse_holds_one_block_of_each_working_array(self):
+        # beyond its output rows, the inverse holds the masked complex
+        # block, one inverse block and the mask's two estimate blocks
+        params = StftParams(window_len=4096, hop=1024, fft_len=4096)
+        rng = np.random.default_rng(17)
+        d = params.n_bins
+        w_s, w_n = Dictionary(rng.random((d, 50))), Dictionary(rng.random((d, 10)))
+        X = stft(AudioBuffer(rng.uniform(-0.5, 0.5, 10 * SR), SR), params)
+        h_s, h_n = rng.random((50, X.n_frames)), rng.random((10, X.n_frames))
+        istft(X)  # the FFT's one-time plan for this size
+        peak, audio = peak_bytes(lambda: istft(X, mask=_code_mask(X, w_s, w_n, h_s, h_n)))
+        m = frames_per_block(params)
+        inverse = m * params.fft_len * 8
+        blocks = m * d * 16 + inverse + 2 * m * d * 8
+        beyond = peak - audio.samples.nbytes
+        assert beyond <= blocks + inverse / 4
 
 
 @pytest.fixture(scope="module")

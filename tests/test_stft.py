@@ -295,6 +295,19 @@ def test_transforms_use_numpy1_fft_signatures(monkeypatch):
     istft(spec, mask=blocks_of(np.ones(spec.values.shape)))
 
 
+def test_forward_holds_one_windowed_and_one_spectrum_block_beyond_x():
+    # 76 frames at 4096/1024, the last one zero-padded: X is allocated
+    # whole, and each block is windowed into one buffer and transformed
+    params = StftParams(window_len=4096, hop=1024, fft_len=4096)
+    x = AudioBuffer(np.random.default_rng(9).uniform(-0.5, 0.5, 5 * SR), SR)
+    stft(x, params)  # the FFT's one-time plan for this size
+    peak, spec = peak_bytes(lambda: stft(x, params))
+    m = frames_per_block(params)
+    windowed, spectrum = m * params.window_len * 8, m * params.n_bins * 16
+    beyond = peak - spec.values.nbytes
+    assert beyond <= windowed + spectrum + windowed / 8
+
+
 def test_non_finite_samples_rejected():
     for bad in (np.nan, np.inf, -np.inf):
         x = np.zeros(4096)
