@@ -16,6 +16,7 @@ one layout: a 44-byte header and 16-bit PCM mono samples.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -156,12 +157,16 @@ _WRITE_BLOCK = 2**16
 def write_wav(buf: AudioBuffer, path) -> None:
     """Write a buffer as 16-bit PCM mono, clamping samples to [-1, 1]
     (so ±inf write as full scale). A NaN sample raises
-    ``InvalidInputError`` naming its index, before the file is opened."""
+    ``InvalidInputError`` naming its index, before the file is opened, and
+    so does a non-integer rate or one whose 2 * rate overflows 32 bits."""
     n = len(buf)
     if n == 0:
         raise InvalidInputError("cannot write an empty buffer")
     if 2 * n > 0xFFFFFFFF - 36:
         raise InvalidInputError("buffer too long for a RIFF file")
+    rate = buf.sample_rate_hz
+    if not isinstance(rate, numbers.Integral) or 2 * rate > 0xFFFFFFFF:
+        raise InvalidInputError(f"sample rate {rate!r} Hz does not fit a WAV header")
     # quantized block by block into the payload through one float block,
     # clamped before it is scaled so no sample overflows
     q = np.empty(n, dtype="<i2")
@@ -178,7 +183,6 @@ def write_wav(buf: AudioBuffer, path) -> None:
         np.clip(block, -32768, 32767, out=block)
         q[start:stop] = block
     del scaled, block  # freed before the file and its buffer are opened
-    rate = buf.sample_rate_hz
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + q.nbytes, b"WAVE",

@@ -159,6 +159,8 @@ def _write_metric_csv(path, header, rows):
 
 
 def cmd_eval(args) -> int:
+    if args.nmf is None and args.onmf is None and args.noisy is None:
+        raise InvalidInputError("eval needs at least one of --nmf, --onmf or --noisy")
     _require_files(args.clean, args.noise, args.nmf, args.onmf, args.noisy)
     clean = audio_io.read_wav(args.clean)
     noise = audio_io.read_wav(args.noise)

@@ -30,6 +30,7 @@ __all__ = [
     "Dictionary",
     "NmfConfig",
     "update_code",
+    "loss",
     "renormalize_pair",
     "fit_nmf",
     "save_dictionary",
@@ -96,9 +97,9 @@ def update_code(WtX, G, H, alpha: float = 0.0, epsilon: float = EPSILON) -> np.n
     return H * WtX / (G @ H + alpha + epsilon)
 
 
-def _loss_from_products(x_sq: float, WtX, G, H, alpha: float) -> float:
+def loss(x_sq: float, WtX, G, H, alpha: float) -> float:
     """0.5 * ||X - WH||_F^2 + alpha * sum(H) from ||X||^2, W^T X and
-    W^T W, without the d x n residual.
+    W^T W, without the d x n residual: both trainers' reported loss.
 
     Cancellation can leave the data term a rounding error below zero near
     an exact fit; it is reported as 0. A NaN passes through unchanged.
@@ -212,14 +213,14 @@ def fit_nmf(X: np.ndarray, config: NmfConfig):
     x = X.ravel(order="K")
     x_sq = float(x @ x)
     WtX, G = W.T @ X, W.T @ W
-    l0 = _loss_from_products(x_sq, WtX, G, H, config.alpha)
+    l0 = loss(x_sq, WtX, G, H, config.alpha)
     trace = [l0]
     for _ in range(config.max_iters):
         H = update_code(WtX, G, H, config.alpha)
         _update_dictionary_normalized(X, W, H, work=work)
         _renormalize(W, H, rng, work[2])
         WtX, G = W.T @ X, W.T @ W
-        trace.append(_loss_from_products(x_sq, WtX, G, H, config.alpha))
+        trace.append(loss(x_sq, WtX, G, H, config.alpha))
         if l0 > 0 and abs(trace[-1] - trace[-2]) / l0 < config.rel_tol:
             break
     return Dictionary(W), H, trace

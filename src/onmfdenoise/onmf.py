@@ -12,13 +12,15 @@ Tr(B W) whose convergence Mairal et al. (JMLR 2010) and Lyu et al. (JMLR
 2020) prove, and stops once it moved by at most PASS_REL_TOL of its value
 over the last pass.
 
-The sparse coder, also used to separate a mixture, is accelerated
-projected gradient (FISTA) on the L1 non-negative least-squares problem.
-Each column stops on its own KKT residual, so a column's code does not
-depend on the other columns coded with it. Each step forms one k x k
-product, M h with M = I - W^T W/L, which gives both the KKT residual and,
-by linearity, the momentum step. Stopped columns are written out at once
-but leave the working arrays only when half of them have stopped.
+The sparse coder, ``sparse_code``, codes training batches, mixtures and
+the final loss from the products X^T W and W^T W that each caller forms.
+It is accelerated projected gradient (FISTA) on the L1 non-negative
+least-squares problem. Each column stops on its own KKT residual, so a
+column's code does not depend on the other columns coded with it. Each
+step forms one k x k product, M h with M = I - W^T W/L, which gives both
+the KKT residual and, by linearity, the momentum step. Stopped columns
+are written out at once but leave the working arrays only when half of
+them have stopped.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "sparse_code",
     "aggregate",
     "update_dictionary_online",
+    "surrogate_value",
     "fit_onmf",
 ]
 
@@ -102,52 +105,35 @@ def sample_batch(X, cfg: SamplerConfig, t: int) -> np.ndarray:
 
 
 def sparse_code(
-    X_t: np.ndarray,
-    W: np.ndarray,
-    alpha: float,
-    rel_tol: float = CODE_REL_TOL,
-    max_iters: int = CODE_MAX_ITERS,
-) -> np.ndarray:
-    """Non-negative L1-regularized least-squares code for a fixed dictionary.
-
-    Minimizes 0.5*||x_j - W h_j||^2 + alpha*sum(h_j) over h_j >= 0 for each
-    column by accelerated projected gradient (FISTA, Beck & Teboulle 2009)
-    with step 1/L, L the largest eigenvalue of G = W^T W. Column j stops at
-    the first iterate whose KKT residual meets
-    ||min(h_j, G h_j - p_j + alpha)|| <= rel_tol*||p_j|| (Lin 2007), with
-    p_j = W^T x_j; columns still active after max_iters steps return their
-    last iterate. The step size and momentum depend only on W and the step
-    number, so each column's code does not depend on which other columns
-    are coded with it. An all-zero dictionary gives zero codes. A negative
-    or non-finite alpha raises ``InvalidInputError``, and a W^T W that is
-    not finite ``NonFiniteResultError``.
-
-    Each step forms one k x k product, M @ h with M = I - G/L, which serves
-    both the KKT check and, by linearity, the momentum step
-    (see ``_code_from_products``).
-    """
-    X_t = np.asarray(X_t, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    if W.shape[0] != X_t.shape[0]:
-        raise InvalidInputError(f"W rows {W.shape[0]} != X rows {X_t.shape[0]}")
-    return _code_from_products(X_t.T @ W, W.T @ W, alpha, rel_tol, max_iters)
-
-
-def _code_from_products(
     P: np.ndarray,
     G: np.ndarray,
     alpha: float,
     rel_tol: float = CODE_REL_TOL,
     max_iters: int = CODE_MAX_ITERS,
 ) -> np.ndarray:
-    """``sparse_code`` from the frames-major P = X^T W (m x k) and
-    G = W^T W; returns the k x m codes. P is overwritten.
+    """Non-negative L1-regularized least-squares codes for a fixed
+    dictionary W, from the frames-major P = X^T W (m x k), which is
+    overwritten, and G = W^T W; returns the k x m codes.
+
+    Minimizes 0.5*||x_j - W h_j||^2 + alpha*sum(h_j) over h_j >= 0 for each
+    column by accelerated projected gradient (FISTA, Beck & Teboulle 2009)
+    with step 1/L, L the largest eigenvalue of G. Column j stops at the
+    first iterate whose KKT residual meets
+    ||min(h_j, G h_j - p_j + alpha)|| <= rel_tol*||p_j|| (Lin 2007), with
+    p_j = W^T x_j; columns still active after max_iters steps return their
+    last iterate. The step size and momentum depend only on G and the step
+    number, so each column's code does not depend on which other columns
+    are coded with it. An all-zero dictionary gives zero codes. A negative
+    or non-finite alpha, or a P whose width is not G's size, raises
+    ``InvalidInputError``, and a G that is not finite
+    ``NonFiniteResultError``.
 
     With M = I - G/L and P_L = (P - alpha)/L, the gradient step from the
     momentum point Y = H + beta*(H - H_prev) is max(0, M Y + P_L), and
     M Y = M H + beta*(M H - M H_prev); the KKT gradient is
-    G H - P + alpha = L*(H - M H - P_L). So each step forms only M H, from
-    H itself, and keeps the previous step's M H instead of H_prev.
+    G H - P + alpha = L*(H - M H - P_L). So each step forms only one k x k
+    product, M H, from H itself, and keeps the previous step's M H instead
+    of H_prev.
 
     Working arrays are frames-major, one row per column of X. A stopped
     row's code is written out at its stopping iterate and never again; the
@@ -156,9 +142,11 @@ def _code_from_products(
     """
     if not (math.isfinite(alpha) and alpha >= 0):
         raise InvalidInputError(f"L1 weight must be finite and >= 0, got {alpha}")
+    m, k = P.shape
+    if G.shape != (k, k):
+        raise InvalidInputError(f"products do not conform: P{P.shape}, G{G.shape}")
     if not np.all(np.isfinite(G)):
         raise NonFiniteResultError("W^T W of the dictionary is not finite")
-    m, k = P.shape
     out = np.zeros((m, k))
     L = float(np.linalg.eigvalsh(G)[-1]) if k else 0.0
     if L == 0.0 or m == 0:
@@ -342,7 +330,7 @@ def fit_onmf(
     try:
         for t in range(1, sampler.steps + 1):
             X_t = sample_batch(X, sampler, t)
-            H_t = sparse_code(X_t, state.W, alpha)
+            H_t = sparse_code(X_t.T @ state.W, state.W.T @ state.W, alpha)
             state = aggregate(state, H_t, X_t)
             del X_t  # freed before the refit and the next batch
             # while every batch so far coded to zero there is nothing to fit

@@ -5,7 +5,8 @@ noisy spectrogram is coded against their concatenation, and the two
 partial reconstructions are turned into a real ratio mask that restores
 exact additivity. The denoised signal reuses the noisy recording's
 phases: it is the inverse STFT of ``s = ratio * X``, with X the complex
-mixture spectrogram.
+mixture spectrogram. ``separate`` and the online final loss call the
+trainers' own coder and loss, ``onmf.sparse_code`` and ``nmf.loss``.
 
 Denoising holds X, the codes and the output, and otherwise works one
 block of frames at a time: the codes come from |X|^T W formed per block,
@@ -21,8 +22,8 @@ import numpy as np
 
 from .audio_io import AudioBuffer
 from .errors import InvalidInputError, NonFiniteResultError
-from .nmf import Dictionary, NmfConfig, _loss_from_products, fit_nmf
-from .onmf import SamplerConfig, _code_from_products, fit_onmf
+from .nmf import Dictionary, NmfConfig, fit_nmf, loss
+from .onmf import SamplerConfig, fit_onmf, sparse_code
 from .stft import Spectrogram, StftParams, frame_blocks, frames_per_block, istft, stft
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "apply_mask",
     "denoise",
     "denoise_spectrogram",
+    "render_noise",
 ]
 
 # the ratio mask splits a cell 50/50 where S + N is below this floor
@@ -149,8 +151,8 @@ def fit_dictionary(
         dictionary = fit_onmf(mags, k, cfg.train_alpha, sampler, log_path=log_path)
         W = dictionary.atoms
         XtW, G = mags.T @ W, W.T @ W
-        H = _code_from_products(XtW.copy(), G, cfg.train_alpha)
-        final_loss = _loss_from_products(x_sq, XtW.T, G, H, cfg.train_alpha)
+        H = sparse_code(XtW.copy(), G, cfg.train_alpha)
+        final_loss = loss(x_sq, XtW.T, G, H, cfg.train_alpha)
     if not np.isfinite(final_loss):
         raise NonFiniteResultError(f"non-finite training loss for {role} dictionary")
     return dictionary, final_loss
@@ -200,7 +202,7 @@ def separate(
         G = W.T @ W
     if not np.all(np.isfinite(P)):
         raise NonFiniteResultError("|X|^T W of the mixture is not finite")
-    H = _code_from_products(P, G, code_alpha)
+    H = sparse_code(P, G, code_alpha)
     return H[: w_signal.k, :], H[w_signal.k :, :]
 
 

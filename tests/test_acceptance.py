@@ -106,7 +106,7 @@ def test_rank1_matrix_recovery_both_trainers():
 
         sampler = SamplerConfig(mode="uniform", batch_cols=40, steps=100, seed=2)
         W_on = fit_onmf(X, 1, 0.0, sampler)
-        H_on = sparse_code(X, W_on.atoms, 0.0)
+        H_on = sparse_code(X.T @ W_on.atoms, W_on.atoms.T @ W_on.atoms, 0.0)
         assert np.linalg.norm(X - W_on.atoms @ H_on) / np.linalg.norm(X) <= 1e-2
         assert time.monotonic() - start < 10.0
 

@@ -84,6 +84,21 @@ def test_write_empty_buffer_rejected(tmp_path):
         write_wav(AudioBuffer(np.zeros(0), 8000), tmp_path / "e.wav")
 
 
+@pytest.mark.parametrize("rate", [2**31, 3_000_000_000, 16000.0])
+def test_write_rejects_a_rate_the_header_cannot_hold(tmp_path, rate):
+    # the header stores the rate and the byte rate 2 * rate as 32-bit integers
+    path = tmp_path / "r.wav"
+    with pytest.raises(InvalidInputError, match="sample rate"):
+        write_wav(AudioBuffer(np.zeros(4), rate), path)
+    assert not path.exists()
+
+
+def test_write_keeps_the_largest_rate_the_header_holds(tmp_path):
+    path = tmp_path / "r.wav"
+    write_wav(AudioBuffer(np.zeros(4), 2**31 - 1), path)
+    assert read_wav(path).sample_rate_hz == 2**31 - 1
+
+
 def test_synth_snr_accuracy():
     cfg = SynthConfig(duration_s=1.0, chords=[[440.0]], amplitude=0.5, snr_db=0.0, seed=1)
     clean, noise, mixture = synth_mixture(cfg)

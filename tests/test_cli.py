@@ -140,7 +140,7 @@ class TestTrain:
         for name, prior, line in zip(("signal", "noise"), ("clean_prior", "noise_prior"), printed):
             mags = stft(read_wav(wavs[prior]), params).magnitudes
             W = load_dictionary(tmp_path / f"w_{name}.dict").atoms
-            direct = loss(mags, W, sparse_code(mags, W, 0.5), 0.5)
+            direct = loss(mags, W, sparse_code(mags.T @ W, W.T @ W, 0.5), 0.5)
             assert f"final loss {direct:.6g} " in line
 
     @pytest.mark.parametrize("method, trainer", [("nmf", "batch"), ("onmf", "online")])
@@ -551,6 +551,27 @@ class TestDenoise:
         assert res.stderr.splitlines() == ["error: |X|^T W of the mixture is not finite"]
         assert not out.exists()
 
+    def test_rate_the_header_cannot_hold_exits_2(self, wavs, trained, tmp_path):
+        # a 16-bit mono input whose header says 3,000,000,000 Hz reads and
+        # denoises, but 2 * rate does not fit the output header's byte rate
+        raw = bytearray(wavs["mixture"].read_bytes())
+        raw[24:28] = (3_000_000_000).to_bytes(4, "little")
+        fast = tmp_path / "fast.wav"
+        fast.write_bytes(raw)
+        out = tmp_path / "den.wav"
+        res = run_cli(
+            "denoise",
+            "--dict-signal", trained["signal"],
+            "--dict-noise", trained["noise"],
+            "--input", fast,
+            "--output", out,
+            *SMALL_STFT,
+        )
+        assert res.returncode == 2
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not out.exists()
+
     def test_zero_atom_dictionary_exits_2(self, wavs, trained, tmp_path):
         empty = zero_atom_dictionary(tmp_path)
         out = tmp_path / "den.wav"
@@ -642,6 +663,19 @@ class TestEval:
         for part in (f"estimate={SR - 100}", f"clean={SR}", f"noise={SR + 7}"):
             assert part in lines[0]
         assert res.stdout == ""
+
+    def test_no_estimate_exits_2_naming_the_three_flags(self, wavs, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.audio_io, "read_wav", lambda path: pytest.fail(f"read {path}"))
+        out = tmp_path / "m.csv"
+        argv = ["eval", "--clean", str(wavs["clean"]), "--noise", str(wavs["noise"]), "--out", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        for flag in ("--nmf", "--onmf", "--noisy"):
+            assert flag in lines[0]
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_deterministic_csv(self, wavs, tmp_path):
         outs = []

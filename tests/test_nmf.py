@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onmfdenoise import nmf
 from onmfdenoise.errors import InvalidInputError
 from onmfdenoise.nmf import (
     EPSILON,
     Dictionary,
     NmfConfig,
-    _loss_from_products,
     _update_dictionary_normalized,
     fit_nmf,
     load_dictionary,
@@ -95,7 +95,7 @@ class TestLoss:
             W = rng.random((30, 4))
             H = rng.random((4, 20))
             x = (W @ H).ravel()
-            value = _loss_from_products(float(x @ x), W.T @ (W @ H), W.T @ W, H, 0.0)
+            value = nmf.loss(float(x @ x), W.T @ (W @ H), W.T @ W, H, 0.0)
             assert 0.0 <= value <= 1e-12 * float(x @ x)
 
     def test_dimension_mismatch(self):

@@ -25,6 +25,11 @@ from onmfdenoise.onmf import (
 from tests.conftest import batch_objective_oracle, peak_bytes, reference_sparse_code
 
 
+def code(X, W, alpha, *args, **kwargs):
+    """``sparse_code`` of the columns of X against the dictionary W."""
+    return sparse_code(X.T @ W, W.T @ W, alpha, *args, **kwargs)
+
+
 def build_state(rng, d, k, m, t):
     """Aggregate t random batches, keeping the history for oracles."""
     batches = [rng.random((d, m)) for _ in range(t)]
@@ -80,7 +85,7 @@ class TestSparseCode:
         rng = np.random.default_rng(2)
         W = np.eye(4, 3) + 0.005 * rng.random((4, 3))
         W /= np.linalg.norm(W, axis=0)
-        H = sparse_code(3.0 * W[:, 1:2], W, 0.0, rel_tol=1e-8, max_iters=1000)
+        H = code(3.0 * W[:, 1:2], W, 0.0, rel_tol=1e-8, max_iters=1000)
         off = (H.sum() - H[1, 0]) / H.sum()
         assert off <= 1e-4
         oracle, _ = nnls(W, 3.0 * W[:, 1])
@@ -91,26 +96,31 @@ class TestSparseCode:
         W = rng.random((5, 3))
         X = rng.random((5, 4))
         alpha = float(np.abs(W.T @ X).max() * 1e3)
-        assert np.max(sparse_code(X, W, alpha)) <= 1e-6
+        assert np.max(code(X, W, alpha)) <= 1e-6
 
     def test_zero_input_zero_code(self):
         rng = np.random.default_rng(4)
-        assert not np.any(sparse_code(np.zeros((4, 2)), rng.random((4, 3)), 1.0))
+        assert not np.any(code(np.zeros((4, 2)), rng.random((4, 3)), 1.0))
+
+    @pytest.mark.parametrize("p_shape, g_shape", [((4, 3), (2, 2)), ((4, 3), (3, 2))])
+    def test_products_that_do_not_conform_rejected(self, p_shape, g_shape):
+        with pytest.raises(InvalidInputError, match="do not conform"):
+            sparse_code(np.ones(p_shape), np.ones(g_shape), 0.0)
 
     @pytest.mark.parametrize("alpha", [-5.0, -1e-300, np.nan, np.inf, -np.inf])
     def test_invalid_alpha_rejected(self, alpha):
         rng = np.random.default_rng(20)
         with pytest.raises(InvalidInputError, match="L1 weight must be finite and >= 0"):
-            sparse_code(rng.random((4, 2)), rng.random((4, 3)), alpha)
+            code(rng.random((4, 2)), rng.random((4, 3)), alpha)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 5.0])
     def test_columns_stopped_before_cap_meet_kkt(self, alpha):
         X, W = coding_problem(21)
         rel_tol, cap = 1e-3, 30
-        H = sparse_code(X, W, alpha, rel_tol, cap)
+        H = code(X, W, alpha, rel_tol, cap)
         # a column still active at the cap takes one more step with cap + 1;
         # one that stopped earlier follows the same path in both runs
-        stopped = np.all(H == sparse_code(X, W, alpha, rel_tol, cap + 1), axis=0)
+        stopped = np.all(H == code(X, W, alpha, rel_tol, cap + 1), axis=0)
         assert 0 < stopped.sum() < X.shape[1]
         p_norm = np.linalg.norm(W.T @ X, axis=0)
         assert np.all(kkt_residual(X, W, H, alpha)[stopped] <= rel_tol * p_norm[stopped])
@@ -119,9 +129,9 @@ class TestSparseCode:
     @pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 200])
     def test_column_code_does_not_depend_on_batch(self, size, alpha):
         X, W = coding_problem(22)
-        full = sparse_code(X, W, alpha)
+        full = code(X, W, alpha)
         idx = np.random.default_rng(size).permutation(X.shape[1])[:size]
-        alone = sparse_code(X[:, idx], W, alpha)
+        alone = code(X[:, idx], W, alpha)
         assert np.max(np.abs(alone - full[:, idx])) <= 1e-9 * np.max(np.abs(full[:, idx]))
 
     @pytest.mark.parametrize("rel_tol", [1e-3, 1e-6])
@@ -131,7 +141,7 @@ class TestSparseCode:
         d, k, m = 20, 5, 6
         W = rng.random((d, k))
         X = W @ np.maximum(0.0, rng.standard_normal((k, m))) + 0.3 * rng.random((d, m))
-        H = sparse_code(X, W, 0.0, rel_tol=rel_tol, max_iters=100000)
+        H = code(X, W, 0.0, rel_tol=rel_tol, max_iters=100000)
         eig = np.linalg.eigvalsh(W.T @ W)
         for j in range(m):
             h_star, _ = nnls(W, X[:, j])
@@ -143,7 +153,7 @@ class TestSparseCode:
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_zero_dictionary_gives_zero_codes(self, alpha):
         X = np.random.default_rng(23).random((6, 4))
-        assert np.array_equal(sparse_code(X, np.zeros((6, 3)), alpha), np.zeros((3, 4)))
+        assert np.array_equal(code(X, np.zeros((6, 3)), alpha), np.zeros((3, 4)))
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 5.0])
     @pytest.mark.parametrize("seed", range(4))
@@ -152,7 +162,7 @@ class TestSparseCode:
         d, k, m = (int(v) for v in rng.integers([5, 1, 1], [80, 60, 400]))
         X, W = coding_problem(40 + seed, d, k, m)
         ref = reference_sparse_code(X, W, alpha)
-        assert np.max(np.abs(sparse_code(X, W, alpha) - ref)) <= 1e-9 * np.max(ref)
+        assert np.max(np.abs(code(X, W, alpha) - ref)) <= 1e-9 * np.max(ref)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     @pytest.mark.parametrize("prior, k", [("s_prime", 50), ("n_prime", 10)])
@@ -162,7 +172,7 @@ class TestSparseCode:
         W = X[:, np.random.default_rng(k).choice(X.shape[1], size=k, replace=False)]
         W = W / np.linalg.norm(W, axis=0)
         ref = reference_sparse_code(X, W, alpha)
-        assert np.max(np.abs(sparse_code(X, W, alpha) - ref)) <= 1e-9 * np.max(ref)
+        assert np.max(np.abs(code(X, W, alpha) - ref)) <= 1e-9 * np.max(ref)
 
     def test_one_gram_product_per_step(self, monkeypatch):
         X, W = coding_problem(24)
@@ -182,7 +192,7 @@ class TestSparseCode:
         steps = 25
         # rel_tol 0: no column stops before the cap, so the loop runs all
         # `steps` steps and checks the KKT residual steps + 1 times
-        H = sparse_code(X, W, 0.5, rel_tol=0.0, max_iters=steps)
+        H = code(X, W, 0.5, rel_tol=0.0, max_iters=steps)
         monkeypatch.undo()
         assert len(products) == steps + 1
         ref = reference_sparse_code(X, W, 0.5, rel_tol=0.0, max_iters=steps)
@@ -192,7 +202,7 @@ class TestSparseCode:
     @pytest.mark.parametrize("alpha", [0.0, 1e9])
     def test_working_memory_within_aux_count(self, d, k, m, alpha):
         X, W = coding_problem(25, d, k, m)
-        peak, _ = peak_bytes(lambda: sparse_code(X, W, alpha))
+        peak, _ = peak_bytes(lambda: code(X, W, alpha))
         # the coder's share of the count with no batch and no dictionary:
         # A, G, M and six k x m arrays; plus a few length-m index vectors
         assert peak <= 8 * (_aux_elements(0, k, m) + 8 * m)
@@ -208,10 +218,10 @@ def test_sparse_code_is_finite_non_negative_and_zero_on_zero_input(data):
     W = data.draw(arrays(np.float64, (d, k), elements=entries))
     X = data.draw(arrays(np.float64, (d, m), elements=entries))
     alpha = data.draw(st.floats(0.0, 100.0, allow_subnormal=False))
-    H = sparse_code(X, W, alpha)
+    H = code(X, W, alpha)
     assert H.shape == (k, m)
     assert np.all(np.isfinite(H)) and np.all(H >= 0)
-    assert np.array_equal(sparse_code(np.zeros((d, m)), W, alpha), np.zeros((k, m)))
+    assert np.array_equal(code(np.zeros((d, m)), W, alpha), np.zeros((k, m)))
     ref = reference_sparse_code(X, W, alpha)
     assert np.max(np.abs(H - ref), initial=0.0) <= 1e-9 * np.max(ref, initial=0.0)
 
@@ -561,7 +571,7 @@ class TestNonFinite:
     def test_non_finite_gram_raises_before_coding(self):
         W = np.full((5, 3), 1e200)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteResultError):
-            sparse_code(np.ones((5, 4)), W, 0.0)
+            code(np.ones((5, 4)), W, 0.0)
 
 
 @settings(max_examples=80, deadline=None, database=None)

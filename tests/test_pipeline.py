@@ -1,3 +1,4 @@
+import sys
 import warnings
 from functools import partial
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from onmfdenoise import nmf, onmf
 from onmfdenoise.audio_io import AudioBuffer
 from onmfdenoise.errors import InvalidInputError, NonFiniteResultError
 from onmfdenoise.nmf import Dictionary
@@ -98,7 +100,8 @@ class TestTrain:
         peak, (dictionary, final_loss) = peak_bytes(lambda: fit_dictionary(mags, cfg, "signal"))
         assert peak <= mags.nbytes / 4
         W = dictionary.atoms
-        assert final_loss == pytest.approx(loss(mags, W, sparse_code(mags, W, 0.5), 0.5), rel=1e-9)
+        H = sparse_code(mags.T @ W, W.T @ W, 0.5)
+        assert final_loss == pytest.approx(loss(mags, W, H, 0.5), rel=1e-9)
 
     def test_empty_prior_rejected(self):
         empty = spectrogram_from(np.zeros((129, 0)))
@@ -193,8 +196,61 @@ class TestSeparate:
         from onmfdenoise.onmf import sparse_code
 
         W = np.hstack([w_s.atoms, w_n.atoms])
-        H = sparse_code(spec.magnitudes, W, 0.1)
+        H = sparse_code(spec.magnitudes.T @ W, W.T @ W, 0.1)
         assert np.array_equal(np.vstack([result.h_signal, result.h_noise]), H)
+
+
+def record_calls(monkeypatch, original):
+    """Wrap ``original`` at every module binding of the package; returns
+    the list that each call's result is appended to."""
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("onmfdenoise"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recording)
+    return results
+
+
+class TestOneCoderAndOneLoss:
+    """Every caller reaches the coder as ``onmf.sparse_code`` and the
+    product-form loss as ``nmf.loss``."""
+
+    def test_denoise_codes_once_per_mixture(self, monkeypatch):
+        cfg = small_cfg()
+        rng = np.random.default_rng(13)
+        w_s = Dictionary(rng.random((cfg.stft.n_bins, 3)))
+        w_n = Dictionary(rng.random((cfg.stft.n_bins, 2)))
+        codes = record_calls(monkeypatch, onmf.sparse_code)
+        result = denoise(AudioBuffer(rng.uniform(-0.5, 0.5, 3000), SR), w_s, w_n, cfg)
+        assert len(codes) == 1
+        assert np.array_equal(codes[0], np.vstack([result.h_signal, result.h_noise]))
+
+    def test_online_training_codes_each_step_and_the_final_loss(self, monkeypatch, tmp_path):
+        mags = np.random.default_rng(14).random((129, 50))
+        cfg = small_cfg(trainer="online", sampler=SamplerConfig(batch_cols=10, steps=7))
+        codes = record_calls(monkeypatch, onmf.sparse_code)
+        losses = record_calls(monkeypatch, nmf.loss)
+        log = tmp_path / "log.jsonl"
+        _, final_loss = fit_dictionary(mags, cfg, "signal", log_path=log)
+        steps = len(log.read_text().splitlines())
+        assert steps >= 1
+        assert len(codes) == steps + 1
+        assert losses == [final_loss]
+
+    def test_batch_training_takes_one_loss_per_trace_entry(self, monkeypatch):
+        mags = np.random.default_rng(15).random((129, 30))
+        fits = record_calls(monkeypatch, nmf.fit_nmf)
+        losses = record_calls(monkeypatch, nmf.loss)
+        _, final_loss = fit_dictionary(mags, small_cfg(), "signal")
+        ((_, _, trace),) = fits
+        assert losses == trace
+        assert final_loss == trace[-1]
 
 
 class TestMask:
