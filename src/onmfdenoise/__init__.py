@@ -2,14 +2,7 @@
 
 from .audio_io import AudioBuffer, SynthConfig, read_wav, synth_mixture, write_wav
 from .metrics import EvalReport, decompose, evaluate
-from .nmf import (
-    Dictionary,
-    NmfConfig,
-    fit_nmf,
-    load_dictionary,
-    save_dictionary,
-    update_code,
-)
+from .nmf import Dictionary, fit_nmf, load_dictionary, save_dictionary, update_code
 from .onmf import (
     OnmfState,
     SamplerConfig,

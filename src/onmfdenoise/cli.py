@@ -39,7 +39,10 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_CHOICES = {"method": ("nmf", "onmf"), "sampler_mode": ("uniform", "consecutive")}
+# every library setting's default and choices come from the library's own types
+_DEFAULTS = pipeline.DenoiseConfig()
+_METHODS = {"nmf": "batch", "onmf": "online"}  # --method names of pipeline.TRAINERS
+_CHOICES = {"method": tuple(_METHODS), "sampler_mode": onmf.SAMPLER_MODES}
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 _TYPE_NAMES = {int: "an integer", float: "a number"}
 
@@ -77,11 +80,10 @@ def cmd_train(args) -> int:
     params = _stft_params(args)
     os.makedirs(args.out_dir, exist_ok=True)
     cfg = pipeline.DenoiseConfig(
-        trainer={"nmf": "batch", "onmf": "online"}[args.method],
+        trainer=_METHODS[args.method],
         k_signal=args.k_signal,
         k_noise=args.k_noise,
         train_alpha=args.train_alpha,
-        stft=params,
         sampler=onmf.SamplerConfig(
             mode=args.sampler_mode,
             batch_cols=args.batch_cols,
@@ -117,7 +119,6 @@ def cmd_denoise(args) -> int:
     X, n_samples = compute_stft(noisy, params), len(noisy)
     del noisy
     result = pipeline.denoise_spectrogram(X, w_signal, w_noise, args.alpha, n_samples)
-    del X
     audio_io.write_wav(result.denoised, args.output)
     print(f"denoised {args.input} -> {args.output}")
     if args.emit_noise:
@@ -127,8 +128,8 @@ def cmd_denoise(args) -> int:
         # |X| and the ratio once each, and X, the codes and the output
         # freed before the first image; s = ratio * |X| in the ratio's
         # buffer, then n = |X| - s in that of |X|, as s_masked and n_masked
-        mags, s_masked = result.mixture.magnitudes, result.ratio
-        del result
+        mags, s_masked = X.magnitudes, result.ratio
+        del X, result
         export_pgm(mags, base + ".noisy.pgm")
         s_masked *= mags
         export_pgm(s_masked, base + ".denoised.pgm")
@@ -211,14 +212,20 @@ def cmd_spectrogram(args) -> int:
     return EXIT_OK
 
 
+def _setting(p, flag, default, help, **kwargs):
+    """Add ``flag`` for a library setting, typed as its library ``default``."""
+    p.add_argument(flag, type=type(default), default=default, help=help, **kwargs)
+
+
 def _command(sub, name, func, help, stft=True):
     """Add subcommand ``name``, run by ``func``, with --config and the STFT flags."""
     p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--config", help="key = value file of this command's optional flags")
     if stft:
-        p.add_argument("--window-len", type=int, default=1024, help="analysis window, samples")
-        p.add_argument("--hop", type=int, default=512, help="frame step, samples")
-        p.add_argument("--fft-len", type=int, default=1024, help="FFT size, a power of two")
+        params = _DEFAULTS.stft
+        _setting(p, "--window-len", params.window_len, "analysis window, samples")
+        _setting(p, "--hop", params.hop, "frame step, samples")
+        _setting(p, "--fft-len", params.fft_len, "FFT size, a power of two")
     p.set_defaults(func=func)
     return p
 
@@ -230,22 +237,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    cfg, sampler = _DEFAULTS, _DEFAULTS.sampler
+    method = {trainer: m for m, trainer in _METHODS.items()}[cfg.trainer]
+
     p = _command(sub, "train", cmd_train, "learn signal and noise dictionaries")
-    p.add_argument("--method", choices=_CHOICES["method"], default="nmf", help="batch or online")
+    _setting(p, "--method", method, "batch or online", choices=_CHOICES["method"])
     p.add_argument("--signal", required=True, help="clean prior WAV")
     p.add_argument("--noise", required=True, help="noise prior WAV")
     p.add_argument("--out-dir", default=".", help="where w_signal.dict and w_noise.dict go")
-    p.add_argument("--k-signal", type=int, default=50, help="signal atoms")
-    p.add_argument("--k-noise", type=int, default=10, help="noise atoms")
-    p.add_argument("--train-alpha", type=float, default=0.0, help="L1 weight in training")
-    p.add_argument("--seed", type=int, default=0, help="signal seed; noise takes seed + 1")
-    p.add_argument("--max-iters", type=int, default=500, help="batch iteration cap")
-    p.add_argument("--rel-tol", type=float, default=1e-4, help="batch stop: loss change / L0")
-    p.add_argument("--steps", type=int, default=100, help="cap on online steps")
-    p.add_argument("--batch-cols", type=int, default=100, help="online columns per step")
-    p.add_argument(
-        "--sampler-mode", choices=_CHOICES["sampler_mode"], default="uniform", help="online sampler"
-    )
+    _setting(p, "--k-signal", cfg.k_signal, "signal atoms")
+    _setting(p, "--k-noise", cfg.k_noise, "noise atoms")
+    _setting(p, "--train-alpha", cfg.train_alpha, "L1 weight in training")
+    _setting(p, "--seed", cfg.seed, "signal seed; noise takes seed + 1")
+    _setting(p, "--max-iters", cfg.max_iters, "batch iteration cap")
+    _setting(p, "--rel-tol", cfg.rel_tol, "batch stop: loss change / L0")
+    _setting(p, "--steps", sampler.steps, "cap on online steps")
+    _setting(p, "--batch-cols", sampler.batch_cols, "online columns per step")
+    _setting(p, "--sampler-mode", sampler.mode, "online sampler", choices=_CHOICES["sampler_mode"])
     p.add_argument("--train-log", help="JSONL training log prefix")
 
     p = _command(sub, "denoise", cmd_denoise, "separate a noisy WAV with trained dictionaries")
@@ -253,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dict-noise", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--alpha", type=float, default=100.0, help="L1 weight of the sparse codes")
+    _setting(p, "--alpha", cfg.code_alpha, "L1 weight of the sparse codes")
     p.add_argument("--clean", help="clean WAV for the reference image")
     p.add_argument("--emit-spectrograms", action="store_true", help="write PGM images")
     p.add_argument("--emit-noise", help="also write the noise render")

@@ -17,7 +17,7 @@ import numpy as np
 from .audio_io import AudioBuffer
 from .errors import InvalidInputError
 
-__all__ = ["EvalReport", "decompose", "evaluate", "INF_DB_CAP"]
+__all__ = ["EvalReport", "decompose", "evaluate", "db_for_csv", "INF_DB_CAP"]
 
 # sentinel cap used when a ratio's numerator or denominator energy is zero
 INF_DB_CAP = 300.0

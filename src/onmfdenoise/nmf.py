@@ -28,7 +28,6 @@ from .errors import InvalidInputError
 
 __all__ = [
     "Dictionary",
-    "NmfConfig",
     "update_code",
     "loss",
     "renormalize_pair",
@@ -61,23 +60,6 @@ class Dictionary:
     @property
     def k(self) -> int:
         return self.atoms.shape[1]
-
-
-@dataclass(frozen=True)
-class NmfConfig:
-    k: int
-    alpha: float = 0.0
-    max_iters: int = 500
-    rel_tol: float = 1e-4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidInputError("k must be >= 1")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise InvalidInputError(f"L1 weight must be finite and >= 0, got {self.alpha}")
-        if self.rel_tol <= 0:
-            raise InvalidInputError("rel_tol must be positive")
 
 
 def _conform(X, W, H):
@@ -178,13 +160,16 @@ def renormalize_pair(W, H, rng):
     return W, H
 
 
-def fit_nmf(X: np.ndarray, config: NmfConfig):
-    """Alternate code/dictionary updates until the loss stalls.
+def fit_nmf(X: np.ndarray, k: int, alpha: float, *, seed: int, max_iters: int, rel_tol: float):
+    """Fit k atoms of L1 weight ``alpha`` to X from a ``seed``-ed random
+    start, alternating code/dictionary updates until the loss stalls.
 
     Returns (Dictionary, H, trace) where trace[0] is the loss of the
     random initialization and trace[i] the loss after iteration i, both
     computed from W^T X and W^T W. Stops when
-    |L_i - L_{i-1}| / L_0 < rel_tol or max_iters is reached.
+    |L_i - L_{i-1}| / L_0 < rel_tol or max_iters is reached. A k below 1,
+    a negative or non-finite alpha, a negative max_iters or a rel_tol not
+    above 0 (NaN included) raises ``InvalidInputError`` before X is read.
 
     Besides X and the k x n codes and products, the trainer holds W and
     three d x k buffers, allocated once and column-major: the W step and
@@ -193,6 +178,14 @@ def fit_nmf(X: np.ndarray, config: NmfConfig):
     and the trace equal that step-by-step reference bit for bit. A NaN or
     infinite entry of X raises ``InvalidInputError`` before any iteration.
     """
+    if k < 1:
+        raise InvalidInputError("k must be >= 1")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise InvalidInputError(f"L1 weight must be finite and >= 0, got {alpha}")
+    if max_iters < 0:
+        raise InvalidInputError(f"max_iters must be >= 0, got {max_iters}")
+    if not rel_tol > 0:
+        raise InvalidInputError("rel_tol must be positive")
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
         raise InvalidInputError("cannot factorize an empty matrix")
@@ -204,24 +197,24 @@ def fit_nmf(X: np.ndarray, config: NmfConfig):
     if lo < 0:
         raise InvalidInputError("X must be non-negative")
     d, n = X.shape
-    rng = np.random.default_rng(config.seed)
-    W = np.asfortranarray(rng.random((d, config.k)))
-    H = rng.random((config.k, n))
-    work = _column_major_work(d, config.k)
+    rng = np.random.default_rng(seed)
+    W = np.asfortranarray(rng.random((d, k)))
+    H = rng.random((k, n))
+    work = _column_major_work(d, k)
     # start on the unit-column manifold so every iteration sees unit atoms
     _renormalize(W, H, rng, work[2])
     x = X.ravel(order="K")
     x_sq = float(x @ x)
     WtX, G = W.T @ X, W.T @ W
-    l0 = loss(x_sq, WtX, G, H, config.alpha)
+    l0 = loss(x_sq, WtX, G, H, alpha)
     trace = [l0]
-    for _ in range(config.max_iters):
-        H = update_code(WtX, G, H, config.alpha)
+    for _ in range(max_iters):
+        H = update_code(WtX, G, H, alpha)
         _update_dictionary_normalized(X, W, H, work=work)
         _renormalize(W, H, rng, work[2])
         WtX, G = W.T @ X, W.T @ W
-        trace.append(loss(x_sq, WtX, G, H, config.alpha))
-        if l0 > 0 and abs(trace[-1] - trace[-2]) / l0 < config.rel_tol:
+        trace.append(loss(x_sq, WtX, G, H, alpha))
+        if l0 > 0 and abs(trace[-1] - trace[-2]) / l0 < rel_tol:
             break
     return Dictionary(W), H, trace
 

@@ -40,6 +40,8 @@ CODE_REL_TOL = 1e-3
 CODE_MAX_ITERS = 200
 PASS_REL_TOL = 1e-2
 
+SAMPLER_MODES = ("uniform", "consecutive")
+
 __all__ = [
     "SamplerConfig",
     "OnmfState",
@@ -54,13 +56,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    mode: str = "uniform"  # "uniform" or "consecutive"
+    mode: str = "uniform"  # one of SAMPLER_MODES
     batch_cols: int = 100
     steps: int = 100  # a cap: fit_onmf may stop at a pass boundary before it
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("uniform", "consecutive"):
+        if self.mode not in SAMPLER_MODES:
             raise InvalidInputError(f"unknown sampler mode {self.mode!r}")
         if self.batch_cols < 1 or self.steps < 0:
             raise InvalidInputError("batch_cols must be >= 1 and steps >= 0")

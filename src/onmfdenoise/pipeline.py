@@ -22,7 +22,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer
 from .errors import InvalidInputError, NonFiniteResultError
-from .nmf import Dictionary, NmfConfig, fit_nmf, loss
+from .nmf import Dictionary, fit_nmf, loss
 from .onmf import SamplerConfig, fit_onmf, sparse_code
 from .stft import Spectrogram, StftParams, frame_blocks, frames_per_block, istft, stft
 
@@ -42,14 +42,17 @@ __all__ = [
 # the ratio mask splits a cell 50/50 where S + N is below this floor
 MASK_FLOOR = 1e-12
 
+TRAINERS = ("batch", "online")
+
 
 @dataclass(frozen=True)
 class DenoiseConfig:
     """Settings of training and denoising. ``seed`` is the one training
     seed: the signal dictionary takes ``seed`` and the noise dictionary
-    ``seed + 1``. ``sampler.seed`` is ignored."""
+    ``seed + 1``. ``sampler.seed`` is ignored. ``max_iters`` and ``rel_tol``
+    reach only the batch trainer."""
 
-    trainer: str = "batch"  # "batch" or "online"
+    trainer: str = "batch"  # one of TRAINERS
     k_signal: int = 50
     k_noise: int = 10
     train_alpha: float = 0.0
@@ -61,7 +64,7 @@ class DenoiseConfig:
     rel_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.trainer not in ("batch", "online"):
+        if self.trainer not in TRAINERS:
             raise InvalidInputError(f"unknown trainer {self.trainer!r}")
         if self.k_signal < 1 or self.k_noise < 1:
             raise InvalidInputError("dictionary sizes must be >= 1")
@@ -135,14 +138,9 @@ def fit_dictionary(
     if x_sq == 0.0:
         raise InvalidInputError(f"the {role} prior is silent: its magnitudes are all zero")
     if cfg.trainer == "batch":
-        nmf_cfg = NmfConfig(
-            k=k,
-            alpha=cfg.train_alpha,
-            max_iters=cfg.max_iters,
-            rel_tol=cfg.rel_tol,
-            seed=seed,
+        dictionary, _, trace = fit_nmf(
+            mags, k, cfg.train_alpha, seed=seed, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol
         )
-        dictionary, _, trace = fit_nmf(mags, nmf_cfg)
         final_loss = trace[-1]
     else:
         sampler = replace(

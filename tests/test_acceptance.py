@@ -15,7 +15,7 @@ import pytest
 
 from onmfdenoise.audio_io import AudioBuffer, write_wav
 from onmfdenoise.metrics import db_for_csv, evaluate
-from onmfdenoise.nmf import NmfConfig, fit_nmf
+from onmfdenoise.nmf import fit_nmf
 from onmfdenoise.onmf import (
     OnmfState,
     SamplerConfig,
@@ -86,8 +86,7 @@ def test_training_loss_never_increases():
         for trial in range(20):
             X = rng.random((64, 200))
             for alpha in (0.0, 1.0, 100.0):
-                cfg = NmfConfig(k=8, alpha=alpha, max_iters=60, rel_tol=1e-12, seed=trial)
-                _, _, trace = fit_nmf(X, cfg)
+                _, _, trace = fit_nmf(X, 8, alpha, seed=trial, max_iters=60, rel_tol=1e-12)
                 t = np.array(trace)
                 assert np.all(t[1:] - t[:-1] <= 1e-10 * t[0])
 
@@ -99,7 +98,7 @@ def test_rank1_matrix_recovery_both_trainers():
         v = rng.random(120) + 0.1
         X = np.outer(u, v)
         start = time.monotonic()
-        W, H, _ = fit_nmf(X, NmfConfig(k=1, rel_tol=1e-10, seed=2))
+        W, H, _ = fit_nmf(X, 1, 0.0, seed=2, max_iters=500, rel_tol=1e-10)
         assert np.linalg.norm(X - W.atoms @ H) / np.linalg.norm(X) <= 1e-3
 
         from onmfdenoise.onmf import sparse_code

@@ -10,6 +10,9 @@ from scipy.io import wavfile
 from onmfdenoise import cli
 from onmfdenoise.audio_io import AudioBuffer, write_wav
 from onmfdenoise.errors import InvalidInputError
+from onmfdenoise.onmf import SAMPLER_MODES, SamplerConfig
+from onmfdenoise.pipeline import TRAINERS, DenoiseConfig
+from onmfdenoise.stft import StftParams
 from tests.conftest import child_env
 
 SR = 16000
@@ -298,6 +301,40 @@ class TestTrain:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not (tmp_path / "w_signal.dict").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-iters", "-1", "max_iters must be >= 0"),
+            ("--rel-tol", "nan", "rel_tol must be positive"),
+            ("--rel-tol", "0", "rel_tol must be positive"),
+        ],
+    )
+    def test_batch_stop_it_cannot_honour_exits_2(self, wavs, tmp_path, flag, value, message):
+        res = run_cli(
+            "train",
+            "--method", "nmf",
+            "--signal", wavs["clean_prior"],
+            "--noise", wavs["noise_prior"],
+            "--out-dir", tmp_path,
+            *SMALL_TRAIN, flag, value,
+        )  # fmt: skip
+        assert res.returncode == 2
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+        assert not list(tmp_path.glob("*.dict"))
+
+    def test_zero_iteration_cap_trains(self, wavs, tmp_path):
+        res = run_cli(
+            "train",
+            "--method", "nmf",
+            "--signal", wavs["clean_prior"],
+            "--noise", wavs["noise_prior"],
+            "--out-dir", tmp_path,
+            *SMALL_TRAIN, "--max-iters", "0",
+        )  # fmt: skip
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "w_signal.dict").exists() and (tmp_path / "w_noise.dict").exists()
+
     @pytest.mark.parametrize("method", ["nmf", "onmf"])
     def test_overflowing_float_prior_exits_3_with_one_error_line(self, tmp_path, method):
         huge = huge_float_wav(tmp_path)
@@ -445,6 +482,35 @@ class TestDenoise:
         # command had already freed; forming either of the first two again
         # costs close to one more bins x frames array
         assert emitting - plain <= 2.25 * real_bytes
+
+    def test_first_image_is_formed_once_x_the_codes_and_the_output_are_freed(
+        self, trained, tmp_path, monkeypatch
+    ):
+        import tracemalloc
+
+        from onmfdenoise.stft import export_pgm
+        from tests.conftest import peak_bytes
+
+        n = 16 * SR
+        rng = np.random.default_rng(7)
+        write_wav(AudioBuffer(0.1 * rng.standard_normal(n), SR), tmp_path / "m.wav")
+        real_bytes = 8 * 129 * (1 + -(-(n - 256) // 128))  # one bins x frames float64 array
+        held = []
+
+        def recording_export(image, path):
+            held.append(tracemalloc.get_traced_memory()[0])
+            export_pgm(image, path)
+
+        monkeypatch.setattr(cli, "export_pgm", recording_export)
+        argv = [
+            "denoise", "--dict-signal", str(trained["signal"]),
+            "--dict-noise", str(trained["noise"]), "--input", str(tmp_path / "m.wav"),
+            "--output", str(tmp_path / "den.wav"), "--emit-spectrograms", *SMALL_STFT,
+        ]  # fmt: skip
+        _, code = peak_bytes(lambda: cli.main(argv))
+        assert code == 0
+        # |X| and the ratio; the complex X alone would be two more arrays
+        assert held[0] <= 2.25 * real_bytes, held[0] / real_bytes
 
     def test_peak_holds_no_copy_of_the_input_samples(self, trained, tmp_path):
         from functools import partial
@@ -1045,6 +1111,23 @@ class TestConfigFile:
         assert (tmp_path / "plain.out").read_bytes() == (tmp_path / "file.out").read_bytes()
 
 
+def test_train_without_optional_flags_trains_with_the_library_config(wavs, tmp_path, monkeypatch):
+    from onmfdenoise import pipeline
+
+    configs = []
+
+    def recording(mags, cfg, role, log_path=None):
+        configs.append(cfg)
+        raise InvalidInputError("recorded")
+
+    monkeypatch.setattr(pipeline, "fit_dictionary", recording)
+    argv = ["train", "--signal", str(wavs["clean_prior"]), "--noise", str(wavs["noise_prior"])]
+    assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 2
+    # field by field, the sampler's and the trainer's included
+    assert configs == [DenoiseConfig()]
+    assert configs[0].sampler == SamplerConfig()
+
+
 # train options, their defaults (whose types --config values convert to), and values
 TRAIN_DEFAULTS = {
     "method": "nmf", "k_signal": 50, "k_noise": 10, "train_alpha": 0.0, "seed": 0,
@@ -1117,6 +1200,22 @@ def test_config_file_gives_the_values_of_the_same_flags(config_path, data):
     for key in TRAIN_DEFAULTS:
         got, want = getattr(from_file, key), getattr(from_flags, key)
         assert got == want and type(got) is type(want), key
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
+def test_each_command_parses_to_the_library_defaults(command):
+    args = cli.parse_args([command, *REQUIRED[command]])
+    library = DenoiseConfig()
+    if "hop" in COMMAND_DEFAULTS[command]:
+        assert cli._stft_params(args) == StftParams() == library.stft
+    if command == "denoise":
+        assert args.alpha == library.code_alpha
+    if command == "train":
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+        choices = {a.dest: a.choices for a in sub._actions if a.choices}
+        assert choices["sampler_mode"] == SAMPLER_MODES
+        assert [cli._METHODS[m] for m in choices["method"]] == list(TRAINERS)
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))

@@ -6,7 +6,7 @@ import pytest
 
 from onmfdenoise import errors
 from onmfdenoise.errors import InvalidInputError
-from onmfdenoise.nmf import NmfConfig, fit_nmf
+from onmfdenoise.nmf import fit_nmf
 from onmfdenoise.onmf import SamplerConfig
 from onmfdenoise.pipeline import DenoiseConfig, fit_dictionary
 
@@ -45,9 +45,13 @@ def test_every_raise_names_one_of_the_two_failure_kinds(path):
         pytest.param(lambda: DenoiseConfig(k_noise=0), "dictionary sizes", id="k"),
         pytest.param(lambda: SamplerConfig(mode="x"), "unknown sampler mode 'x'", id="mode"),
         pytest.param(lambda: SamplerConfig(batch_cols=0), "batch_cols must be >= 1", id="cols"),
-        pytest.param(lambda: NmfConfig(k=1, rel_tol=0), "rel_tol must be positive", id="tol"),
         pytest.param(
-            lambda: fit_nmf(-np.ones((3, 4)), NmfConfig(k=1)),
+            lambda: fit_nmf(np.ones((3, 4)), 1, 0.0, seed=0, max_iters=500, rel_tol=0),
+            "rel_tol must be positive",
+            id="tol",
+        ),
+        pytest.param(
+            lambda: fit_nmf(-np.ones((3, 4)), 1, 0.0, seed=0, max_iters=500, rel_tol=1e-4),
             "X must be non-negative",
             id="negative-x",
         ),

@@ -10,7 +10,6 @@ from onmfdenoise.errors import InvalidInputError
 from onmfdenoise.nmf import (
     EPSILON,
     Dictionary,
-    NmfConfig,
     _update_dictionary_normalized,
     fit_nmf,
     load_dictionary,
@@ -37,31 +36,31 @@ def naive_loss(X, W, H, alpha):
     return total
 
 
-def reference_fit_nmf(X, cfg):
+def reference_fit_nmf(X, k, alpha, *, seed, max_iters, rel_tol):
     """The batch trainer with the code step taken from X and W and the loss
     from the explicit residual, one matrix product at a time."""
     X = np.asarray(X, dtype=np.float64)
-    rng = np.random.default_rng(cfg.seed)
-    W = rng.random((X.shape[0], cfg.k))
-    H = rng.random((cfg.k, X.shape[1]))
+    rng = np.random.default_rng(seed)
+    W = rng.random((X.shape[0], k))
+    H = rng.random((k, X.shape[1]))
     W, H = renormalize_pair(W, H, rng)
-    trace = [loss(X, W, H, cfg.alpha)]
-    for _ in range(cfg.max_iters):
+    trace = [loss(X, W, H, alpha)]
+    for _ in range(max_iters):
         numer = W.T @ X
-        denom = W.T @ W @ H + cfg.alpha + EPSILON
+        denom = W.T @ W @ H + alpha + EPSILON
         H = H * numer / denom
         W = _update_dictionary_normalized(X, W, H, EPSILON)
         W, H = renormalize_pair(W, H, rng)
-        trace.append(loss(X, W, H, cfg.alpha))
-        if trace[0] > 0 and abs(trace[-1] - trace[-2]) / trace[0] < cfg.rel_tol:
+        trace.append(loss(X, W, H, alpha))
+        if trace[0] > 0 and abs(trace[-1] - trace[-2]) / trace[0] < rel_tol:
             break
     return W, H, trace
 
 
-def assert_matches_reference(X, cfg):
-    W, H, trace = fit_nmf(X, cfg)
-    W_ref, H_ref, trace_ref = reference_fit_nmf(X, cfg)
-    assert len(trace) == len(trace_ref) < cfg.max_iters + 1
+def assert_matches_reference(X, k, alpha, **settings):
+    W, H, trace = fit_nmf(X, k, alpha, **settings)
+    W_ref, H_ref, trace_ref = reference_fit_nmf(X, k, alpha, **settings)
+    assert len(trace) == len(trace_ref) < settings["max_iters"] + 1
     assert np.array_equal(W.atoms, W_ref)
     assert np.array_equal(H, H_ref)
     assert np.allclose(trace, trace_ref, rtol=1e-12, atol=0.0)
@@ -177,30 +176,30 @@ class TestFit:
     def test_rank1_recovery(self):
         rng = np.random.default_rng(9)
         X = np.outer(rng.random(20) + 0.1, rng.random(30) + 0.1)
-        W, H, trace = fit_nmf(X, NmfConfig(k=1, alpha=0.0, rel_tol=1e-10, seed=9))
+        W, H, trace = fit_nmf(X, 1, 0.0, seed=9, max_iters=500, rel_tol=1e-10)
         resid = np.linalg.norm(X - W.atoms @ H) / np.linalg.norm(X)
         assert resid <= 1e-3
 
     def test_trace_non_increasing_alpha_zero(self):
         rng = np.random.default_rng(10)
         X = rng.random((20, 30))
-        _, _, trace = fit_nmf(X, NmfConfig(k=4, rel_tol=1e-12, max_iters=100, seed=10))
+        _, _, trace = fit_nmf(X, 4, 0.0, seed=10, max_iters=100, rel_tol=1e-12)
         t = np.array(trace)
         assert np.all(t[1:] - t[:-1] <= 1e-10 * t[0])
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         X = rng.random((12, 15))
-        cfg = NmfConfig(k=3, alpha=1.0, max_iters=50, seed=7)
-        W1, H1, _ = fit_nmf(X, cfg)
-        W2, H2, _ = fit_nmf(X, cfg)
+        settings = dict(seed=7, max_iters=50, rel_tol=1e-4)
+        W1, H1, _ = fit_nmf(X, 3, 1.0, **settings)
+        W2, H2, _ = fit_nmf(X, 3, 1.0, **settings)
         assert np.array_equal(W1.atoms, W2.atoms)
         assert np.array_equal(H1, H2)
 
     def test_output_shapes_and_invariants(self):
         rng = np.random.default_rng(12)
         X = rng.random((10, 8))
-        W, H, _ = fit_nmf(X, NmfConfig(k=3, max_iters=30, seed=0))
+        W, H, _ = fit_nmf(X, 3, 0.0, seed=0, max_iters=30, rel_tol=1e-4)
         assert W.atoms.shape == (10, 3)
         assert H.shape == (3, 8)
         assert np.all(W.atoms >= 0) and np.all(H >= 0)
@@ -208,21 +207,31 @@ class TestFit:
 
     def test_empty_input(self):
         with pytest.raises(InvalidInputError, match="cannot factorize an empty matrix"):
-            fit_nmf(np.zeros((0, 0)), NmfConfig(k=1))
+            fit_nmf(np.zeros((0, 0)), 1, 0.0, seed=0, max_iters=500, rel_tol=1e-4)
 
     @pytest.mark.parametrize("alpha", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
     def test_invalid_alpha_rejected(self, alpha):
         with pytest.raises(InvalidInputError, match="L1 weight must be finite and >= 0"):
-            NmfConfig(k=2, alpha=alpha)
+            fit_nmf(np.ones((3, 4)), 2, alpha, seed=0, max_iters=500, rel_tol=1e-4)
+
+    @pytest.mark.parametrize("max_iters", [-1, -500])
+    def test_negative_iteration_cap_rejected(self, max_iters):
+        # a negative cap would run no iteration and return the random start
+        with pytest.raises(InvalidInputError, match="max_iters must be >= 0"):
+            fit_nmf(np.ones((3, 4)), 2, 0.0, seed=0, max_iters=max_iters, rel_tol=1e-4)
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-4, np.nan, -np.inf])
+    def test_stop_tolerance_that_is_not_positive_rejected(self, rel_tol):
+        # a NaN tolerance never meets the stop rule, so the fit would run to its cap
+        with pytest.raises(InvalidInputError, match="rel_tol must be positive"):
+            fit_nmf(np.ones((3, 4)), 2, 0.0, seed=0, max_iters=500, rel_tol=rel_tol)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 100.0])
     def test_trace_entry_equals_direct_loss(self, alpha):
         rng = np.random.default_rng(14)
         X = rng.random((30, 25))
         for j in range(6):
-            W, H, trace = fit_nmf(
-                X, NmfConfig(k=4, alpha=alpha, max_iters=j, rel_tol=1e-300, seed=3)
-            )
+            W, H, trace = fit_nmf(X, 4, alpha, seed=3, max_iters=j, rel_tol=1e-300)
             assert len(trace) == j + 1
             assert trace[j] == pytest.approx(loss(X, W.atoms, H, alpha), rel=1e-12)
 
@@ -232,13 +241,13 @@ class TestFit:
         X = np.random.default_rng(18).random((20, 30))
         X[7, 11] = bad
         with pytest.raises(InvalidInputError, match="X must be finite"):
-            fit_nmf(X, NmfConfig(k=3))
+            fit_nmf(X, 3, 0.0, seed=0, max_iters=500, rel_tol=1e-4)
 
     def test_working_set_is_four_dictionaries(self):
         # a 2-minute-scale prior's width at the fixture STFT (d = 2049)
         d, n, k = 2049, 154, 50
         X = np.random.default_rng(17).random((d, n))
-        peak, _ = peak_bytes(lambda: fit_nmf(X, NmfConfig(k=k, max_iters=3, seed=0)))
+        peak, _ = peak_bytes(lambda: fit_nmf(X, k, 0.0, seed=0, max_iters=3, rel_tol=1e-4))
         # W and three d x k buffers, plus the k x n codes and their products
         assert peak <= 3.6 * 2**20
 
@@ -253,7 +262,7 @@ class TestFit:
 
         monkeypatch.setattr(nmf_mod, "_update_dictionary_normalized", recording_step)
         X = np.random.default_rng(19).random((30, 20))
-        W, _, _ = fit_nmf(X, NmfConfig(k=4, max_iters=2))
+        W, _, _ = fit_nmf(X, 4, 0.0, seed=0, max_iters=2, rel_tol=1e-4)
         # each atom contiguous: BLAS writes X H^T at full speed, and the
         # column sums and norms run down contiguous columns
         assert W.atoms.flags.f_contiguous
@@ -269,12 +278,13 @@ class TestFit:
 
     @pytest.mark.parametrize("source, seed, k", [("s_prime", 0, 50), ("n_prime", 1, 10)])
     def test_matches_residual_reference_on_fixture(self, fixture_seed0, source, seed, k):
-        assert_matches_reference(fixture_seed0[source].magnitudes, NmfConfig(k=k, seed=seed))
+        mags = fixture_seed0[source].magnitudes
+        assert_matches_reference(mags, k, 0.0, seed=seed, max_iters=500, rel_tol=1e-4)
 
     @pytest.mark.parametrize("seed, alpha", [(0, 0.0), (1, 0.0), (2, 2.0), (3, 50.0)])
     def test_matches_residual_reference_on_random(self, seed, alpha):
         X = np.random.default_rng(16 + seed).random((40, 70)) * 3
-        assert_matches_reference(X, NmfConfig(k=6, alpha=alpha, seed=seed))
+        assert_matches_reference(X, 6, alpha, seed=seed, max_iters=500, rel_tol=1e-4)
 
 
 class TestPersistence:

@@ -252,6 +252,29 @@ class TestOneCoderAndOneLoss:
         assert losses == trace
         assert final_loss == trace[-1]
 
+    def test_batch_training_passes_the_config_and_role_to_fit_nmf(self, monkeypatch):
+        import inspect
+
+        from onmfdenoise import pipeline
+
+        calls = []
+
+        def recording(*args, **kwargs):
+            bound = inspect.signature(nmf.fit_nmf).bind(*args, **kwargs).arguments
+            calls.append({name: v for name, v in bound.items() if name != "X"})
+            return nmf.fit_nmf(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_nmf", recording)
+        mags = np.random.default_rng(16).random((129, 30))
+        cfg = small_cfg(train_alpha=0.5, seed=4, max_iters=7, rel_tol=1e-3)
+        for role in ("signal", "noise"):
+            fit_dictionary(mags, cfg, role)
+        settings = dict(alpha=0.5, max_iters=7, rel_tol=1e-3)
+        assert calls == [
+            dict(k=cfg.k_signal, seed=4, **settings),
+            dict(k=cfg.k_noise, seed=5, **settings),
+        ]
+
 
 class TestMask:
     def test_all_signal(self):
