@@ -30,7 +30,6 @@ __all__ = [
     "Dictionary",
     "update_code",
     "loss",
-    "renormalize_pair",
     "fit_nmf",
     "save_dictionary",
     "load_dictionary",
@@ -62,21 +61,14 @@ class Dictionary:
         return self.atoms.shape[1]
 
 
-def _conform(X, W, H):
-    if W.shape[0] != X.shape[0] or H.shape[1] != X.shape[1] or W.shape[1] != H.shape[0]:
-        raise InvalidInputError(
-            f"shapes do not conform: X{X.shape}, W{W.shape}, H{H.shape}"
-        )
-
-
-def update_code(WtX, G, H, alpha: float = 0.0, epsilon: float = EPSILON) -> np.ndarray:
+def update_code(WtX, G, H, alpha: float) -> np.ndarray:
     """One multiplicative step on H from WtX = W^T X and G = W^T W; alpha
     enters the denominator."""
     if WtX.shape != H.shape or G.shape != (H.shape[0], H.shape[0]):
         raise InvalidInputError(
             f"shapes do not conform: WtX{WtX.shape}, G{G.shape}, H{H.shape}"
         )
-    return H * WtX / (G @ H + alpha + epsilon)
+    return H * WtX / (G @ H + alpha + EPSILON)
 
 
 def loss(x_sq: float, WtX, G, H, alpha: float) -> float:
@@ -99,39 +91,38 @@ def _column_major_work(d: int, k: int) -> np.ndarray:
     return np.empty((3, k, d)).transpose(0, 2, 1)
 
 
-def _update_dictionary_normalized(X, W, H, epsilon: float = EPSILON, work=None) -> np.ndarray:
+def _update_dictionary_normalized(X, W, H, work) -> np.ndarray:
     """Multiplicative W step that respects the unit-column constraint.
 
     For unit-norm columns the plain update followed by a rescale can push
     the L1 term of the loss up; the correction terms below keep the full
     regularized loss non-increasing once columns are renormalized.
 
-    With ``work``, three d x k arrays it overwrites, the step is taken in
-    W itself, which is returned, and no d x k array is allocated; without
-    it the step goes to a new column-major array, as ``fit_nmf`` lays out
-    W, and W is left alone.
+    The step is taken in W itself, which is returned, with ``work``, three
+    d x k arrays it overwrites, so no d x k array is allocated.
     """
-    _conform(X, W, H)
-    if work is None:
-        W = W.copy(order="F")
-        work = _column_major_work(*W.shape)
     XHt, WHHt, scratch = work
     np.matmul(X, H.T, out=XHt)
     np.matmul(W, H @ H.T, out=WHHt)
     sum_numer = np.sum(np.multiply(W, WHHt, out=scratch), axis=0)
     sum_denom = np.sum(np.multiply(W, XHt, out=scratch), axis=0)
-    # numerator XHt + W * sum_numer, denominator WHHt + W * sum_denom + epsilon
+    # numerator XHt + W * sum_numer, denominator WHHt + W * sum_denom + EPSILON
     XHt += np.multiply(W, sum_numer[None, :], out=scratch)
     WHHt += np.multiply(W, sum_denom[None, :], out=scratch)
-    WHHt += epsilon
+    WHHt += EPSILON
     W *= XHt
     W /= WHHt
     return W
 
 
 def _renormalize(W, H, rng, scratch) -> None:
-    """``renormalize_pair`` in place, with ``scratch``, a d x k array it
-    overwrites, in place of the norm's two d x k temporaries."""
+    """Scale W columns to unit L2 and H rows inversely, in place; WH is
+    preserved. ``scratch``, a d x k array it overwrites, stands in for the
+    norm's two d x k temporaries.
+
+    Columns with norm below 1e-12 are reinitialized from ``rng`` (their H
+    rows zeroed) so atoms cannot die permanently.
+    """
 
     def column_norms():
         # np.linalg.norm(W, axis=0), the same sums in the same order
@@ -147,19 +138,6 @@ def _renormalize(W, H, rng, scratch) -> None:
     H *= norms[:, None]
 
 
-def renormalize_pair(W, H, rng):
-    """Scale W columns to unit L2 and H rows inversely; WH is preserved.
-
-    Columns with norm below 1e-12 are reinitialized from ``rng`` (their H
-    rows zeroed) so atoms cannot die permanently. Returns new arrays, W
-    column-major as ``fit_nmf`` lays it out.
-    """
-    W = W.copy(order="F")
-    H = H.copy()
-    _renormalize(W, H, rng, np.empty_like(W))
-    return W, H
-
-
 def fit_nmf(X: np.ndarray, k: int, alpha: float, *, seed: int, max_iters: int, rel_tol: float):
     """Fit k atoms of L1 weight ``alpha`` to X from a ``seed``-ed random
     start, alternating code/dictionary updates until the loss stalls.
@@ -173,10 +151,11 @@ def fit_nmf(X: np.ndarray, k: int, alpha: float, *, seed: int, max_iters: int, r
 
     Besides X and the k x n codes and products, the trainer holds W and
     three d x k buffers, allocated once and column-major: the W step and
-    the rescale run in place in them, with the operations, order and layout
-    of ``_update_dictionary_normalized`` and ``renormalize_pair``, so W, H
-    and the trace equal that step-by-step reference bit for bit. A NaN or
-    infinite entry of X raises ``InvalidInputError`` before any iteration.
+    the rescale, ``_update_dictionary_normalized`` and ``_renormalize``,
+    run in place in them, so W, H and the trace equal the step-by-step
+    reference of the tests, which takes both steps on column-major copies,
+    bit for bit. A NaN or infinite entry of X raises ``InvalidInputError``
+    before any iteration.
     """
     if k < 1:
         raise InvalidInputError("k must be >= 1")
@@ -210,7 +189,7 @@ def fit_nmf(X: np.ndarray, k: int, alpha: float, *, seed: int, max_iters: int, r
     trace = [l0]
     for _ in range(max_iters):
         H = update_code(WtX, G, H, alpha)
-        _update_dictionary_normalized(X, W, H, work=work)
+        _update_dictionary_normalized(X, W, H, work)
         _renormalize(W, H, rng, work[2])
         WtX, G = W.T @ X, W.T @ W
         trace.append(loss(x_sq, WtX, G, H, alpha))

@@ -16,7 +16,8 @@ The sparse coder, ``sparse_code``, codes training batches, mixtures and
 the final loss from the products X^T W and W^T W that each caller forms.
 It is accelerated projected gradient (FISTA) on the L1 non-negative
 least-squares problem. Each column stops on its own KKT residual, so a
-column's code does not depend on the other columns coded with it. Each
+column's code does not depend on the other columns coded with it, up to
+the rounding of BLAS products, which can change with the row count. Each
 step forms one k x k product, M h with M = I - W^T W/L, which gives both
 the KKT residual and, by linearity, the momentum step. Stopped columns
 are written out at once but leave the working arrays only when half of
@@ -106,13 +107,7 @@ def sample_batch(X, cfg: SamplerConfig, t: int) -> np.ndarray:
     return _take_columns(X, idx)
 
 
-def sparse_code(
-    P: np.ndarray,
-    G: np.ndarray,
-    alpha: float,
-    rel_tol: float = CODE_REL_TOL,
-    max_iters: int = CODE_MAX_ITERS,
-) -> np.ndarray:
+def sparse_code(P: np.ndarray, G: np.ndarray, alpha: float) -> np.ndarray:
     """Non-negative L1-regularized least-squares codes for a fixed
     dictionary W, from the frames-major P = X^T W (m x k), which is
     overwritten, and G = W^T W; returns the k x m codes.
@@ -121,14 +116,16 @@ def sparse_code(
     column by accelerated projected gradient (FISTA, Beck & Teboulle 2009)
     with step 1/L, L the largest eigenvalue of G. Column j stops at the
     first iterate whose KKT residual meets
-    ||min(h_j, G h_j - p_j + alpha)|| <= rel_tol*||p_j|| (Lin 2007), with
-    p_j = W^T x_j; columns still active after max_iters steps return their
-    last iterate. The step size and momentum depend only on G and the step
-    number, so each column's code does not depend on which other columns
-    are coded with it. An all-zero dictionary gives zero codes. A negative
-    or non-finite alpha, or a P whose width is not G's size, raises
-    ``InvalidInputError``, and a G that is not finite
-    ``NonFiniteResultError``.
+    ||min(h_j, G h_j - p_j + alpha)|| <= CODE_REL_TOL*||p_j|| (Lin 2007),
+    with p_j = W^T x_j; columns still active after CODE_MAX_ITERS steps
+    return their last iterate. The step size and momentum depend only on G
+    and the step number, so each column's code does not depend on which
+    other columns are coded with it, up to rounding: BLAS may round a row
+    of a product differently as the number of rows changes (codes that
+    reach 300 have been measured to move by up to 1.4e-11). An all-zero
+    dictionary gives zero codes. A negative or non-finite alpha, or a P
+    whose width is not G's size, raises ``InvalidInputError``, and a G that
+    is not finite ``NonFiniteResultError``.
 
     With M = I - G/L and P_L = (P - alpha)/L, the gradient step from the
     momentum point Y = H + beta*(H - H_prev) is max(0, M Y + P_L), and
@@ -153,7 +150,7 @@ def sparse_code(
     L = float(np.linalg.eigvalsh(G)[-1]) if k else 0.0
     if L == 0.0 or m == 0:
         return out.T
-    thr_sq = rel_tol * rel_tol * np.einsum("ij,ij->i", P, P)
+    thr_sq = CODE_REL_TOL * CODE_REL_TOL * np.einsum("ij,ij->i", P, P)
     P_L = P
     P_L -= alpha
     P_L /= L
@@ -165,14 +162,14 @@ def sparse_code(
     MH_prev = np.zeros_like(H)
     buf = np.empty_like(H)
     t = 1.0
-    for step in range(max_iters + 1):
+    for step in range(CODE_MAX_ITERS + 1):
         np.matmul(H, M, out=MH)  # M is symmetric: rows of H @ M are M h_j
         np.subtract(H, MH, out=buf)
         buf -= P_L
         buf *= L
         np.minimum(buf, H, out=buf)
         done = np.einsum("ij,ij->i", buf, buf) <= thr_sq
-        if step == max_iters:
+        if step == CODE_MAX_ITERS:
             done[:] = True
         done &= live
         stopped = np.flatnonzero(done)

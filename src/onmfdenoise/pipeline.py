@@ -50,7 +50,7 @@ class DenoiseConfig:
     """Settings of training and denoising. ``seed`` is the one training
     seed: the signal dictionary takes ``seed`` and the noise dictionary
     ``seed + 1``. ``sampler.seed`` is ignored. ``max_iters`` and ``rel_tol``
-    reach only the batch trainer."""
+    reach only the batch trainer, but are checked whichever trainer runs."""
 
     trainer: str = "batch"  # one of TRAINERS
     k_signal: int = 50
@@ -68,6 +68,10 @@ class DenoiseConfig:
             raise InvalidInputError(f"unknown trainer {self.trainer!r}")
         if self.k_signal < 1 or self.k_noise < 1:
             raise InvalidInputError("dictionary sizes must be >= 1")
+        if self.max_iters < 0:
+            raise InvalidInputError(f"max_iters must be >= 0, got {self.max_iters}")
+        if not self.rel_tol > 0:
+            raise InvalidInputError("rel_tol must be positive")
 
 
 @dataclass(frozen=True)

@@ -156,20 +156,18 @@ def _forward(buf: AudioBuffer, params: StftParams, magnitudes: bool) -> np.ndarr
     return out
 
 
-def stft(buf: AudioBuffer, params: StftParams | None = None) -> Spectrogram:
+def stft(buf: AudioBuffer, params: StftParams) -> Spectrogram:
     """Forward transform of a mono buffer, computed one block of frames at
     a time into one preallocated frames-major array."""
-    params = params or StftParams()
     return Spectrogram(_forward(buf, params, magnitudes=False).T, params, buf.sample_rate_hz)
 
 
-def stft_magnitudes(buf: AudioBuffer, params: StftParams | None = None) -> np.ndarray:
+def stft_magnitudes(buf: AudioBuffer, params: StftParams) -> np.ndarray:
     """``np.abs(stft(buf, params).values)``, bit for bit and laid out the
     same way (bins x frames, a view of a frames-major array), without the
     complex spectrum: only one block of it exists at a time, so the
     transform holds half the memory of ``stft``. For callers that read
     only |X|."""
-    params = params or StftParams()
     return _forward(buf, params, magnitudes=True).T
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from onmfdenoise.audio_io import AudioBuffer, SynthConfig, synth_mixture
 from onmfdenoise.errors import InvalidInputError
-from onmfdenoise.nmf import _conform
+from onmfdenoise.onmf import CODE_MAX_ITERS, CODE_REL_TOL
 from onmfdenoise.stft import StftParams, stft
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -94,7 +94,8 @@ def loss(X: np.ndarray, W: np.ndarray, H: np.ndarray, alpha: float) -> float:
 
     Test oracle for the product-form loss the trainers report.
     """
-    _conform(X, W, H)
+    if W.shape[0] != X.shape[0] or H.shape[1] != X.shape[1] or W.shape[1] != H.shape[0]:
+        raise InvalidInputError(f"shapes do not conform: X{X.shape}, W{W.shape}, H{H.shape}")
     resid = X - W @ H
     return 0.5 * float(np.sum(resid * resid)) + alpha * float(np.sum(H))
 
@@ -127,8 +128,8 @@ def reference_sparse_code(
     X_t: np.ndarray,
     W: np.ndarray,
     alpha: float,
-    rel_tol: float = 1e-3,
-    max_iters: int = 200,
+    rel_tol: float = CODE_REL_TOL,
+    max_iters: int = CODE_MAX_ITERS,
 ) -> np.ndarray:
     """FISTA coder that forms both G@H and G@Y at every step and compacts
     its working set whenever a column stops.

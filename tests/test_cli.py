@@ -310,18 +310,21 @@ class TestTrain:
         ],
     )
     def test_batch_stop_it_cannot_honour_exits_2(self, wavs, tmp_path, flag, value, message):
-        res = run_cli(
-            "train",
-            "--method", "nmf",
-            "--signal", wavs["clean_prior"],
-            "--noise", wavs["noise_prior"],
-            "--out-dir", tmp_path,
-            *SMALL_TRAIN, flag, value,
-        )  # fmt: skip
-        assert res.returncode == 2
-        lines = res.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
-        assert not list(tmp_path.glob("*.dict"))
+        # DenoiseConfig checks the batch stop, so the online method, which
+        # never reads it, rejects it too
+        for method in ("nmf", "onmf"):
+            res = run_cli(
+                "train",
+                "--method", method,
+                "--signal", wavs["clean_prior"],
+                "--noise", wavs["noise_prior"],
+                "--out-dir", tmp_path,
+                *SMALL_TRAIN, flag, value,
+            )  # fmt: skip
+            assert res.returncode == 2, method
+            lines = res.stderr.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+            assert not list(tmp_path.glob("*.dict"))
 
     def test_zero_iteration_cap_trains(self, wavs, tmp_path):
         res = run_cli(

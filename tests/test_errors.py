@@ -43,6 +43,12 @@ def test_every_raise_names_one_of_the_two_failure_kinds(path):
     [
         pytest.param(lambda: DenoiseConfig(trainer="x"), "unknown trainer 'x'", id="trainer"),
         pytest.param(lambda: DenoiseConfig(k_noise=0), "dictionary sizes", id="k"),
+        pytest.param(
+            lambda: DenoiseConfig(max_iters=-1), "max_iters must be >= 0", id="config-iters"
+        ),
+        pytest.param(
+            lambda: DenoiseConfig(rel_tol=np.nan), "rel_tol must be positive", id="config-tol"
+        ),
         pytest.param(lambda: SamplerConfig(mode="x"), "unknown sampler mode 'x'", id="mode"),
         pytest.param(lambda: SamplerConfig(batch_cols=0), "batch_cols must be >= 1", id="cols"),
         pytest.param(

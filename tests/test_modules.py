@@ -7,6 +7,30 @@ import pytest
 import onmfdenoise
 
 SOURCES = sorted(Path(onmfdenoise.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = ["audio_io", "stft", "nmf", "onmf", "pipeline", "metrics"]
+
+
+def names_used(path, skip=None):
+    """Every identifier the file at ``path`` uses as a name, an attribute
+    or an import, outside the top-level definition named ``skip``."""
+    tree = ast.parse(path.read_text())
+    stack = [
+        node
+        for node in tree.body
+        if not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip)
+    ]
+    used = set()
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -17,7 +41,7 @@ def test_no_module_imports_a_private_name_of_another(path):
             assert not private, f"{path.name}:{node.lineno} imports {', '.join(private)}"
 
 
-@pytest.mark.parametrize("name", ["audio_io", "stft", "nmf", "onmf", "pipeline", "metrics"])
+@pytest.mark.parametrize("name", MODULES)
 def test_all_lists_every_public_function_and_class(name):
     module = importlib.import_module(f"onmfdenoise.{name}")
     tree = ast.parse(Path(module.__file__).read_text())
@@ -28,3 +52,17 @@ def test_all_lists_every_public_function_and_class(name):
     }
     missing = sorted(public - set(module.__all__))
     assert not missing, f"{name}.__all__ leaves out {', '.join(missing)}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_name_has_a_caller_besides_the_unit_tests(name):
+    # callers: the rest of the package, the acceptance gates and the
+    # benchmark; a name only unit tests call belongs in the tests
+    module = importlib.import_module(f"onmfdenoise.{name}")
+    own = Path(module.__file__)
+    callers = [p for p in SOURCES if p != own]
+    callers += [ROOT / "tests" / "test_acceptance.py"]
+    callers += [p for p in sorted((ROOT / "bench").glob("*.py")) if not p.name.startswith("test_")]
+    used = set().union(*map(names_used, callers))
+    unused = [n for n in module.__all__ if n not in used and n not in names_used(own, skip=n)]
+    assert not unused, f"{name}.__all__: nothing but unit tests uses {', '.join(unused)}"

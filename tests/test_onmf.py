@@ -25,9 +25,9 @@ from onmfdenoise.onmf import (
 from tests.conftest import batch_objective_oracle, peak_bytes, reference_sparse_code
 
 
-def code(X, W, alpha, *args, **kwargs):
+def code(X, W, alpha):
     """``sparse_code`` of the columns of X against the dictionary W."""
-    return sparse_code(X.T @ W, W.T @ W, alpha, *args, **kwargs)
+    return sparse_code(X.T @ W, W.T @ W, alpha)
 
 
 def build_state(rng, d, k, m, t):
@@ -81,11 +81,13 @@ def coding_problem(seed, d=40, k=12, m=200):
 
 
 class TestSparseCode:
-    def test_recovers_scaled_column(self):
+    def test_recovers_scaled_column(self, monkeypatch):
         rng = np.random.default_rng(2)
         W = np.eye(4, 3) + 0.005 * rng.random((4, 3))
         W /= np.linalg.norm(W, axis=0)
-        H = code(3.0 * W[:, 1:2], W, 0.0, rel_tol=1e-8, max_iters=1000)
+        monkeypatch.setattr(onmf, "CODE_REL_TOL", 1e-8)
+        monkeypatch.setattr(onmf, "CODE_MAX_ITERS", 1000)
+        H = code(3.0 * W[:, 1:2], W, 0.0)
         off = (H.sum() - H[1, 0]) / H.sum()
         assert off <= 1e-4
         oracle, _ = nnls(W, 3.0 * W[:, 1])
@@ -114,13 +116,16 @@ class TestSparseCode:
             code(rng.random((4, 2)), rng.random((4, 3)), alpha)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 5.0])
-    def test_columns_stopped_before_cap_meet_kkt(self, alpha):
+    def test_columns_stopped_before_cap_meet_kkt(self, alpha, monkeypatch):
         X, W = coding_problem(21)
         rel_tol, cap = 1e-3, 30
-        H = code(X, W, alpha, rel_tol, cap)
+        monkeypatch.setattr(onmf, "CODE_REL_TOL", rel_tol)
+        monkeypatch.setattr(onmf, "CODE_MAX_ITERS", cap)
+        H = code(X, W, alpha)
         # a column still active at the cap takes one more step with cap + 1;
         # one that stopped earlier follows the same path in both runs
-        stopped = np.all(H == code(X, W, alpha, rel_tol, cap + 1), axis=0)
+        monkeypatch.setattr(onmf, "CODE_MAX_ITERS", cap + 1)
+        stopped = np.all(H == code(X, W, alpha), axis=0)
         assert 0 < stopped.sum() < X.shape[1]
         p_norm = np.linalg.norm(W.T @ X, axis=0)
         assert np.all(kkt_residual(X, W, H, alpha)[stopped] <= rel_tol * p_norm[stopped])
@@ -136,12 +141,14 @@ class TestSparseCode:
 
     @pytest.mark.parametrize("rel_tol", [1e-3, 1e-6])
     @pytest.mark.parametrize("seed", range(5))
-    def test_matches_nnls_at_alpha_zero(self, seed, rel_tol):
+    def test_matches_nnls_at_alpha_zero(self, seed, rel_tol, monkeypatch):
         rng = np.random.default_rng(30 + seed)
         d, k, m = 20, 5, 6
         W = rng.random((d, k))
         X = W @ np.maximum(0.0, rng.standard_normal((k, m))) + 0.3 * rng.random((d, m))
-        H = code(X, W, 0.0, rel_tol=rel_tol, max_iters=100000)
+        monkeypatch.setattr(onmf, "CODE_REL_TOL", rel_tol)
+        monkeypatch.setattr(onmf, "CODE_MAX_ITERS", 100000)
+        H = code(X, W, 0.0)
         eig = np.linalg.eigvalsh(W.T @ W)
         for j in range(m):
             h_star, _ = nnls(W, X[:, j])
@@ -192,7 +199,9 @@ class TestSparseCode:
         steps = 25
         # rel_tol 0: no column stops before the cap, so the loop runs all
         # `steps` steps and checks the KKT residual steps + 1 times
-        H = code(X, W, 0.5, rel_tol=0.0, max_iters=steps)
+        monkeypatch.setattr(onmf, "CODE_REL_TOL", 0.0)
+        monkeypatch.setattr(onmf, "CODE_MAX_ITERS", steps)
+        H = code(X, W, 0.5)
         monkeypatch.undo()
         assert len(products) == steps + 1
         ref = reference_sparse_code(X, W, 0.5, rel_tol=0.0, max_iters=steps)
