@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
+
+import numpy as np
 
 from . import audio_io, metrics, nmf, onmf, pipeline
 from .errors import DenoiseError, InvalidInputError, NonFiniteResultError
@@ -121,13 +124,17 @@ def cmd_denoise(args) -> int:
     result = pipeline.denoise_spectrogram(X, w_signal, w_noise, args.alpha, n_samples)
     audio_io.write_wav(result.denoised, args.output)
     print(f"denoised {args.input} -> {args.output}")
+    # the noise render and the images need only the output's length: a
+    # zero-stride stand-in of that length frees the written samples first
+    stand_in = np.broadcast_to(0.0, len(result.denoised))
+    result = dataclasses.replace(result, denoised=audio_io.AudioBuffer(stand_in, X.sample_rate_hz))
     if args.emit_noise:
         audio_io.write_wav(pipeline.render_noise(result), args.emit_noise)
     if args.emit_spectrograms:
         base, _ = os.path.splitext(args.output)
-        # |X| and the ratio once each, and X, the codes and the output
-        # freed before the first image; s = ratio * |X| in the ratio's
-        # buffer, then n = |X| - s in that of |X|, as s_masked and n_masked
+        # |X| and the ratio once each, and X and the codes freed before the
+        # first image; s = ratio * |X| in the ratio's buffer, then
+        # n = |X| - s in that of |X|, as s_masked and n_masked
         mags, s_masked = X.magnitudes, result.ratio
         del X, result
         export_pgm(mags, base + ".noisy.pgm")

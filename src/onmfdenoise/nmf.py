@@ -7,13 +7,14 @@ matching code rows scaled inversely, so the product WH is unchanged.
 The dictionary step is normalization-aware, so the rescale never pushes
 the regularized loss up.
 
-The trainer forms W^T X and W^T W once per dictionary and takes both the
-loss of that iterate, ||X||^2 - 2<W^T X, H> + <W^T W, H H^T>, and the next
-code step from them; it never forms the d x n residual X - WH. The
-dictionary step and the rescale run in place, in three d x k buffers
-allocated once per fit. W and those buffers are column-major, so each atom
-is contiguous: with k far below d, BLAS writes X H^T faster into them, and
-the column sums, broadcasts and norms run down contiguous columns.
+The trainer forms W^T X and W^T W once per dictionary and takes the loss
+of that iterate, ||X||^2 - 2<W^T X, H> + <W^T W, H H^T>, the next code
+step and the dictionary step's two column sums from them; it never forms
+the d x n residual X - WH. The dictionary step and the rescale run in
+place, in two d x k buffers allocated once per fit. W and those buffers
+are column-major, so each atom is contiguous: with k far below d, BLAS
+writes X H^T faster into them, and the broadcasts and norms run down
+contiguous columns.
 """
 
 from __future__ import annotations
@@ -85,33 +86,38 @@ def loss(x_sq: float, WtX, G, H, alpha: float) -> float:
 
 
 def _column_major_work(d: int, k: int) -> np.ndarray:
-    """Three column-major d x k buffers, ``work[0]`` to ``work[2]``, in one
-    allocation, which is returned to the system whole; three separate ones
-    can stay resident as heap fragments after the fit."""
-    return np.empty((3, k, d)).transpose(0, 2, 1)
+    """Two column-major d x k buffers, ``work[0]`` and ``work[1]``, in one
+    allocation, which is returned to the system whole; separate ones can
+    stay resident as heap fragments after the fit."""
+    return np.empty((2, k, d)).transpose(0, 2, 1)
 
 
-def _update_dictionary_normalized(X, W, H, work) -> np.ndarray:
+def _update_dictionary_normalized(X, W, H, WtX, G, work) -> np.ndarray:
     """Multiplicative W step that respects the unit-column constraint.
 
     For unit-norm columns the plain update followed by a rescale can push
     the L1 term of the loss up; the correction terms below keep the full
     regularized loss non-increasing once columns are renormalized.
 
-    The step is taken in W itself, which is returned, with ``work``, three
+    ``WtX`` and ``G`` are W^T X and W^T W of this W, and H the new codes.
+    The column sums of W * (W H H^T) and W * (X H^T) are then the k-sized
+    diag(G H H^T) and row sums of WtX * H, and the denominator
+    W H H^T + W diag(sum_denom) is one product, W (H H^T + diag(sum_denom)).
+    The step is taken in W itself, which is returned, with ``work``, two
     d x k arrays it overwrites, so no d x k array is allocated.
     """
-    XHt, WHHt, scratch = work
-    np.matmul(X, H.T, out=XHt)
-    np.matmul(W, H @ H.T, out=WHHt)
-    sum_numer = np.sum(np.multiply(W, WHHt, out=scratch), axis=0)
-    sum_denom = np.sum(np.multiply(W, XHt, out=scratch), axis=0)
-    # numerator XHt + W * sum_numer, denominator WHHt + W * sum_denom + EPSILON
-    XHt += np.multiply(W, sum_numer[None, :], out=scratch)
-    WHHt += np.multiply(W, sum_denom[None, :], out=scratch)
-    WHHt += EPSILON
-    W *= XHt
-    W /= WHHt
+    num, den = work
+    HHt = H @ H.T
+    sum_numer = np.einsum("ij,ji->i", G, HHt)
+    sum_denom = np.einsum("ij,ij->i", WtX, H)
+    # numerator X H^T + W * sum_numer, denominator W (HHt + diag(sum_denom)) + EPSILON
+    np.matmul(X, H.T, out=num)
+    num += np.multiply(W, sum_numer[None, :], out=den)
+    HHt[np.diag_indices_from(HHt)] += sum_denom
+    np.matmul(W, HHt, out=den)
+    den += EPSILON
+    W *= num
+    W /= den
     return W
 
 
@@ -150,9 +156,10 @@ def fit_nmf(X: np.ndarray, k: int, alpha: float, *, seed: int, max_iters: int, r
     above 0 (NaN included) raises ``InvalidInputError`` before X is read.
 
     Besides X and the k x n codes and products, the trainer holds W and
-    three d x k buffers, allocated once and column-major: the W step and
+    two d x k buffers, allocated once and column-major: the W step and
     the rescale, ``_update_dictionary_normalized`` and ``_renormalize``,
-    run in place in them, so W, H and the trace equal the step-by-step
+    run in place in them, the W step on the W^T X and W^T W that the code
+    step used, so W, H and the trace equal the step-by-step
     reference of the tests, which takes both steps on column-major copies,
     bit for bit. A NaN or infinite entry of X raises ``InvalidInputError``
     before any iteration.
@@ -181,7 +188,7 @@ def fit_nmf(X: np.ndarray, k: int, alpha: float, *, seed: int, max_iters: int, r
     H = rng.random((k, n))
     work = _column_major_work(d, k)
     # start on the unit-column manifold so every iteration sees unit atoms
-    _renormalize(W, H, rng, work[2])
+    _renormalize(W, H, rng, work[0])
     x = X.ravel(order="K")
     x_sq = float(x @ x)
     WtX, G = W.T @ X, W.T @ W
@@ -189,8 +196,8 @@ def fit_nmf(X: np.ndarray, k: int, alpha: float, *, seed: int, max_iters: int, r
     trace = [l0]
     for _ in range(max_iters):
         H = update_code(WtX, G, H, alpha)
-        _update_dictionary_normalized(X, W, H, work)
-        _renormalize(W, H, rng, work[2])
+        _update_dictionary_normalized(X, W, H, WtX, G, work)
+        _renormalize(W, H, rng, work[0])
         WtX, G = W.T @ X, W.T @ W
         trace.append(loss(x_sq, WtX, G, H, alpha))
         if l0 > 0 and abs(trace[-1] - trace[-2]) / l0 < rel_tol:

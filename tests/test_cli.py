@@ -486,6 +486,27 @@ class TestDenoise:
         # costs close to one more bins x frames array
         assert emitting - plain <= 2.25 * real_bytes
 
+    def test_noise_render_is_formed_once_the_output_is_freed(self, trained, tmp_path):
+        from tests.conftest import peak_bytes
+
+        n = 16 * SR
+        rng = np.random.default_rng(8)
+        write_wav(AudioBuffer(0.1 * rng.standard_normal(n), SR), tmp_path / "m.wav")
+        argv = [
+            "denoise", "--dict-signal", str(trained["signal"]),
+            "--dict-noise", str(trained["noise"]), "--input", str(tmp_path / "m.wav"),
+            "--output", str(tmp_path / "den.wav"), *SMALL_STFT,
+        ]  # fmt: skip
+        assert cli.main(argv) == 0  # the first call's one-time allocations
+        plain, code = peak_bytes(lambda: cli.main(argv))
+        assert code == 0
+        emit = [*argv, "--emit-noise", str(tmp_path / "noise.wav")]
+        emitting, code = peak_bytes(lambda: cli.main(emit))
+        assert code == 0
+        # the noise render takes the place of the written output, whose
+        # 8n bytes would otherwise be held beside it
+        assert emitting - plain < 0.5 * 8 * n, (emitting - plain) / (8 * n)
+
     def test_first_image_is_formed_once_x_the_codes_and_the_output_are_freed(
         self, trained, tmp_path, monkeypatch
     ):

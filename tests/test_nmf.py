@@ -31,9 +31,22 @@ def renormalize_pair(W, H, rng):
 
 
 def w_step(X, W, H):
-    """``fit_nmf``'s W step on a column-major copy of W, which it returns."""
+    """``fit_nmf``'s W step on a column-major copy of W, which it returns;
+    W^T X and W^T W are formed from that copy, as ``fit_nmf`` forms them."""
     W = W.copy(order="F")
-    return _update_dictionary_normalized(X, W, H, _column_major_work(*W.shape))
+    return _update_dictionary_normalized(X, W, H, W.T @ X, W.T @ W, _column_major_work(*W.shape))
+
+
+def three_buffer_w_step(X, W, H):
+    """The W step with its column sums taken down the d x k products:
+    numerator X H^T + W * sum_d(W * W H H^T), denominator
+    W H H^T + W * sum_d(W * X H^T) + EPSILON. Test oracle for the step
+    that takes those sums from W^T X and W^T W."""
+    XHt = X @ H.T
+    WHHt = W @ (H @ H.T)
+    sum_numer = np.sum(W * WHHt, axis=0)
+    sum_denom = np.sum(W * XHt, axis=0)
+    return W * (XHt + W * sum_numer) / (WHHt + W * sum_denom + EPSILON)
 
 
 def naive_loss(X, W, H, alpha):
@@ -158,6 +171,23 @@ class TestUpdates:
         W2 = w_step(X, W, H)
         assert not np.any(W2[:, 1])
 
+    @pytest.mark.parametrize(
+        "alpha, k, zero_col",
+        [(0.0, 4, None), (1.0, 4, None), (50.0, 4, None), (1.0, 1, None), (1.0, 3, 1)],
+    )
+    def test_dictionary_update_equals_three_buffer_oracle(self, alpha, k, zero_col):
+        rng = np.random.default_rng(20 + k)
+        X = rng.random((40, 25)) * 3
+        W = rng.random((40, k))
+        W /= np.linalg.norm(W, axis=0)
+        if zero_col is not None:
+            W[:, zero_col] = 0.0
+        H = update_code(W.T @ X, W.T @ W, rng.random((k, 25)), alpha)
+        W2 = w_step(X, W, H)
+        np.testing.assert_allclose(W2, three_buffer_w_step(X, W, H), rtol=1e-12, atol=0.0)
+        if zero_col is not None:
+            assert not np.any(W2[:, zero_col])
+
     def test_non_negativity_preserved(self):
         rng = np.random.default_rng(6)
         X = rng.random((6, 5))
@@ -259,30 +289,30 @@ class TestFit:
         with pytest.raises(InvalidInputError, match="X must be finite"):
             fit_nmf(X, 3, 0.0, seed=0, max_iters=500, rel_tol=1e-4)
 
-    def test_working_set_is_four_dictionaries(self):
+    def test_working_set_is_three_dictionaries(self):
         # a 2-minute-scale prior's width at the fixture STFT (d = 2049)
         d, n, k = 2049, 154, 50
         X = np.random.default_rng(17).random((d, n))
         peak, _ = peak_bytes(lambda: fit_nmf(X, k, 0.0, seed=0, max_iters=3, rel_tol=1e-4))
-        # W and three d x k buffers, plus the k x n codes and their products
-        assert peak <= 3.6 * 2**20
+        # W and two d x k buffers, plus the k x n codes and their products
+        assert peak <= 2.9 * 2**20
 
     def test_atoms_and_w_step_buffers_are_column_major(self, monkeypatch):
         import onmfdenoise.nmf as nmf_mod
 
         written = []
 
-        def recording_step(X, W, H, work):
+        def recording_step(X, W, H, WtX, G, work):
             written.extend([W, *work])
-            return _update_dictionary_normalized(X, W, H, work)
+            return _update_dictionary_normalized(X, W, H, WtX, G, work)
 
         monkeypatch.setattr(nmf_mod, "_update_dictionary_normalized", recording_step)
         X = np.random.default_rng(19).random((30, 20))
         W, _, _ = fit_nmf(X, 4, 0.0, seed=0, max_iters=2, rel_tol=1e-4)
         # each atom contiguous: BLAS writes X H^T at full speed, and the
-        # column sums and norms run down contiguous columns
+        # broadcasts and norms run down contiguous columns
         assert W.atoms.flags.f_contiguous
-        assert len(written) == 8
+        assert len(written) == 6
         assert all(a.shape == (30, 4) and a.flags.f_contiguous for a in written)
 
     @pytest.mark.parametrize("source, seed, k", [("s_prime", 0, 50), ("n_prime", 1, 10)])
