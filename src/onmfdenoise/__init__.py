@@ -18,7 +18,6 @@ from .pipeline import (
     apply_mask,
     concat_dictionaries,
     denoise,
-    denoise_spectrogram,
     fit_dictionary,
     separate,
     train_dictionaries,

@@ -21,7 +21,6 @@ import numpy as np
 from . import audio_io, metrics, nmf, onmf, pipeline
 from .errors import DenoiseError, InvalidInputError, NonFiniteResultError
 from .stft import StftParams, export_csv, export_pgm, stft_magnitudes
-from .stft import stft as compute_stft
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -114,29 +113,29 @@ def cmd_train(args) -> int:
 def cmd_denoise(args) -> int:
     _require_files(args.dict_signal, args.dict_noise, args.input, args.clean)
     params = _stft_params(args)
+    params.check_cola()
+    cfg = pipeline.DenoiseConfig(code_alpha=args.alpha, stft=params)
     w_signal = nmf.load_dictionary(args.dict_signal)
     w_noise = nmf.load_dictionary(args.dict_noise)
-    # the samples are dropped once transformed: denoising holds X, the
-    # codes and the output, and one block of anything else
-    noisy = audio_io.read_wav(args.input)
-    X, n_samples = compute_stft(noisy, params), len(noisy)
-    del noisy
-    result = pipeline.denoise_spectrogram(X, w_signal, w_noise, args.alpha, n_samples)
+    # denoising holds the samples, the codes and the output, and one
+    # block of anything else
+    result = pipeline.denoise(audio_io.read_wav(args.input), w_signal, w_noise, cfg)
     audio_io.write_wav(result.denoised, args.output)
     print(f"denoised {args.input} -> {args.output}")
-    # the noise render and the images need only the output's length: a
-    # zero-stride stand-in of that length frees the written samples first
+    # nothing below reads the output: a zero-stride stand-in of its length
+    # frees the written samples first
     stand_in = np.broadcast_to(0.0, len(result.denoised))
-    result = dataclasses.replace(result, denoised=audio_io.AudioBuffer(stand_in, X.sample_rate_hz))
+    rate = result.denoised.sample_rate_hz
+    result = dataclasses.replace(result, denoised=audio_io.AudioBuffer(stand_in, rate))
     if args.emit_noise:
         audio_io.write_wav(pipeline.render_noise(result), args.emit_noise)
     if args.emit_spectrograms:
         base, _ = os.path.splitext(args.output)
-        # |X| and the ratio once each, and X and the codes freed before the
-        # first image; s = ratio * |X| in the ratio's buffer, then
-        # n = |X| - s in that of |X|, as s_masked and n_masked
-        mags, s_masked = X.magnitudes, result.ratio
-        del X, result
+        # |X| and the ratio once each, and the samples and the codes freed
+        # before the first image; s = ratio * |X| in the ratio's buffer,
+        # then n = |X| - s in that of |X|, as s_masked and n_masked
+        mags, s_masked = stft_magnitudes(result.noisy, params), result.ratio
+        del result
         export_pgm(mags, base + ".noisy.pgm")
         s_masked *= mags
         export_pgm(s_masked, base + ".denoised.pgm")
@@ -190,18 +189,21 @@ def cmd_sweep(args) -> int:
         raise InvalidInputError(f"--alphas {args.alphas!r}: {exc}") from None
     if not alphas:
         raise InvalidInputError(f"--alphas {args.alphas!r} lists no weight")
-    _require_files(args.dict_signal, args.dict_noise, args.input, args.clean, args.noise)
+    # every weight and the STFT are checked before any file is read
     params = _stft_params(args)
+    cfgs = [pipeline.DenoiseConfig(code_alpha=alpha, stft=params) for alpha in alphas]
+    params.check_cola()
+    _require_files(args.dict_signal, args.dict_noise, args.input, args.clean, args.noise)
     w_signal = nmf.load_dictionary(args.dict_signal)
     w_noise = nmf.load_dictionary(args.dict_noise)
     noisy = audio_io.read_wav(args.input)
     clean = audio_io.read_wav(args.clean)
     noise = audio_io.read_wav(args.noise)
-    X = compute_stft(noisy, params)
     rows = []
-    for alpha in alphas:
-        result = pipeline.denoise_spectrogram(X, w_signal, w_noise, alpha, len(noisy))
-        rows.append((f"{alpha:g}", *_metric_cells(result.denoised, clean, noise)))
+    for cfg in cfgs:
+        denoised = pipeline.denoise(noisy, w_signal, w_noise, cfg).denoised
+        rows.append((f"{cfg.code_alpha:g}", *_metric_cells(denoised, clean, noise)))
+        del denoised  # freed before the next weight's output is made
     if args.out:
         _write_metric_csv(args.out, ("alpha", "SDR", "SIR", "SAR"), rows)
     for row in rows:

@@ -8,15 +8,19 @@ phases: it is the inverse STFT of ``s = ratio * X``, with X the complex
 mixture spectrogram. ``separate`` and the online final loss call the
 trainers' own coder and loss, ``onmf.sparse_code`` and ``nmf.loss``.
 
-Denoising holds X, the codes and the output, and otherwise works one
-block of frames at a time: the codes come from |X|^T W formed per block,
-and the inverse forms each block's estimates and ratio from the codes. No
-d x n real array is made.
+Denoising holds the mixture's samples, the codes and the output, and
+otherwise works one block of frames at a time, in two passes over the
+samples: the first forms each block's spectrum and its |X|^T W, the
+coder's products, and the second forms each block's spectrum again and
+resynthesizes it under the ratio that its estimates give. Neither X nor
+any other d x n array is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+
+import math
 
 import numpy as np
 
@@ -24,7 +28,16 @@ from .audio_io import AudioBuffer
 from .errors import InvalidInputError, NonFiniteResultError
 from .nmf import Dictionary, fit_nmf, loss
 from .onmf import SamplerConfig, fit_onmf, sparse_code
-from .stft import Spectrogram, StftParams, frame_blocks, frames_per_block, istft, stft
+from .stft import (
+    Spectrogram,
+    StftParams,
+    block_spectra,
+    frame_blocks,
+    frames_per_block,
+    masked_inverse,
+    stft,
+    stft_magnitudes,
+)
 
 __all__ = [
     "DenoiseConfig",
@@ -35,7 +48,6 @@ __all__ = [
     "separate",
     "apply_mask",
     "denoise",
-    "denoise_spectrogram",
     "render_noise",
 ]
 
@@ -68,6 +80,9 @@ class DenoiseConfig:
             raise InvalidInputError(f"unknown trainer {self.trainer!r}")
         if self.k_signal < 1 or self.k_noise < 1:
             raise InvalidInputError("dictionary sizes must be >= 1")
+        for alpha in (self.train_alpha, self.code_alpha):
+            if not (math.isfinite(alpha) and alpha >= 0):
+                raise InvalidInputError(f"L1 weight must be finite and >= 0, got {alpha}")
         if self.max_iters < 0:
             raise InvalidInputError(f"max_iters must be >= 0, got {self.max_iters}")
         if not self.rel_tol > 0:
@@ -76,15 +91,17 @@ class DenoiseConfig:
 
 @dataclass(frozen=True)
 class DenoiseResult:
-    """Output of ``denoise``: the mixture spectrogram X, the dictionaries
-    and codes that mask it, and the resynthesized signal.
+    """Output of ``denoise``: the noisy input and the STFT it was denoised
+    at, the dictionaries and codes that mask it, and the resynthesized
+    signal.
 
-    ``ratio``, the signal share of each cell of X, is formed from the codes
-    on each access, block by block as the inverse formed it, so it is
-    exactly the mask that was applied; a caller that needs it more than
-    once holds on to the array itself."""
+    ``mixture`` (the complex X) and ``ratio`` (the signal share of each
+    cell of X) are formed on each access, the ratio block by block as the
+    inverse formed it, so it is exactly the mask that was applied; a caller
+    that needs either more than once holds on to the array itself."""
 
-    mixture: Spectrogram
+    noisy: AudioBuffer
+    params: StftParams
     w_signal: Dictionary
     w_noise: Dictionary
     h_signal: np.ndarray
@@ -92,24 +109,28 @@ class DenoiseResult:
     denoised: AudioBuffer
 
     def _mask(self):
-        return _code_mask(self.mixture, self.w_signal, self.w_noise, self.h_signal, self.h_noise)
+        return _code_mask(self.params, self.w_signal, self.w_noise, self.h_signal, self.h_noise)
+
+    @property
+    def mixture(self) -> Spectrogram:
+        return stft(self.noisy, self.params)
 
     @property
     def ratio(self) -> np.ndarray:  # (d, n) in [0, 1]
-        X = self.mixture
+        n = self.h_signal.shape[1]
         mask = self._mask()
-        out = np.empty((X.n_frames, X.values.shape[0]))
-        for start, stop in frame_blocks(X.params, X.n_frames):
+        out = np.empty((n, self.params.n_bins))
+        for start, stop in frame_blocks(self.params, n):
             out[start:stop] = mask(start, stop)
         return out.T
 
     @property
     def s_masked(self) -> np.ndarray:
-        return self.ratio * self.mixture.magnitudes
+        return self.ratio * stft_magnitudes(self.noisy, self.params)
 
     @property
     def n_masked(self) -> np.ndarray:
-        mags = self.mixture.magnitudes
+        mags = stft_magnitudes(self.noisy, self.params)
         return mags - self.ratio * mags
 
 
@@ -180,26 +201,30 @@ def concat_dictionaries(w_signal: Dictionary, w_noise: Dictionary) -> Dictionary
 
 
 def separate(
-    X: Spectrogram,
+    x: AudioBuffer,
+    params: StftParams,
     w_signal: Dictionary,
     w_noise: Dictionary,
     code_alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse-code X against the frozen, concatenated dictionary; returns
-    the signal and noise codes ``(h_signal, h_noise)``. The coder's
-    products P = |X|^T W are formed one block of frames at a time, so the
-    magnitudes of X are never held whole. A P or W^T W that is not finite
+    """Sparse-code the spectrogram X of ``x`` at ``params`` against the
+    frozen, concatenated dictionary; returns the signal and noise codes
+    ``(h_signal, h_noise)``. The coder's products P = |X|^T W are formed
+    from ``block_spectra`` one block of frames at a time, so neither X nor
+    its magnitudes are ever held whole. A P or W^T W that is not finite
     raises ``NonFiniteResultError`` before any coding."""
+    spectra = block_spectra(x, params)
     W = concat_dictionaries(w_signal, w_noise).atoms
-    d, n = X.values.shape
+    d, n = params.n_bins, params.n_frames(len(x))
     if W.shape[0] != d:
         raise InvalidInputError(f"W rows {W.shape[0]} != X rows {d}")
     P = np.empty((n, W.shape[1]))
-    mags = np.empty((min(frames_per_block(X.params), n), d))
+    mags = np.empty((min(frames_per_block(params), n), d))
     with np.errstate(over="ignore"):  # an overflowed P or G is rejected with its type
-        for start, stop in frame_blocks(X.params, n):
+        for start, stop, spectrum in spectra:
             block = mags[: stop - start]
-            np.abs(X.values[:, start:stop].T, out=block)
+            np.abs(spectrum, out=block)
+            del spectrum  # freed before the next block's is taken
             np.matmul(block, W, out=P[start:stop])
         G = W.T @ W
     if not np.all(np.isfinite(P)):
@@ -237,17 +262,18 @@ def apply_mask(
 
 
 def _code_mask(
-    X: Spectrogram,
+    params: StftParams,
     w_signal: Dictionary,
     w_noise: Dictionary,
     h_signal: np.ndarray,
     h_noise: np.ndarray,
 ):
-    """X's ratio mask as ``istft`` takes it: ``mask(start, stop)`` forms
-    the frames-major estimates Hᵀ Wᵀ of frames [start, stop) and turns
-    them into S/(S+N) (``_signal_ratio``). The two block buffers are
-    reused, so each returned block is valid until the next call."""
-    s_buf = np.empty((min(frames_per_block(X.params), X.n_frames), w_signal.d))
+    """The ratio mask of the codes as ``masked_inverse`` takes it:
+    ``mask(start, stop)`` forms the frames-major estimates Hᵀ Wᵀ of frames
+    [start, stop) and turns them into S/(S+N) (``_signal_ratio``). The two
+    block buffers are reused, so each returned block is valid until the
+    next call."""
+    s_buf = np.empty((min(frames_per_block(params), h_signal.shape[1]), w_signal.d))
     n_buf = np.empty_like(s_buf)
     ws, wn = w_signal.atoms.T, w_noise.atoms.T
 
@@ -260,45 +286,38 @@ def _code_mask(
     return mask
 
 
-def denoise_spectrogram(
-    X: Spectrogram,
-    w_signal: Dictionary,
-    w_noise: Dictionary,
-    code_alpha: float,
-    n_samples: int,
-) -> DenoiseResult:
-    """Denoise a mixture already transformed with ``X.params``; the output
-    is cut to ``n_samples``. A denoised signal that is not finite raises
-    ``NonFiniteResultError``."""
-    h_signal, h_noise = separate(X, w_signal, w_noise, code_alpha)
-    codes = (w_signal, w_noise, h_signal, h_noise)
-    audio = istft(X, mask=_code_mask(X, *codes))
-    if not np.all(np.isfinite(audio.samples)):
-        raise NonFiniteResultError(f"non-finite denoised signal at alpha={code_alpha:g}")
-    return DenoiseResult(
-        X, *codes, denoised=AudioBuffer(audio.samples[:n_samples], X.sample_rate_hz)
-    )
-
-
 def denoise(
     x: AudioBuffer,
     w_signal: Dictionary,
     w_noise: Dictionary,
     cfg: DenoiseConfig,
 ) -> DenoiseResult:
-    """Full pipeline on a noisy buffer; returns the mixture spectrogram,
-    the mask and the codes along with the denoised signal."""
-    return denoise_spectrogram(stft(x, cfg.stft), w_signal, w_noise, cfg.code_alpha, len(x))
+    """Full pipeline on a noisy buffer, at ``cfg.stft`` and
+    ``cfg.code_alpha``, in two passes over its samples: ``separate`` codes
+    the mixture, and ``masked_inverse`` resynthesizes it under the codes'
+    ratio mask; the output is as long as ``x``. A hop that is not
+    window_len/2 or window_len/4 raises ``InvalidInputError`` before any
+    transform, and a denoised signal that is not finite
+    ``NonFiniteResultError``."""
+    params = cfg.stft
+    params.check_cola()
+    h_signal, h_noise = separate(x, params, w_signal, w_noise, cfg.code_alpha)
+    codes = (w_signal, w_noise, h_signal, h_noise)
+    audio = masked_inverse(x, params, _code_mask(params, *codes))
+    if not np.all(np.isfinite(audio.samples)):
+        raise NonFiniteResultError(f"non-finite denoised signal at alpha={cfg.code_alpha:g}")
+    denoised = AudioBuffer(audio.samples[: len(x)], x.sample_rate_hz)
+    return DenoiseResult(x, params, *codes, denoised=denoised)
 
 
 def render_noise(result: DenoiseResult) -> AudioBuffer:
     """Resynthesize the masked noise part, (1 - ratio) * X, with the
-    mixture's phases, as long as the denoised signal."""
+    mixture's phases, as long as the input."""
     signal_share = result._mask()
 
     def noise_share(start, stop):
         ratio = signal_share(start, stop)
         return np.subtract(1.0, ratio, out=ratio)
 
-    audio = istft(result.mixture, mask=noise_share)
-    return AudioBuffer(audio.samples[: len(result.denoised)], audio.sample_rate_hz)
+    audio = masked_inverse(result.noisy, result.params, noise_share)
+    return AudioBuffer(audio.samples[: len(result.noisy)], audio.sample_rate_hz)

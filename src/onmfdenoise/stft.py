@@ -6,27 +6,30 @@ frequency bins are kept (d = fft_len/2 + 1). Reconstruction uses
 overlap-add with window-square normalization, which is exact in the
 interior for Hann windows at 50% or 75% overlap.
 
-``stft_magnitudes`` gives only |X|, for callers that read nothing else;
-it runs the same framing and block loop as ``stft``, so the complex
-spectrum exists one block at a time.
+The one framing and FFT loop is ``block_spectra``, which yields the
+spectra of the frames one block of ``frames_per_block(params)`` frames
+(about 64 Ki samples, whatever the FFT size) at a time, windowing each
+block into one reused buffer. ``stft`` and ``stft_magnitudes`` fill a
+whole frames-major array from it; ``stft_magnitudes`` gives only |X|, for
+callers that read nothing else, so the complex spectrum exists one block
+at a time.
 
-A ``Spectrogram`` keeps the complex values, so resynthesis after masking
-reuses the mixture's phases: ``istft(X, mask=ratio)`` inverts
-``s = ratio * X`` without ever forming the phase factors or the whole
-masked spectrum. The mask is a function that forms each block's ratio
-when the inverse reaches it, so no d x n mask need exist. Both
-directions work on blocks of ``frames_per_block(params)`` frames, about
-64 Ki samples each whatever the FFT size, and beyond their input and
-output hold one block of each working array: the forward transform
-windows each block's frames into one reused buffer, and the inverse
-forms ratio * X in one reused complex block (none without a mask); each
-block's FFT result is freed before the next block's is taken.
+``masked_inverse(buf, params, mask)`` resynthesizes ``ratio * X`` straight
+from the samples, reusing their phases: it forms each block's spectrum
+again, multiplies it in place by the block's real ratio and overlap-adds
+it, so neither X nor the masked spectrum is ever held whole. The mask is
+a function that forms each block's ratio when the inverse reaches it, so
+no d x n mask need exist either; denoising holds the samples, the codes
+and the output. ``istft`` inverts a whole ``Spectrogram``. Both inverses
+share one overlap-add and one normalization, and each frees a block's
+spectrum and inverse before the next block's are taken.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,9 +42,11 @@ __all__ = [
     "Spectrogram",
     "frames_per_block",
     "frame_blocks",
+    "block_spectra",
     "stft",
     "stft_magnitudes",
     "istft",
+    "masked_inverse",
     "export_pgm",
     "export_csv",
 ]
@@ -72,9 +77,32 @@ class StftParams:
         return self.fft_len // 2 + 1
 
     def window(self) -> np.ndarray:
-        # periodic Hann: exact constant overlap-add at hop = N/2 or N/4
-        n = np.arange(self.window_len)
-        return 0.5 - 0.5 * np.cos(2 * np.pi * n / self.window_len)
+        """The periodic Hann window, formed once per window length and
+        shared read-only."""
+        return _hann(self.window_len)
+
+    def n_frames(self, n_samples: int) -> int:
+        """Frames that cover ``n_samples`` samples, the last one zero-padded."""
+        return 1 + -(-max(0, n_samples - self.window_len) // self.hop)
+
+    def check_cola(self) -> None:
+        """Raise ``InvalidInputError`` unless the hop is window_len/2 or
+        window_len/4, the Hann overlaps whose overlap-add the inverse
+        normalizes exactly."""
+        if self.hop * 2 != self.window_len and self.hop * 4 != self.window_len:
+            raise InvalidInputError(
+                "inverse needs Hann with hop = window_len/2 or window_len/4,"
+                f" got hop {self.hop} for window_len {self.window_len}"
+            )
+
+
+@lru_cache(maxsize=16)  # a few window lengths per process; each array is read-only
+def _hann(window_len: int) -> np.ndarray:
+    # periodic Hann: exact constant overlap-add at hop = N/2 or N/4
+    n = np.arange(window_len)
+    window = 0.5 - 0.5 * np.cos(2 * np.pi * n / window_len)
+    window.flags.writeable = False
+    return window
 
 
 @dataclass(frozen=True)
@@ -114,12 +142,19 @@ def frame_blocks(params: StftParams, n_frames: int):
         yield start, min(start + step, n_frames)
 
 
-def _forward(buf: AudioBuffer, params: StftParams, magnitudes: bool) -> np.ndarray:
-    """The forward transform's one framing and FFT loop: fills a
-    frames-major (n_frames, d) array one block of frames at a time, with
-    each block's ``rfft`` or, for ``magnitudes``, its ``np.abs``. Frames are
-    read from the samples in place; only the last frame, when it runs past
-    the end, is copied and zero-padded."""
+def block_spectra(
+    buf: AudioBuffer, params: StftParams
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The forward transform's one framing and FFT loop.
+
+    Checks the samples at once, then yields ``(start, stop, spectrum)`` for
+    each block of ``frame_blocks``, in order: ``spectrum`` is the
+    frames-major (stop - start, d) complex ``rfft`` of frames [start,
+    stop), the caller's to modify. Frames are read from the samples in
+    place and windowed into one reused buffer; only the last frame, when it
+    runs past the end, is copied and zero-padded. The generator drops each
+    spectrum when it resumes, so a caller that drops it too before asking
+    for the next holds one block of it at a time."""
     samples = buf.samples
     if not np.all(np.isfinite(samples)):
         raise InvalidInputError("input holds NaN or Inf samples")
@@ -127,13 +162,15 @@ def _forward(buf: AudioBuffer, params: StftParams, magnitudes: bool) -> np.ndarr
         raise InvalidInputError(
             f"buffer has {len(buf)} samples, window needs {params.window_len}"
         )
+    return _spectra(samples, params)
+
+
+def _spectra(samples: np.ndarray, params: StftParams):
     win_len, hop = params.window_len, params.hop
-    n_frames = 1 + int(np.ceil(max(0, len(samples) - win_len) / hop))
+    n_frames = params.n_frames(len(samples))
     # the frames that fit: all of them, or all but the last
     frames = sliding_window_view(samples, win_len)[::hop]
     window = params.window()
-    dtype = np.float64 if magnitudes else np.complex128
-    out = np.empty((n_frames, params.n_bins), dtype=dtype)
     windowed = np.empty((min(frames_per_block(params), n_frames), win_len))
     for start, stop in frame_blocks(params, n_frames):
         block = windowed[: stop - start]
@@ -145,14 +182,25 @@ def _forward(buf: AudioBuffer, params: StftParams, magnitudes: bool) -> np.ndarr
             block[-1, : len(tail)] = tail
             block[-1, len(tail) :] = 0.0
             block *= window
-        # written from rfft's result rather than through its out=, which
-        # needs NumPy 2; the result is freed before the next one is taken
+        # taken from rfft's result rather than through its out=, which
+        # needs NumPy 2
         spectrum = np.fft.rfft(block, n=params.fft_len, axis=1)
+        yield start, stop, spectrum
+        del spectrum
+
+
+def _forward(buf: AudioBuffer, params: StftParams, magnitudes: bool) -> np.ndarray:
+    """Fill a frames-major (n_frames, d) array from ``block_spectra``, with
+    each block's spectrum or, for ``magnitudes``, its ``np.abs``."""
+    spectra = block_spectra(buf, params)
+    dtype = np.float64 if magnitudes else np.complex128
+    out = np.empty((params.n_frames(len(buf)), params.n_bins), dtype=dtype)
+    for start, stop, spectrum in spectra:
         if magnitudes:
             np.abs(spectrum, out=out[start:stop])
         else:
             out[start:stop] = spectrum
-        del spectrum
+        del spectrum  # freed before the next block's is taken
     return out
 
 
@@ -171,51 +219,62 @@ def stft_magnitudes(buf: AudioBuffer, params: StftParams) -> np.ndarray:
     return _forward(buf, params, magnitudes=True).T
 
 
-def _check_cola(params: StftParams) -> None:
-    if params.hop * 2 != params.window_len and params.hop * 4 != params.window_len:
-        raise InvalidInputError(
-            "inverse needs Hann with hop = window_len/2 or window_len/4"
-        )
-
-
-def istft(spec: Spectrogram, mask: Callable[[int, int], np.ndarray] | None = None) -> AudioBuffer:
-    """Overlap-add inverse; output length (n_frames-1)*hop + window_len.
-
-    With ``mask`` the inverse is that of the real ratio times
-    ``spec.values``: the mixture's own phases are reused without forming
-    the masked spectrum, one block of frames at a time. ``mask(start,
-    stop)`` returns the frames-major ratio of frames [start, stop), shaped
-    (stop - start, d); it is called once per block of ``frame_blocks``, in
-    order, and its result is used before the next call.
-    """
+def istft(spec: Spectrogram) -> AudioBuffer:
+    """Overlap-add inverse; output length (n_frames-1)*hop + window_len."""
     params = spec.params
-    _check_cola(params)
-    win_len, hop = params.window_len, params.hop
-    window = params.window()
-    n_frames = spec.n_frames
-    R = win_len // hop
+    params.check_cola()
+    rows = _rows(params, spec.n_frames)
+    for start, stop in frame_blocks(params, spec.n_frames):
+        _overlap_add(rows, start, spec.values[:, start:stop].T, params)
+    return _normalized(rows, params, spec.n_frames, spec.sample_rate_hz)
+
+
+def masked_inverse(
+    buf: AudioBuffer, params: StftParams, mask: Callable[[int, int], np.ndarray]
+) -> AudioBuffer:
+    """``istft`` of the real ratio times ``stft(buf, params).values``, bit
+    for bit, formed from the samples: each block's spectrum is taken again
+    by ``block_spectra`` and multiplied by its ratio in place, so the
+    samples' own phases are reused and no d x n array is made.
+
+    ``mask(start, stop)`` returns the frames-major ratio of frames [start,
+    stop), shaped (stop - start, d); it is called once per block of
+    ``frame_blocks``, in order, and its result is used before the next
+    call. A hop that is not window_len/2 or window_len/4 raises
+    ``InvalidInputError`` before any transform."""
+    params.check_cola()
+    spectra = block_spectra(buf, params)
+    n_frames = params.n_frames(len(buf))
+    rows = _rows(params, n_frames)
+    for start, stop, spectrum in spectra:
+        spectrum *= mask(start, stop)
+        _overlap_add(rows, start, spectrum, params)
+        del spectrum  # freed before the next block's is taken
+    return _normalized(rows, params, n_frames, buf.sample_rate_hz)
+
+
+def _rows(params: StftParams, n_frames: int) -> np.ndarray:
     # the output as rows of one hop: frame f adds its piece r to row f + r
-    out = np.zeros((n_frames + R - 1, hop))
-    if mask is not None:
-        masked = np.empty((min(frames_per_block(params), n_frames), params.n_bins), complex)
-    for start, stop in frame_blocks(params, n_frames):
-        block = spec.values[:, start:stop].T
-        if mask is not None:
-            block = np.multiply(block, mask(start, stop), out=masked[: stop - start])
-        frames = np.fft.irfft(block, n=params.fft_len, axis=1)[:, :win_len]
-        frames *= window
-        pieces = frames.reshape(stop - start, R, hop)
-        # r from R-1 down to 0 adds each row's terms in increasing frame
-        # order, the order of a frame-by-frame overlap-add
-        for r in range(R - 1, -1, -1):
-            out[start + r : stop + r] += pieces[:, r]
-        del frames, pieces  # freed before the next block's inverse
-    _normalize(out, (window**2).reshape(R, hop), n_frames)
-    return AudioBuffer(out.ravel(), spec.sample_rate_hz)
+    return np.zeros((n_frames + params.window_len // params.hop - 1, params.hop))
 
 
-def _normalize(rows: np.ndarray, wsq: np.ndarray, n_frames: int) -> None:
-    """Divide the overlap-add rows by their window-power sums, in place.
+def _overlap_add(rows: np.ndarray, start: int, block: np.ndarray, params: StftParams) -> None:
+    """Inverse-transform the frames-major spectra of frames [start, start +
+    len(block)), window them and add them into the output rows."""
+    win_len, hop = params.window_len, params.hop
+    R, m = win_len // hop, len(block)
+    frames = np.fft.irfft(block, n=params.fft_len, axis=1)[:, :win_len]
+    frames *= params.window()
+    pieces = frames.reshape(m, R, hop)
+    # r from R-1 down to 0 adds each row's terms in increasing frame
+    # order, the order of a frame-by-frame overlap-add
+    for r in range(R - 1, -1, -1):
+        rows[start + r : start + m + r] += pieces[:, r]
+
+
+def _normalized(rows: np.ndarray, params: StftParams, n_frames: int, rate: int) -> AudioBuffer:
+    """Divide the overlap-add rows by their window-power sums, in place,
+    and return them as one signal.
 
     Row j's sum adds the window-square pieces ``wsq[j - f]`` of the frames
     f that cover it, in increasing f. Every interior row, covered by all R
@@ -224,7 +283,8 @@ def _normalize(rows: np.ndarray, wsq: np.ndarray, n_frames: int) -> None:
     very edges it decays to zero, and dividing by it would blow up frames
     whose magnitudes were modified; the floor tapers those samples instead.
     """
-    R = wsq.shape[0]
+    R = params.window_len // params.hop
+    wsq = (params.window() ** 2).reshape(R, params.hop)
 
     def power(j):
         total = np.zeros(rows.shape[1])
@@ -236,6 +296,7 @@ def _normalize(rows: np.ndarray, wsq: np.ndarray, n_frames: int) -> None:
         rows[j] /= power(j)
     if n_frames >= R:
         rows[R - 1 : n_frames] /= power(R - 1)
+    return AudioBuffer(rows.ravel(), rate)
 
 
 def export_pgm(magnitudes: np.ndarray, path) -> None:

@@ -541,8 +541,7 @@ class TestDenoise:
 
         from onmfdenoise.audio_io import read_wav
         from onmfdenoise.nmf import load_dictionary
-        from onmfdenoise.pipeline import denoise_spectrogram
-        from onmfdenoise.stft import StftParams, stft
+        from onmfdenoise.pipeline import denoise
         from tests.conftest import peak_bytes
 
         n = 60 * SR  # its float64 samples outweigh every block
@@ -556,12 +555,34 @@ class TestDenoise:
         assert cli.main(argv) == 0  # the first call's one-time allocations
         peak, code = peak_bytes(lambda: cli.main(argv))
         assert code == 0
-        X = stft(read_wav(tmp_path / "m.wav"), StftParams(window_len=256, hop=128, fft_len=256))
+        x = read_wav(tmp_path / "m.wav")
         w_s, w_n = load_dictionary(trained["signal"]), load_dictionary(trained["noise"])
-        denoising, _ = peak_bytes(partial(denoise_spectrogram, X, w_s, w_n, 1.0, n))
-        # X and what denoising holds beyond it, plus less than the 8n bytes
-        # of the samples: the 16-bit payload and a block while writing
-        assert peak - X.values.nbytes - denoising < 4 * n
+        cfg = DenoiseConfig(code_alpha=1.0, stft=StftParams(window_len=256, hop=128, fft_len=256))
+        denoising, _ = peak_bytes(partial(denoise, x, w_s, w_n, cfg))
+        # the samples and what denoising holds beyond them, plus less than
+        # the 8n bytes of another copy: the 16-bit payload and a block
+        # while reading or writing
+        assert peak - x.samples.nbytes - denoising < 4 * n
+
+    def test_hop_it_cannot_invert_exits_2_before_reading_the_input(
+        self, wavs, trained, tmp_path, monkeypatch
+    ):
+        from onmfdenoise import audio_io, pipeline
+
+        def failing(*args, **kwargs):
+            raise AssertionError("read or denoised before the hop was checked")
+
+        monkeypatch.setattr(audio_io, "read_wav", failing)
+        monkeypatch.setattr(pipeline, "denoise", failing)
+        args = cli.parse_args([
+            "denoise", "--dict-signal", str(trained["signal"]),
+            "--dict-noise", str(trained["noise"]), "--input", str(wavs["mixture"]),
+            "--output", str(tmp_path / "den.wav"),
+            "--window-len", "4096", "--hop", "1000", "--fft-len", "4096",
+        ])  # fmt: skip
+        with pytest.raises(InvalidInputError, match="got hop 1000 for window_len 4096"):
+            args.func(args)
+        assert not (tmp_path / "den.wav").exists()
 
     def test_nan_sample_exits_2_with_one_error_line(self, wavs, trained, tmp_path):
         samples = np.zeros(SR, dtype=np.float32)
@@ -915,20 +936,28 @@ class TestSweep:
         assert str(empty) in lines[0]
         assert res.stdout == ""
 
-    def test_one_stft_per_sweep(self, wavs, trained, tmp_path, monkeypatch, capsys):
-        from onmfdenoise.stft import stft as original
+    def test_sweep_reads_each_wav_once_and_forms_no_spectrogram(
+        self, wavs, trained, monkeypatch, capsys
+    ):
+        from onmfdenoise import audio_io, pipeline
+        from onmfdenoise.stft import stft
 
-        calls = []
+        calls = {"read_wav": 0, "stft": 0, "denoise": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(name, original):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
 
+            return wrapped
+
+        originals = {"read_wav": audio_io.read_wav, "stft": stft, "denoise": pipeline.denoise}
         for name, module in list(sys.modules.items()):
             if name.startswith("onmfdenoise"):
                 for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counting)
+                    for key, original in originals.items():
+                        if value is original:
+                            monkeypatch.setattr(module, attr, counting(key, original))
         code = cli.main(
             [
                 "sweep",
@@ -943,7 +972,39 @@ class TestSweep:
         )
         assert code == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
-        assert len(calls) == 1
+        # each weight denoises from the samples: no spectrogram is kept
+        assert calls == {"read_wav": 3, "stft": 0, "denoise": 3}
+
+    @pytest.mark.parametrize(
+        "alphas, flags, message",
+        [
+            ("1,-1", [], "L1 weight must be finite and >= 0, got -1.0"),
+            ("1,nan", [], "L1 weight must be finite and >= 0, got nan"),
+            ("1", ["--window-len", "4096", "--hop", "1000", "--fft-len", "4096"], "got hop 1000"),
+        ],
+    )
+    def test_every_setting_is_checked_before_any_wav_is_read(
+        self, wavs, trained, monkeypatch, alphas, flags, message
+    ):
+        from onmfdenoise import audio_io, pipeline
+
+        def failing(*args, **kwargs):
+            raise AssertionError("read or denoised before every setting was checked")
+
+        monkeypatch.setattr(audio_io, "read_wav", failing)
+        monkeypatch.setattr(pipeline, "denoise", failing)
+        args = cli.parse_args([
+            "sweep",
+            "--dict-signal", str(trained["signal"]),
+            "--dict-noise", str(trained["noise"]),
+            "--input", str(wavs["mixture"]),
+            "--clean", str(wavs["clean"]),
+            "--noise", str(wavs["noise"]),
+            "--alphas", alphas,
+            *flags,
+        ])  # fmt: skip
+        with pytest.raises(InvalidInputError, match=message):
+            args.func(args)
 
 
 class TestSpectrogram:

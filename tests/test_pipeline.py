@@ -19,7 +19,6 @@ from onmfdenoise.pipeline import (
     apply_mask,
     concat_dictionaries,
     denoise,
-    denoise_spectrogram,
     separate,
     fit_dictionary,
     render_noise,
@@ -27,7 +26,16 @@ from onmfdenoise.pipeline import (
     _code_mask,
     _signal_ratio,
 )
-from onmfdenoise.stft import Spectrogram, StftParams, frames_per_block, istft, stft
+from onmfdenoise.stft import (
+    Spectrogram,
+    StftParams,
+    frame_blocks,
+    frames_per_block,
+    istft,
+    masked_inverse,
+    stft,
+    stft_magnitudes,
+)
 from tests.conftest import peak_bytes
 
 SR = 16000
@@ -153,9 +161,13 @@ class TestConcat:
             concat_dictionaries(Dictionary(np.ones((4, 2))), Dictionary(np.ones((5, 2))))
 
 
-def separate_with_estimates(X, w_signal, w_noise, code_alpha):
-    """The codes from ``separate`` with the partial reconstructions W @ H."""
-    h_signal, h_noise = separate(X, w_signal, w_noise, code_alpha)
+SMALL = StftParams(window_len=256, hop=128, fft_len=256)
+
+
+def separate_with_estimates(x, w_signal, w_noise, code_alpha):
+    """The codes from ``separate`` at SMALL with the partial
+    reconstructions W @ H."""
+    h_signal, h_noise = separate(AudioBuffer(x, SR), SMALL, w_signal, w_noise, code_alpha)
     return SimpleNamespace(
         s_est=w_signal.atoms @ h_signal,
         n_est=w_noise.atoms @ h_noise,
@@ -166,37 +178,39 @@ def separate_with_estimates(X, w_signal, w_noise, code_alpha):
 
 class TestSeparate:
     def test_separable_instance_goes_to_signal_side(self):
+        # the signal atoms are the mixture's own frames, so coding on the
+        # signal side alone fits it exactly; the noise atoms are unit
+        # bins, and with all seven atoms independent the fit is unique
         rng = np.random.default_rng(5)
-        w_s = np.eye(8, 3) + 0.005 * rng.random((8, 3))
-        w_s /= np.linalg.norm(w_s, axis=0)
-        w_n = np.zeros((8, 2))
+        x = rng.uniform(-0.5, 0.5, 4 * 128 + 256)
+        mags = stft_magnitudes(AudioBuffer(x, SR), SMALL)
+        assert mags.shape == (129, 5)
+        w_s = mags / np.linalg.norm(mags, axis=0)
+        w_n = np.zeros((129, 2))
         w_n[6, 0] = 1.0
         w_n[7, 1] = 1.0
-        h = rng.random((3, 10)) + 0.5
-        mags = w_s @ h
-        spec = spectrogram_from(mags)
-        result = separate_with_estimates(spec, Dictionary(w_s), Dictionary(w_n), 0.0)
+        result = separate_with_estimates(x, Dictionary(w_s), Dictionary(w_n), 0.0)
         assert np.linalg.norm(result.n_est) <= 1e-3 * np.linalg.norm(mags)
 
     def test_zero_input(self):
         result = separate_with_estimates(
-            spectrogram_from(np.zeros((8, 5))),
-            Dictionary(np.ones((8, 2))),
-            Dictionary(np.ones((8, 1))),
+            np.zeros(4 * 128 + 256),
+            Dictionary(np.ones((129, 2))),
+            Dictionary(np.ones((129, 1))),
             1.0,
         )
         assert not np.any(result.s_est) and not np.any(result.n_est)
 
     def test_split_reconcatenation(self):
         rng = np.random.default_rng(6)
-        spec = spectrogram_from(rng.random((8, 5)))
-        w_s = Dictionary(rng.random((8, 3)))
-        w_n = Dictionary(rng.random((8, 2)))
-        result = separate_with_estimates(spec, w_s, w_n, 0.1)
+        x = rng.uniform(-0.5, 0.5, 4 * 128 + 256)
+        w_s = Dictionary(rng.random((129, 3)))
+        w_n = Dictionary(rng.random((129, 2)))
+        result = separate_with_estimates(x, w_s, w_n, 0.1)
         from onmfdenoise.onmf import sparse_code
 
         W = np.hstack([w_s.atoms, w_n.atoms])
-        H = sparse_code(spec.magnitudes.T @ W, W.T @ W, 0.1)
+        H = sparse_code(stft_magnitudes(AudioBuffer(x, SR), SMALL).T @ W, W.T @ W, 0.1)
         assert np.array_equal(np.vstack([result.h_signal, result.h_noise]), H)
 
 
@@ -384,7 +398,8 @@ class TestDenoise:
         cfg = small_cfg()
         w_s, w_n = self._dictionaries(cfg.stft.n_bins)
         monkeypatch.setattr(
-            "onmfdenoise.pipeline.istft", lambda X, mask: AudioBuffer(np.full(3000, np.nan), SR)
+            "onmfdenoise.pipeline.masked_inverse",
+            lambda x, params, mask: AudioBuffer(np.full(3000, np.nan), SR),
         )
         with pytest.raises(NonFiniteResultError, match="non-finite denoised signal at alpha=100"):
             denoise(AudioBuffer(np.zeros(3000), SR), w_s, w_n, cfg)
@@ -403,10 +418,12 @@ class TestDenoise:
         assert peak <= 8 * result.ratio.size * 8
 
     def test_peak_beyond_spectrogram_is_output_codes_and_blocks(self):
-        # X exists before tracing starts, so the peak is what denoising
-        # holds beyond X: the output, the codes (with the coder's working
-        # arrays) and a fixed number of blocks, the same at any duration
+        # the samples exist before tracing starts, so the peak is what
+        # denoising holds beyond them: the output, the codes (with the
+        # coder's working arrays) and a fixed number of blocks, the same at
+        # any duration, with no term in the spectrogram X
         params = StftParams(window_len=4096, hop=1024, fft_len=4096)
+        cfg = small_cfg(stft=params, code_alpha=1.0)
         rng = np.random.default_rng(16)
         d = params.n_bins
         w_s = Dictionary(rng.random((d, 50)))
@@ -415,30 +432,96 @@ class TestDenoise:
         beyond = []
         for seconds in (10, 60):
             x = AudioBuffer(rng.uniform(-0.5, 0.5, seconds * SR), SR)
-            X = stft(x, params)
-            peak, _ = peak_bytes(partial(denoise_spectrogram, X, w_s, w_n, 1.0, len(x)))
-            out_bytes = ((X.n_frames - 1) * params.hop + params.window_len) * 8
-            codes_bytes = (w_s.k + w_n.k) * X.n_frames * 8
+            n_frames = params.n_frames(len(x))
+            peak, _ = peak_bytes(partial(denoise, x, w_s, w_n, cfg))
+            out_bytes = ((n_frames - 1) * params.hop + params.window_len) * 8
+            codes_bytes = (w_s.k + w_n.k) * n_frames * 8
             assert peak <= out_bytes + 8 * codes_bytes + 6 * block_bytes
             beyond.append(peak - out_bytes - codes_bytes)
         assert abs(beyond[1] - beyond[0]) <= block_bytes
+        assert peak < n_frames * d * 16  # less than X alone, at 60 s
 
     def test_masked_inverse_holds_one_block_of_each_working_array(self):
-        # beyond its output rows, the inverse holds the masked complex
-        # block, one inverse block and the mask's two estimate blocks
+        # beyond its output rows, the inverse from the samples holds one
+        # windowed block, the block's spectrum, masked in place, one inverse
+        # block and the mask's two estimate blocks
         params = StftParams(window_len=4096, hop=1024, fft_len=4096)
         rng = np.random.default_rng(17)
         d = params.n_bins
         w_s, w_n = Dictionary(rng.random((d, 50))), Dictionary(rng.random((d, 10)))
-        X = stft(AudioBuffer(rng.uniform(-0.5, 0.5, 10 * SR), SR), params)
-        h_s, h_n = rng.random((50, X.n_frames)), rng.random((10, X.n_frames))
-        istft(X)  # the FFT's one-time plan for this size
-        peak, audio = peak_bytes(lambda: istft(X, mask=_code_mask(X, w_s, w_n, h_s, h_n)))
+        x = AudioBuffer(rng.uniform(-0.5, 0.5, 10 * SR), SR)
+        n_frames = params.n_frames(len(x))
+        h_s, h_n = rng.random((50, n_frames)), rng.random((10, n_frames))
+        istft(stft(x, params))  # the FFT's one-time plans for this size
+        mask = _code_mask(params, w_s, w_n, h_s, h_n)
+        peak, audio = peak_bytes(lambda: masked_inverse(x, params, mask))
         m = frames_per_block(params)
         inverse = m * params.fft_len * 8
-        blocks = m * d * 16 + inverse + 2 * m * d * 8
+        windowed = m * params.window_len * 8
+        blocks = windowed + m * d * 16 + inverse + 2 * m * d * 8
         beyond = peak - audio.samples.nbytes
         assert beyond <= blocks + inverse / 4
+
+    @pytest.mark.parametrize("window_len, hop", [(256, 128), (1024, 512), (4096, 1024)])
+    @pytest.mark.parametrize("length", ["window", "window+1", "block", "10s"])
+    def test_equals_the_whole_spectrogram_reference_bit_for_bit(self, window_len, hop, length):
+        # the reference holds X: stft, then |X|^T W, the codes and the
+        # ratio's inverse from the whole X. Its products are taken in the
+        # blocks of frame_blocks, as BLAS may round a row of a product
+        # differently with the number of rows
+        params = StftParams(window_len=window_len, hop=hop, fft_len=window_len)
+        n = {
+            "window": window_len,
+            "window+1": window_len + 1,  # a zero-padded tail frame
+            "block": (frames_per_block(params) - 1) * hop + window_len,
+            "10s": 10 * SR,
+        }[length]
+        rng = np.random.default_rng(window_len + n)
+        d = params.n_bins
+        w_s, w_n = Dictionary(rng.random((d, 5))), Dictionary(rng.random((d, 3)))
+        x = AudioBuffer(rng.uniform(-0.5, 0.5, n), SR)
+        cfg = small_cfg(stft=params, code_alpha=1.0)
+        result = denoise(x, w_s, w_n, cfg)
+
+        from onmfdenoise.onmf import sparse_code
+
+        X = stft(x, params)
+        W = np.hstack([w_s.atoms, w_n.atoms])
+        mags = np.abs(X.values)
+        P = np.empty((X.n_frames, W.shape[1]))
+        for start, stop in frame_blocks(params, X.n_frames):
+            P[start:stop] = mags[:, start:stop].T @ W
+        H = sparse_code(P, W.T @ W, 1.0)
+        assert np.array_equal(H, np.vstack([result.h_signal, result.h_noise]))
+        mask = _code_mask(params, w_s, w_n, H[:5], H[5:])
+        ratio = np.empty((X.n_frames, d))
+        for start, stop in frame_blocks(params, X.n_frames):
+            ratio[start:stop] = mask(start, stop)
+        for share, got in ((ratio, result.denoised), (1.0 - ratio, render_noise(result))):
+            want = istft(Spectrogram(share.T * X.values, params, SR)).samples[:n]
+            assert got.samples.tobytes() == want.tobytes()
+
+    def test_rejects_a_hop_it_cannot_invert_before_coding(self, monkeypatch):
+        def failing(*args):
+            raise AssertionError("coded before the hop was checked")
+
+        monkeypatch.setattr("onmfdenoise.pipeline.sparse_code", failing)
+        cfg = small_cfg(stft=StftParams(window_len=4096, hop=1000, fft_len=4096))
+        w_s, w_n = self._dictionaries(cfg.stft.n_bins)
+        x = AudioBuffer(np.random.default_rng(18).uniform(-0.5, 0.5, 3 * SR), SR)
+        with pytest.raises(InvalidInputError, match="got hop 1000 for window_len 4096"):
+            denoise(x, w_s, w_n, cfg)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field", ["code_alpha", "train_alpha"])
+    @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf, -np.inf])
+    def test_weight_is_checked_where_it_is_declared(self, field, alpha):
+        with pytest.raises(InvalidInputError, match=r"L1 weight must be finite and >= 0, got"):
+            DenoiseConfig(**{field: alpha})
+
+    def test_zero_weights_are_accepted(self):
+        assert DenoiseConfig(code_alpha=0.0, train_alpha=0.0).code_alpha == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -469,6 +552,7 @@ class TestFixtureBehavior:
         mixture = fixture_seed0["mixture"]
         result = denoise(mixture, w_s, w_n, cfg)
         X = result.mixture
+        assert X.values.tobytes() == stft(mixture, cfg.stft).values.tobytes()
         assert X.n_frames > 2 * frames_per_block(cfg.stft)
         ratio = result.ratio
         assert np.all((ratio >= 0) & (ratio <= 1))
@@ -477,9 +561,9 @@ class TestFixtureBehavior:
         whole = _signal_ratio((hs.T @ w_s.atoms.T).T, (hn.T @ w_n.atoms.T).T)
         np.testing.assert_allclose(ratio, whole, rtol=1e-12, atol=0)
         n = len(mixture)
-        applied = istft(X, mask=lambda a, b: ratio[:, a:b].T).samples[:n]
+        applied = masked_inverse(mixture, cfg.stft, lambda a, b: ratio[:, a:b].T).samples[:n]
         assert applied.tobytes() == result.denoised.samples.tobytes()
-        noise = istft(X, mask=lambda a, b: 1.0 - ratio[:, a:b].T).samples[:n]
+        noise = masked_inverse(mixture, cfg.stft, lambda a, b: 1.0 - ratio[:, a:b].T).samples[:n]
         assert noise.tobytes() == render_noise(result).samples.tobytes()
 
     def test_pure_noise_suppressed(self, trained):

@@ -8,11 +8,13 @@ from onmfdenoise.errors import InvalidInputError
 from onmfdenoise.stft import (
     Spectrogram,
     StftParams,
+    block_spectra,
     export_csv,
     export_pgm,
     frame_blocks,
     frames_per_block,
     istft,
+    masked_inverse,
     stft,
     stft_magnitudes,
 )
@@ -26,7 +28,7 @@ def covered_length(params, n_frames):
 
 
 def blocks_of(mask):
-    """A whole d x n mask array as the block function ``istft`` takes."""
+    """A whole d x n mask array as the block function ``masked_inverse`` takes."""
     return lambda a, b: mask[:, a:b].T
 
 
@@ -135,26 +137,29 @@ def test_istft_linearity_on_interior():
 
 def test_istft_rejects_non_cola_hop():
     params = StftParams(window_len=1024, hop=300, fft_len=1024)
-    spec = stft(AudioBuffer(np.ones(4096), SR), params)
+    buf = AudioBuffer(np.ones(4096), SR)
+    spec = stft(buf, params)
     with pytest.raises(InvalidInputError, match="inverse needs Hann with hop = window_len/2"):
         istft(spec)
+    with pytest.raises(InvalidInputError, match="got hop 300 for window_len 1024"):
+        masked_inverse(buf, params, blocks_of(np.ones(spec.values.shape)))
 
 
 def test_istft_mask_identity_zero_and_shape():
     params = StftParams()
     rng = np.random.default_rng(2)
-    x = rng.uniform(-0.5, 0.5, covered_length(params, 150))
-    spec = stft(AudioBuffer(x, SR), params)
+    buf = AudioBuffer(rng.uniform(-0.5, 0.5, covered_length(params, 150)), SR)
+    spec = stft(buf, params)
     calls = []
 
     def ones(start, stop):
         calls.append((start, stop))
         return np.ones((stop - start, params.n_bins))
 
-    assert np.array_equal(istft(spec, mask=ones).samples, istft(spec).samples)
+    assert masked_inverse(buf, params, ones).samples.tobytes() == istft(spec).samples.tobytes()
     # one call per block, in order, for the frames-major (stop - start, d) mask
     assert calls == list(frame_blocks(params, spec.n_frames)) and len(calls) == 3
-    assert not np.any(istft(spec, mask=blocks_of(np.zeros(spec.values.shape))).samples)
+    assert not np.any(masked_inverse(buf, params, blocks_of(np.zeros(spec.values.shape))).samples)
 
 
 def test_istft_recovers_tonal_signal():
@@ -209,7 +214,7 @@ def test_blocked_transforms_match_whole_matrix(n_frames):
     assert spec.n_frames == n_frames
     assert np.max(np.abs(spec.values - whole_matrix_stft(x, params))) <= 1e-12
     mask = rng.random(spec.values.shape)
-    back = istft(spec, mask=blocks_of(mask)).samples
+    back = masked_inverse(AudioBuffer(x, SR), params, blocks_of(mask)).samples
     assert np.max(np.abs(back - whole_matrix_istft(mask * spec.values, params))) <= 1e-12
 
 
@@ -232,12 +237,19 @@ def test_blocked_inverse_is_byte_identical_to_frame_loop(
         st.one_of(st.integers(1, 3 * frames_per_block(params)), st.integers(1, 2 * hop_div - 2))
     )
     rng = np.random.default_rng(seed)
-    shape = (n_frames, params.n_bins)
-    values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).T
-    mask = rng.random(values.shape) if masked else None
-    block_mask = None if mask is None else blocks_of(mask)
-    back = istft(Spectrogram(values, params, SR), mask=block_mask).samples
-    want = whole_matrix_istft(values if mask is None else mask * values, params)
+    if masked:
+        # the masked inverse from samples, against the padded whole-matrix
+        # transform (byte-identical to stft) masked whole
+        short = int(rng.integers(0, params.hop)) if n_frames > 1 else 0
+        x = rng.uniform(-1, 1, covered_length(params, n_frames) - short)
+        mask = rng.random((params.n_bins, n_frames))
+        back = masked_inverse(AudioBuffer(x, SR), params, blocks_of(mask)).samples
+        want = whole_matrix_istft(mask * whole_matrix_stft(x, params), params)
+    else:
+        shape = (n_frames, params.n_bins)
+        values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).T
+        back = istft(Spectrogram(values, params, SR)).samples
+        want = whole_matrix_istft(values, params)
     assert back.tobytes() == want.tobytes()
 
 
@@ -292,7 +304,7 @@ def test_transforms_use_numpy1_fft_signatures(monkeypatch):
     spec = stft(AudioBuffer(x, SR), params)
     assert np.max(np.abs(spec.values - whole_matrix_stft(x, params))) <= 1e-12
     assert np.array_equal(stft_magnitudes(AudioBuffer(x, SR), params), np.abs(spec.values))
-    istft(spec, mask=blocks_of(np.ones(spec.values.shape)))
+    masked_inverse(AudioBuffer(x, SR), params, blocks_of(np.ones(spec.values.shape)))
 
 
 def test_forward_holds_one_windowed_and_one_spectrum_block_beyond_x():
@@ -308,11 +320,30 @@ def test_forward_holds_one_windowed_and_one_spectrum_block_beyond_x():
     assert beyond <= windowed + spectrum + windowed / 8
 
 
+@pytest.mark.parametrize("window_len", [4, 256, 1000, 4096])
+def test_window_is_formed_once_read_only_and_exact(window_len):
+    params = StftParams(window_len=window_len, hop=window_len // 2, fft_len=4096)
+    window = params.window()
+    n = np.arange(window_len)
+    assert window.tobytes() == (0.5 - 0.5 * np.cos(2 * np.pi * n / window_len)).tobytes()
+    assert StftParams(window_len=window_len, hop=window_len // 4, fft_len=4096).window() is window
+    assert not window.flags.writeable
+    with pytest.raises(ValueError):
+        window *= 2.0
+
+
+def test_n_frames_is_the_count_stft_makes():
+    params = StftParams(window_len=256, hop=64, fft_len=256)
+    for n in (256, 257, 319, 320, 321, 1000):
+        assert params.n_frames(n) == stft(AudioBuffer(np.zeros(n), SR), params).n_frames
+    assert [params.n_frames(n) for n in (256, 257, 320, 321)] == [1, 2, 2, 3]
+
+
 def test_non_finite_samples_rejected():
     for bad in (np.nan, np.inf, -np.inf):
         x = np.zeros(4096)
         x[100] = bad
-        for transform in (stft, stft_magnitudes):
+        for transform in (stft, stft_magnitudes, block_spectra):
             with pytest.raises(InvalidInputError, match="input holds NaN or Inf samples"):
                 transform(AudioBuffer(x, SR), StftParams())
 
