@@ -31,7 +31,6 @@ class EvalReport:
     sdr_db: float
     sir_db: float
     sar_db: float
-    decomposition_energy: tuple[float, float, float]  # target, interference, artifact
 
 
 def _as_vectors(estimate: AudioBuffer, clean: AudioBuffer, noise: AudioBuffer):
@@ -89,7 +88,6 @@ def evaluate(estimate: AudioBuffer, clean: AudioBuffer, noise: AudioBuffer) -> E
         sdr_db=_ratio_db(et, ei + ea),
         sir_db=_ratio_db(et, ei),
         sar_db=_ratio_db(et + ei, ea),
-        decomposition_energy=(et, ei, ea),
     )
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, NonFiniteResultError
+from .errors import InvalidInputError, NonFiniteResultError, check_integers
 from .nmf import Dictionary
 
 # Stopping rules: the coder's per-column KKT tolerance and iteration cap,
@@ -65,8 +65,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.mode not in SAMPLER_MODES:
             raise InvalidInputError(f"unknown sampler mode {self.mode!r}")
-        if self.batch_cols < 1 or self.steps < 0:
-            raise InvalidInputError("batch_cols must be >= 1 and steps >= 0")
+        check_integers(self, batch_cols=1, steps=0, seed=0)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .errors import InvalidInputError, NonFiniteResultError
+from .errors import InvalidInputError, NonFiniteResultError, check_integers
 from .nmf import Dictionary, fit_nmf, loss
 from .onmf import SamplerConfig, fit_onmf, sparse_code
 from .stft import (
@@ -35,7 +35,6 @@ from .stft import (
     frame_blocks,
     frames_per_block,
     masked_inverse,
-    stft,
     stft_magnitudes,
 )
 
@@ -78,13 +77,10 @@ class DenoiseConfig:
     def __post_init__(self):
         if self.trainer not in TRAINERS:
             raise InvalidInputError(f"unknown trainer {self.trainer!r}")
-        if self.k_signal < 1 or self.k_noise < 1:
-            raise InvalidInputError("dictionary sizes must be >= 1")
+        check_integers(self, k_signal=1, k_noise=1, seed=0, max_iters=0)
         for alpha in (self.train_alpha, self.code_alpha):
             if not (math.isfinite(alpha) and alpha >= 0):
                 raise InvalidInputError(f"L1 weight must be finite and >= 0, got {alpha}")
-        if self.max_iters < 0:
-            raise InvalidInputError(f"max_iters must be >= 0, got {self.max_iters}")
         if not self.rel_tol > 0:
             raise InvalidInputError("rel_tol must be positive")
 
@@ -95,10 +91,12 @@ class DenoiseResult:
     at, the dictionaries and codes that mask it, and the resynthesized
     signal.
 
-    ``mixture`` (the complex X) and ``ratio`` (the signal share of each
-    cell of X) are formed on each access, the ratio block by block as the
-    inverse formed it, so it is exactly the mask that was applied; a caller
-    that needs either more than once holds on to the array itself."""
+    ``ratio`` (the signal share of each cell of X) is formed on each
+    access, block by block as the inverse formed it, so it is exactly the
+    mask that was applied. ``s_masked`` (ratio * |X|) and ``n_masked``
+    (|X| - ratio * |X|) form it and |X| once each and work in their
+    buffers, so neither makes a third bins x frames array. A caller that
+    needs one of them more than once holds on to the array itself."""
 
     noisy: AudioBuffer
     params: StftParams
@@ -112,10 +110,6 @@ class DenoiseResult:
         return _code_mask(self.params, self.w_signal, self.w_noise, self.h_signal, self.h_noise)
 
     @property
-    def mixture(self) -> Spectrogram:
-        return stft(self.noisy, self.params)
-
-    @property
     def ratio(self) -> np.ndarray:  # (d, n) in [0, 1]
         n = self.h_signal.shape[1]
         mask = self._mask()
@@ -126,12 +120,17 @@ class DenoiseResult:
 
     @property
     def s_masked(self) -> np.ndarray:
-        return self.ratio * stft_magnitudes(self.noisy, self.params)
+        s = self.ratio
+        s *= stft_magnitudes(self.noisy, self.params)
+        return s
 
     @property
     def n_masked(self) -> np.ndarray:
         mags = stft_magnitudes(self.noisy, self.params)
-        return mags - self.ratio * mags
+        s = self.ratio
+        s *= mags
+        mags -= s
+        return mags
 
 
 def fit_dictionary(

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioBuffer
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_integers
 
 __all__ = [
     "StftParams",
@@ -63,8 +63,7 @@ class StftParams:
     fft_len: int = 1024
 
     def __post_init__(self):
-        if self.window_len <= 0 or self.hop <= 0:
-            raise InvalidInputError("window_len and hop must be positive")
+        check_integers(self, window_len=1, hop=1, fft_len=1)
         if self.hop > self.window_len:
             raise InvalidInputError("hop must not exceed window_len")
         if self.fft_len < self.window_len:

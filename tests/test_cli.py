@@ -326,6 +326,21 @@ class TestTrain:
             assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
             assert not list(tmp_path.glob("*.dict"))
 
+    @pytest.mark.parametrize("method", ["nmf", "onmf"])
+    def test_negative_seed_exits_2_naming_it(self, wavs, tmp_path, method):
+        res = run_cli(
+            "train",
+            "--method", method,
+            "--signal", wavs["clean_prior"],
+            "--noise", wavs["noise_prior"],
+            "--out-dir", tmp_path,
+            *SMALL_TRAIN, "--seed", "-1",
+        )  # fmt: skip
+        assert res.returncode == 2
+        lines = res.stderr.strip().splitlines()
+        assert lines == ["error: seed must be >= 0, got -1"]
+        assert not list(tmp_path.glob("*.dict"))
+
     def test_zero_iteration_cap_trains(self, wavs, tmp_path):
         res = run_cli(
             "train",
@@ -435,7 +450,7 @@ class TestDenoise:
         from onmfdenoise import pipeline
         from onmfdenoise.audio_io import read_wav
         from onmfdenoise.nmf import load_dictionary
-        from onmfdenoise.stft import StftParams, export_pgm
+        from onmfdenoise.stft import StftParams, export_pgm, stft_magnitudes
 
         argv = [
             "denoise", "--dict-signal", str(trained["signal"]),
@@ -454,7 +469,7 @@ class TestDenoise:
             cfg,
         )
         for suffix, image in (
-            ("noisy", result.mixture.magnitudes),
+            ("noisy", stft_magnitudes(result.noisy, result.params)),
             ("denoised", result.s_masked),
             ("noise", result.n_masked),
         ):

@@ -42,7 +42,7 @@ def test_every_raise_names_one_of_the_two_failure_kinds(path):
     ("make", "message"),
     [
         pytest.param(lambda: DenoiseConfig(trainer="x"), "unknown trainer 'x'", id="trainer"),
-        pytest.param(lambda: DenoiseConfig(k_noise=0), "dictionary sizes", id="k"),
+        pytest.param(lambda: DenoiseConfig(k_noise=0), "k_noise must be >= 1", id="k"),
         pytest.param(
             lambda: DenoiseConfig(max_iters=-1), "max_iters must be >= 0", id="config-iters"
         ),

@@ -1,10 +1,14 @@
 import ast
 import importlib
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import onmfdenoise
+from tests.conftest import child_env
 
 SOURCES = sorted(Path(onmfdenoise.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,3 +70,28 @@ def test_every_public_name_has_a_caller_besides_the_unit_tests(name):
     used = set().union(*map(names_used, callers))
     unused = [n for n in module.__all__ if n not in used and n not in names_used(own, skip=n)]
     assert not unused, f"{name}.__all__: nothing but unit tests uses {', '.join(unused)}"
+
+
+def test_each_module_name_of_the_package_is_that_module():
+    # one import path per name: the root re-exports nothing, so no name of
+    # a module's contents can rebind the module's own name
+    stems = {p.stem for p in SOURCES if p.stem != "__init__"}
+    for stem in stems:
+        module = importlib.import_module(f"onmfdenoise.{stem}")
+        assert getattr(onmfdenoise, stem) is module, f"onmfdenoise.{stem} is not the module"
+    public = {name for name in vars(onmfdenoise) if not name.startswith("_")}
+    assert public == stems
+    assert isinstance(onmfdenoise.__version__, str)
+
+
+def test_readme_example_runs_and_denoises():
+    # the README's one python example, run as a user would, from the modules
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    res = subprocess.run(
+        [sys.executable, "-c", blocks[0]], capture_output=True, text=True, env=child_env()
+    )
+    assert res.returncode == 0, res.stderr
+    printed = re.fullmatch(r"SDR (\S+) dB in, (\S+) dB out\n", res.stdout)
+    sdr_in, sdr_out = map(float, printed.groups())
+    assert sdr_out - sdr_in >= 3.0

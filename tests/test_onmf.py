@@ -61,6 +61,25 @@ class TestSampler:
         # different steps draw different columns
         assert not np.array_equal(sample_batch(X, cfg, 4), sample_batch(X, cfg, 5))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("batch_cols", 2.5), ("steps", 2.5), ("seed", 1.5), ("batch_cols", True), ("steps", "3")],
+    )
+    def test_integer_settings_reject_other_types_naming_the_field(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"{field} must be an integer, got"):
+            SamplerConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("batch_cols", 0), ("steps", -1), ("seed", -1)])
+    def test_integer_settings_below_their_minimum_are_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"{field} must be >= {value + 1}, got {value}"):
+            SamplerConfig(**{field: value})
+
+    def test_numpy_integer_settings_sample_as_ints_do(self):
+        X = np.random.default_rng(2).random((3, 20))
+        cfg = SamplerConfig(batch_cols=np.int64(5), steps=np.int32(3), seed=np.uint8(4))
+        expected = sample_batch(X, SamplerConfig(batch_cols=5, steps=3, seed=4), 2)
+        assert np.array_equal(sample_batch(X, cfg, 2), expected)
+
     def test_batch_too_wide(self):
         with pytest.raises(InvalidInputError, match="batch of 4 columns from a 3-column matrix"):
             sample_batch(np.ones((2, 3)), SamplerConfig(batch_cols=4), 1)

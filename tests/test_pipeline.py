@@ -1,5 +1,6 @@
 import sys
 import warnings
+from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -15,7 +16,9 @@ from onmfdenoise.errors import InvalidInputError, NonFiniteResultError
 from onmfdenoise.nmf import Dictionary
 from onmfdenoise.onmf import SamplerConfig
 from onmfdenoise.pipeline import (
+    TRAINERS,
     DenoiseConfig,
+    DenoiseResult,
     apply_mask,
     concat_dictionaries,
     denoise,
@@ -462,6 +465,24 @@ class TestDenoise:
         beyond = peak - audio.samples.nbytes
         assert beyond <= blocks + inverse / 4
 
+    def test_masked_parts_hold_the_ratio_and_magnitudes_once(self):
+        # s_masked and n_masked each form |X| and the ratio and work in
+        # their buffers: two bins x frames arrays and a few blocks, with
+        # the values of ratio * |X| and |X| - ratio * |X|
+        params = StftParams(window_len=4096, hop=1024, fft_len=4096)
+        rng = np.random.default_rng(18)
+        d = params.n_bins
+        x = AudioBuffer(rng.uniform(-0.5, 0.5, 30 * SR), SR)
+        n = params.n_frames(len(x))
+        w_s, w_n = Dictionary(rng.random((d, 50))), Dictionary(rng.random((d, 10)))
+        result = DenoiseResult(x, params, w_s, w_n, rng.random((50, n)), rng.random((10, n)), x)
+        mags, ratio = stft_magnitudes(x, params), result.ratio
+        block_bytes = frames_per_block(params) * params.fft_len * 8
+        for name, expected in (("s_masked", ratio * mags), ("n_masked", mags - ratio * mags)):
+            peak, part = peak_bytes(lambda: getattr(result, name))
+            assert peak <= 2 * d * n * 8 + 3 * block_bytes, name
+            assert part.tobytes() == expected.tobytes(), name
+
     @pytest.mark.parametrize("window_len, hop", [(256, 128), (1024, 512), (4096, 1024)])
     @pytest.mark.parametrize("length", ["window", "window+1", "block", "10s"])
     def test_equals_the_whole_spectrogram_reference_bit_for_bit(self, window_len, hop, length):
@@ -523,6 +544,40 @@ class TestConfig:
     def test_zero_weights_are_accepted(self):
         assert DenoiseConfig(code_alpha=0.0, train_alpha=0.0).code_alpha == 0.0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("k_signal", 2.5),
+            ("k_noise", 10.0),
+            ("max_iters", 2.5),
+            ("seed", 1.5),
+            ("k_signal", True),
+            ("max_iters", "10"),
+            ("seed", None),
+        ],
+    )
+    def test_integer_setting_rejects_other_types_naming_the_field(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"{field} must be an integer, got"):
+            DenoiseConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value", [("k_signal", 0), ("k_noise", 0), ("max_iters", -1), ("seed", -1)]
+    )
+    def test_integer_setting_below_its_minimum_is_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"{field} must be >= {value + 1}, got {value}"):
+            DenoiseConfig(**{field: value})
+
+    @pytest.mark.parametrize("trainer", TRAINERS)
+    def test_numpy_integer_settings_train_as_ints_do(self, trainer):
+        mags = np.random.default_rng(4).random((9, 30))
+        sampler = SamplerConfig(batch_cols=10, steps=4)
+        ints = DenoiseConfig(trainer, k_signal=3, seed=2, max_iters=5, sampler=sampler)
+        numpy_ints = replace(ints, k_signal=np.int64(3), seed=np.int32(2), max_iters=np.uint8(5))
+        expected, expected_loss = fit_dictionary(mags, ints, "signal")
+        dictionary, final_loss = fit_dictionary(mags, numpy_ints, "signal")
+        assert dictionary.atoms.tobytes() == expected.atoms.tobytes()
+        assert final_loss == expected_loss
+
 
 @pytest.fixture(scope="module")
 def trained(fixture_seed0):
@@ -551,9 +606,7 @@ class TestFixtureBehavior:
         cfg, w_s, w_n = trained
         mixture = fixture_seed0["mixture"]
         result = denoise(mixture, w_s, w_n, cfg)
-        X = result.mixture
-        assert X.values.tobytes() == stft(mixture, cfg.stft).values.tobytes()
-        assert X.n_frames > 2 * frames_per_block(cfg.stft)
+        assert result.h_signal.shape[1] > 2 * frames_per_block(cfg.stft)
         ratio = result.ratio
         assert np.all((ratio >= 0) & (ratio <= 1))
         # the whole-matrix estimates differ from the blockwise ones in low bits only

@@ -41,6 +41,28 @@ def test_param_validation():
         StftParams(window_len=1024, hop=512, fft_len=512)
 
 
+@pytest.mark.parametrize("field", ["window_len", "hop", "fft_len"])
+@pytest.mark.parametrize("value", [1024.0, True, "1024"])
+def test_integer_fields_reject_other_types_naming_the_field(field, value):
+    with pytest.raises(InvalidInputError, match=f"{field} must be an integer, got"):
+        StftParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["window_len", "hop"])
+def test_non_positive_lengths_are_rejected_naming_the_field(field):
+    with pytest.raises(InvalidInputError, match=f"{field} must be >= 1, got 0"):
+        StftParams(**{field: 0})
+
+
+def test_numpy_integer_fields_transform_as_ints_do():
+    x = AudioBuffer(np.random.default_rng(3).standard_normal(3000), SR)
+    numpy_params = StftParams(np.int64(256), np.int32(128), np.uint16(512))
+    assert numpy_params == StftParams(256, 128, 512)
+    assert all(type(v) is int for v in vars(numpy_params).values())
+    expected = stft_magnitudes(x, StftParams(256, 128, 512))
+    assert stft_magnitudes(x, numpy_params).tobytes() == expected.tobytes()
+
+
 def test_buffer_too_short():
     with pytest.raises(InvalidInputError, match="buffer has 100 samples, window needs 1024"):
         stft(AudioBuffer(np.zeros(100), SR), StftParams())
