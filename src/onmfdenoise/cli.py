@@ -191,7 +191,9 @@ def cmd_sweep(args) -> int:
         raise InvalidInputError(f"--alphas {args.alphas!r} lists no weight")
     # every weight and the STFT are checked before any file is read
     params = _stft_params(args)
-    cfgs = [pipeline.DenoiseConfig(code_alpha=alpha, stft=params) for alpha in alphas]
+    cfg = pipeline.DenoiseConfig(stft=params)
+    for alpha in alphas:
+        dataclasses.replace(cfg, code_alpha=alpha)  # checks the weight
     params.check_cola()
     _require_files(args.dict_signal, args.dict_noise, args.input, args.clean, args.noise)
     w_signal = nmf.load_dictionary(args.dict_signal)
@@ -200,9 +202,11 @@ def cmd_sweep(args) -> int:
     clean = audio_io.read_wav(args.clean)
     noise = audio_io.read_wav(args.noise)
     rows = []
-    for cfg in cfgs:
-        denoised = pipeline.denoise(noisy, w_signal, w_noise, cfg).denoised
-        rows.append((f"{cfg.code_alpha:g}", *_metric_cells(denoised, clean, noise)))
+    # the mixture's products are formed once for the whole grid
+    results = pipeline.denoise_each(noisy, w_signal, w_noise, cfg, alphas)
+    for alpha in alphas:
+        denoised = next(results).denoised
+        rows.append((f"{alpha:g}", *_metric_cells(denoised, clean, noise)))
         del denoised  # freed before the next weight's output is made
     if args.out:
         _write_metric_csv(args.out, ("alpha", "SDR", "SIR", "SAR"), rows)

@@ -1,5 +1,5 @@
 """Exception types shared across the package: one per CLI exit code, and
-the one check of the settings' integer fields."""
+the one check of integer settings and arguments."""
 
 import numbers
 
@@ -16,16 +16,20 @@ class NonFiniteResultError(DenoiseError):
     """A computation produced NaN or Inf (exit 3)."""
 
 
+def check_integer(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int``, or ``InvalidInputError`` naming ``name``
+    unless it is an integer (an ``int`` or a numpy integer, not a
+    ``bool``) of at least ``minimum``; the ``int`` keeps a numpy integer's
+    width out of the arithmetic."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def check_integers(settings, **minimums) -> None:
-    """Raise ``InvalidInputError`` naming the first field of the frozen
-    dataclass ``settings`` in ``minimums`` that is not an integer (an
-    ``int`` or a numpy integer, not a ``bool``) of at least its minimum;
-    store each as an ``int``, so no numpy integer's width reaches the
-    arithmetic."""
+    """``check_integer`` on each field of the frozen dataclass ``settings``
+    named in ``minimums``, in order, storing each back as an ``int``."""
     for name, minimum in minimums.items():
-        value = getattr(settings, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-        if value < minimum:
-            raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
-        object.__setattr__(settings, name, int(value))
+        object.__setattr__(settings, name, check_integer(name, getattr(settings, name), minimum))

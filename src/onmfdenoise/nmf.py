@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_integer
 
 __all__ = [
     "Dictionary",
@@ -151,9 +151,10 @@ def fit_nmf(X: np.ndarray, k: int, alpha: float, *, seed: int, max_iters: int, r
     Returns (Dictionary, H, trace) where trace[0] is the loss of the
     random initialization and trace[i] the loss after iteration i, both
     computed from W^T X and W^T W. Stops when
-    |L_i - L_{i-1}| / L_0 < rel_tol or max_iters is reached. A k below 1,
-    a negative or non-finite alpha, a negative max_iters or a rel_tol not
-    above 0 (NaN included) raises ``InvalidInputError`` before X is read.
+    |L_i - L_{i-1}| / L_0 < rel_tol or max_iters is reached. A k, max_iters
+    or seed that is not an integer of at least 1, 0 and 0, a negative or
+    non-finite alpha, or a rel_tol not above 0 (NaN included) raises
+    ``InvalidInputError`` naming it before X is read.
 
     Besides X and the k x n codes and products, the trainer holds W and
     two d x k buffers, allocated once and column-major: the W step and
@@ -164,12 +165,11 @@ def fit_nmf(X: np.ndarray, k: int, alpha: float, *, seed: int, max_iters: int, r
     bit for bit. A NaN or infinite entry of X raises ``InvalidInputError``
     before any iteration.
     """
-    if k < 1:
-        raise InvalidInputError("k must be >= 1")
+    k = check_integer("k", k, 1)
+    max_iters = check_integer("max_iters", max_iters, 0)
+    seed = check_integer("seed", seed, 0)
     if not (math.isfinite(alpha) and alpha >= 0):
         raise InvalidInputError(f"L1 weight must be finite and >= 0, got {alpha}")
-    if max_iters < 0:
-        raise InvalidInputError(f"max_iters must be >= 0, got {max_iters}")
     if not rel_tol > 0:
         raise InvalidInputError("rel_tol must be positive")
     X = np.asarray(X, dtype=np.float64)

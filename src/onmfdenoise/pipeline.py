@@ -13,11 +13,17 @@ otherwise works one block of frames at a time, in two passes over the
 samples: the first forms each block's spectrum and its |X|^T W, the
 coder's products, and the second forms each block's spectrum again and
 resynthesizes it under the ratio that its estimates give. Neither X nor
-any other d x n array is made.
+any other d x n array is made, and no block array outlives the stage
+that uses it: the windowed frames, a spectrum's magnitudes, the two
+estimates and a block's inverse are each formed fresh and dropped before
+the next stage's, so a call on a short chunk holds little beyond the
+concatenated dictionary. ``denoise_each`` denoises at a grid of L1
+weights from one first pass.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import math
@@ -33,7 +39,6 @@ from .stft import (
     StftParams,
     block_spectra,
     frame_blocks,
-    frames_per_block,
     masked_inverse,
     stft_magnitudes,
 )
@@ -46,6 +51,7 @@ __all__ = [
     "concat_dictionaries",
     "separate",
     "apply_mask",
+    "denoise_each",
     "denoise",
     "render_noise",
 ]
@@ -204,32 +210,37 @@ def separate(
     params: StftParams,
     w_signal: Dictionary,
     w_noise: Dictionary,
-    code_alpha: float,
-) -> tuple[np.ndarray, np.ndarray]:
+    code_alphas: Sequence[float],
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Sparse-code the spectrogram X of ``x`` at ``params`` against the
-    frozen, concatenated dictionary; returns the signal and noise codes
-    ``(h_signal, h_noise)``. The coder's products P = |X|^T W are formed
-    from ``block_spectra`` one block of frames at a time, so neither X nor
-    its magnitudes are ever held whole. A P or W^T W that is not finite
-    raises ``NonFiniteResultError`` before any coding."""
+    frozen, concatenated dictionary once for each L1 weight of
+    ``code_alphas``; returns one ``(h_signal, h_noise)`` pair per weight,
+    in order.
+
+    The coder's products P = |X|^T W and G = W^T W do not depend on the
+    weight, so they are formed once: P from ``block_spectra`` one block of
+    frames at a time, so neither X nor its magnitudes are ever held
+    whole. The last weight is coded in P itself and each other one in a
+    copy. A P or G that is not finite raises ``NonFiniteResultError``
+    before any coding."""
     spectra = block_spectra(x, params)
     W = concat_dictionaries(w_signal, w_noise).atoms
     d, n = params.n_bins, params.n_frames(len(x))
     if W.shape[0] != d:
         raise InvalidInputError(f"W rows {W.shape[0]} != X rows {d}")
     P = np.empty((n, W.shape[1]))
-    mags = np.empty((min(frames_per_block(params), n), d))
     with np.errstate(over="ignore"):  # an overflowed P or G is rejected with its type
         for start, stop, spectrum in spectra:
-            block = mags[: stop - start]
-            np.abs(spectrum, out=block)
+            np.matmul(np.abs(spectrum), W, out=P[start:stop])
             del spectrum  # freed before the next block's is taken
-            np.matmul(block, W, out=P[start:stop])
         G = W.T @ W
     if not np.all(np.isfinite(P)):
         raise NonFiniteResultError("|X|^T W of the mixture is not finite")
-    H = sparse_code(P, G, code_alpha)
-    return H[: w_signal.k, :], H[w_signal.k :, :]
+    codes = []
+    for i, alpha in enumerate(code_alphas):
+        H = sparse_code(P if i == len(code_alphas) - 1 else P.copy(), G, alpha)
+        codes.append((H[: w_signal.k, :], H[w_signal.k :, :]))
+    return codes
 
 
 def _signal_ratio(s_est: np.ndarray, n_est: np.ndarray) -> np.ndarray:
@@ -269,20 +280,51 @@ def _code_mask(
 ):
     """The ratio mask of the codes as ``masked_inverse`` takes it:
     ``mask(start, stop)`` forms the frames-major estimates Hᵀ Wᵀ of frames
-    [start, stop) and turns them into S/(S+N) (``_signal_ratio``). The two
-    block buffers are reused, so each returned block is valid until the
-    next call."""
-    s_buf = np.empty((min(frames_per_block(params), h_signal.shape[1]), w_signal.d))
-    n_buf = np.empty_like(s_buf)
+    [start, stop) and turns them into S/(S+N) (``_signal_ratio``), a new
+    array on each call."""
     ws, wn = w_signal.atoms.T, w_noise.atoms.T
 
     def mask(start, stop):
-        m = stop - start
-        s_est = np.matmul(h_signal[:, start:stop].T, ws, out=s_buf[:m])
-        n_est = np.matmul(h_noise[:, start:stop].T, wn, out=n_buf[:m])
-        return _signal_ratio(s_est, n_est)
+        return _signal_ratio(h_signal[:, start:stop].T @ ws, h_noise[:, start:stop].T @ wn)
 
     return mask
+
+
+def denoise_each(
+    x: AudioBuffer,
+    w_signal: Dictionary,
+    w_noise: Dictionary,
+    cfg: DenoiseConfig,
+    alphas: Sequence[float],
+) -> Iterator[DenoiseResult]:
+    """``denoise`` at ``cfg.stft`` for each L1 weight of ``alphas`` in
+    turn, in place of ``cfg.code_alpha``: yields one ``DenoiseResult`` per
+    weight, in order. The mixture's spectrum and its |X|^T W are formed
+    once for all the weights (``separate``); each weight's output is then
+    resynthesized when its result is asked for. The generator holds the
+    codes of the weights still to come, and drops each weight's as its
+    result is yielded, so a caller that drops the result holds neither.
+    Every weight is checked, and a hop that is not window_len/2 or
+    window_len/4 raises ``InvalidInputError``, before any transform; a
+    denoised signal that is not finite raises ``NonFiniteResultError``."""
+    params = cfg.stft
+    params.check_cola()
+    for alpha in alphas:
+        replace(cfg, code_alpha=alpha)  # checks the weight
+    pending = separate(x, params, w_signal, w_noise, alphas)
+    for alpha in alphas:
+        yield _resynthesized(x, params, w_signal, w_noise, *pending.pop(0), alpha)
+
+
+def _resynthesized(x, params, w_signal, w_noise, h_signal, h_noise, alpha) -> DenoiseResult:
+    """The ``DenoiseResult`` of one weight's codes: ``x`` resynthesized
+    under their ratio mask, as long as ``x``."""
+    codes = (w_signal, w_noise, h_signal, h_noise)
+    audio = masked_inverse(x, params, _code_mask(params, *codes))
+    if not np.all(np.isfinite(audio.samples)):
+        raise NonFiniteResultError(f"non-finite denoised signal at alpha={alpha:g}")
+    denoised = AudioBuffer(audio.samples[: len(x)], x.sample_rate_hz)
+    return DenoiseResult(x, params, *codes, denoised=denoised)
 
 
 def denoise(
@@ -292,21 +334,11 @@ def denoise(
     cfg: DenoiseConfig,
 ) -> DenoiseResult:
     """Full pipeline on a noisy buffer, at ``cfg.stft`` and
-    ``cfg.code_alpha``, in two passes over its samples: ``separate`` codes
-    the mixture, and ``masked_inverse`` resynthesizes it under the codes'
-    ratio mask; the output is as long as ``x``. A hop that is not
-    window_len/2 or window_len/4 raises ``InvalidInputError`` before any
-    transform, and a denoised signal that is not finite
-    ``NonFiniteResultError``."""
-    params = cfg.stft
-    params.check_cola()
-    h_signal, h_noise = separate(x, params, w_signal, w_noise, cfg.code_alpha)
-    codes = (w_signal, w_noise, h_signal, h_noise)
-    audio = masked_inverse(x, params, _code_mask(params, *codes))
-    if not np.all(np.isfinite(audio.samples)):
-        raise NonFiniteResultError(f"non-finite denoised signal at alpha={cfg.code_alpha:g}")
-    denoised = AudioBuffer(audio.samples[: len(x)], x.sample_rate_hz)
-    return DenoiseResult(x, params, *codes, denoised=denoised)
+    ``cfg.code_alpha``: ``denoise_each`` of that one weight. It makes two
+    passes over the samples: ``separate`` codes the mixture, and
+    ``masked_inverse`` resynthesizes it under the codes' ratio mask; the
+    output is as long as ``x``."""
+    return next(denoise_each(x, w_signal, w_noise, cfg, [cfg.code_alpha]))
 
 
 def render_noise(result: DenoiseResult) -> AudioBuffer:

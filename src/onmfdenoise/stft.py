@@ -9,10 +9,10 @@ interior for Hann windows at 50% or 75% overlap.
 The one framing and FFT loop is ``block_spectra``, which yields the
 spectra of the frames one block of ``frames_per_block(params)`` frames
 (about 64 Ki samples, whatever the FFT size) at a time, windowing each
-block into one reused buffer. ``stft`` and ``stft_magnitudes`` fill a
-whole frames-major array from it; ``stft_magnitudes`` gives only |X|, for
-callers that read nothing else, so the complex spectrum exists one block
-at a time.
+block into a fresh array that is freed as soon as its FFT returns.
+``stft`` and ``stft_magnitudes`` fill a whole frames-major array from it;
+``stft_magnitudes`` gives only |X|, for callers that read nothing else,
+so the complex spectrum exists one block at a time.
 
 ``masked_inverse(buf, params, mask)`` resynthesizes ``ratio * X`` straight
 from the samples, reusing their phases: it forms each block's spectrum
@@ -150,10 +150,12 @@ def block_spectra(
     each block of ``frame_blocks``, in order: ``spectrum`` is the
     frames-major (stop - start, d) complex ``rfft`` of frames [start,
     stop), the caller's to modify. Frames are read from the samples in
-    place and windowed into one reused buffer; only the last frame, when it
-    runs past the end, is copied and zero-padded. The generator drops each
-    spectrum when it resumes, so a caller that drops it too before asking
-    for the next holds one block of it at a time."""
+    place and windowed into a fresh block, zero-padded where the last frame
+    runs past the end, which is dropped once its spectrum is taken. The
+    generator drops each spectrum when it resumes, so a caller that drops
+    it too before asking for the next holds one block at a time: the
+    windowed frames and the spectrum while it is taken, then the spectrum
+    alone."""
     samples = buf.samples
     if not np.all(np.isfinite(samples)):
         raise InvalidInputError("input holds NaN or Inf samples")
@@ -170,20 +172,19 @@ def _spectra(samples: np.ndarray, params: StftParams):
     # the frames that fit: all of them, or all but the last
     frames = sliding_window_view(samples, win_len)[::hop]
     window = params.window()
-    windowed = np.empty((min(frames_per_block(params), n_frames), win_len))
     for start, stop in frame_blocks(params, n_frames):
-        block = windowed[: stop - start]
         if stop <= len(frames):
-            np.multiply(frames[start:stop], window, out=block)
+            block = frames[start:stop] * window
         else:
+            block = np.zeros((stop - start, win_len))
             block[:-1] = frames[start:]
             tail = samples[(stop - 1) * hop :]
             block[-1, : len(tail)] = tail
-            block[-1, len(tail) :] = 0.0
             block *= window
         # taken from rfft's result rather than through its out=, which
         # needs NumPy 2
         spectrum = np.fft.rfft(block, n=params.fft_len, axis=1)
+        del block  # freed before the spectrum is handed out
         yield start, stop, spectrum
         del spectrum
 
@@ -238,9 +239,9 @@ def masked_inverse(
 
     ``mask(start, stop)`` returns the frames-major ratio of frames [start,
     stop), shaped (stop - start, d); it is called once per block of
-    ``frame_blocks``, in order, and its result is used before the next
-    call. A hop that is not window_len/2 or window_len/4 raises
-    ``InvalidInputError`` before any transform."""
+    ``frame_blocks``, in order, after the block's spectrum is taken. A hop
+    that is not window_len/2 or window_len/4 raises ``InvalidInputError``
+    before any transform."""
     params.check_cola()
     spectra = block_spectra(buf, params)
     n_frames = params.n_frames(len(buf))

@@ -954,10 +954,10 @@ class TestSweep:
     def test_sweep_reads_each_wav_once_and_forms_no_spectrogram(
         self, wavs, trained, monkeypatch, capsys
     ):
-        from onmfdenoise import audio_io, pipeline
-        from onmfdenoise.stft import stft
+        from onmfdenoise import audio_io
+        from onmfdenoise.stft import block_spectra, stft
 
-        calls = {"read_wav": 0, "stft": 0, "denoise": 0}
+        calls = {"read_wav": 0, "stft": 0, "block_spectra": 0}
 
         def counting(name, original):
             def wrapped(*args, **kwargs):
@@ -966,7 +966,7 @@ class TestSweep:
 
             return wrapped
 
-        originals = {"read_wav": audio_io.read_wav, "stft": stft, "denoise": pipeline.denoise}
+        originals = {"read_wav": audio_io.read_wav, "stft": stft, "block_spectra": block_spectra}
         for name, module in list(sys.modules.items()):
             if name.startswith("onmfdenoise"):
                 for attr, value in list(vars(module).items()):
@@ -987,8 +987,9 @@ class TestSweep:
         )
         assert code == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
-        # each weight denoises from the samples: no spectrogram is kept
-        assert calls == {"read_wav": 3, "stft": 0, "denoise": 3}
+        # no spectrogram is kept: one forward pass forms the mixture's
+        # products for the whole grid, and one more per weight resynthesizes
+        assert calls == {"read_wav": 3, "stft": 0, "block_spectra": 1 + 3}
 
     @pytest.mark.parametrize(
         "alphas, flags, message",

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -265,6 +266,37 @@ class TestFit:
         # a negative cap would run no iteration and return the random start
         with pytest.raises(InvalidInputError, match="max_iters must be >= 0"):
             fit_nmf(np.ones((3, 4)), 2, 0.0, seed=0, max_iters=max_iters, rel_tol=1e-4)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("k", 2.5, "k must be an integer, got 2.5"),
+            ("k", True, "k must be an integer, got True"),
+            ("k", 0, "k must be >= 1, got 0"),
+            ("max_iters", 2.5, "max_iters must be an integer, got 2.5"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_integer_arguments_are_checked_before_x_is_read(self, name, value, message):
+        class Unreadable:
+            def __array__(self, *args, **kwargs):
+                raise AssertionError("X was read")
+
+        settings = dict(k=2, seed=0, max_iters=3)
+        settings[name] = value
+        k = settings.pop("k")
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            fit_nmf(Unreadable(), k, 0.0, rel_tol=1e-4, **settings)
+
+    def test_numpy_integer_arguments_fit_as_ints_do(self):
+        X = np.random.default_rng(20).random((12, 15))
+        W, H, trace = fit_nmf(X, 3, 0.0, seed=4, max_iters=5, rel_tol=1e-4)
+        W2, H2, trace2 = fit_nmf(
+            X, np.int64(3), 0.0, seed=np.uint8(4), max_iters=np.int32(5), rel_tol=1e-4
+        )
+        assert W2.atoms.tobytes() == W.atoms.tobytes() and H2.tobytes() == H.tobytes()
+        assert trace2 == trace
 
     @pytest.mark.parametrize("rel_tol", [0.0, -1e-4, np.nan, -np.inf])
     def test_stop_tolerance_that_is_not_positive_rejected(self, rel_tol):

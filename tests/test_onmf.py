@@ -572,7 +572,8 @@ def _reject_constant(name):
 
 
 def strict_json_lines(path):
-    return [json.loads(line, parse_constant=_reject_constant) for line in open(path)]
+    with open(path) as fh:
+        return [json.loads(line, parse_constant=_reject_constant) for line in fh]
 
 
 class TestNonFinite:

@@ -22,6 +22,7 @@ from onmfdenoise.pipeline import (
     apply_mask,
     concat_dictionaries,
     denoise,
+    denoise_each,
     separate,
     fit_dictionary,
     render_noise,
@@ -32,6 +33,7 @@ from onmfdenoise.pipeline import (
 from onmfdenoise.stft import (
     Spectrogram,
     StftParams,
+    block_spectra,
     frame_blocks,
     frames_per_block,
     istft,
@@ -170,7 +172,7 @@ SMALL = StftParams(window_len=256, hop=128, fft_len=256)
 def separate_with_estimates(x, w_signal, w_noise, code_alpha):
     """The codes from ``separate`` at SMALL with the partial
     reconstructions W @ H."""
-    h_signal, h_noise = separate(AudioBuffer(x, SR), SMALL, w_signal, w_noise, code_alpha)
+    [(h_signal, h_noise)] = separate(AudioBuffer(x, SR), SMALL, w_signal, w_noise, [code_alpha])
     return SimpleNamespace(
         s_est=w_signal.atoms @ h_signal,
         n_est=w_noise.atoms @ h_noise,
@@ -445,9 +447,10 @@ class TestDenoise:
         assert peak < n_frames * d * 16  # less than X alone, at 60 s
 
     def test_masked_inverse_holds_one_block_of_each_working_array(self):
-        # beyond its output rows, the inverse from the samples holds one
-        # windowed block, the block's spectrum, masked in place, one inverse
-        # block and the mask's two estimate blocks
+        # beyond its output rows, the inverse from the samples holds the
+        # block's spectrum, masked in place, and beside it one block of one
+        # stage at a time: the windowed frames, the mask's two estimates or
+        # the inverse
         params = StftParams(window_len=4096, hop=1024, fft_len=4096)
         rng = np.random.default_rng(17)
         d = params.n_bins
@@ -461,9 +464,43 @@ class TestDenoise:
         m = frames_per_block(params)
         inverse = m * params.fft_len * 8
         windowed = m * params.window_len * 8
-        blocks = windowed + m * d * 16 + inverse + 2 * m * d * 8
+        blocks = m * d * 16 + max(windowed, 2 * m * d * 8, inverse)
         beyond = peak - audio.samples.nbytes
         assert beyond <= blocks + inverse / 4
+
+    def test_separate_holds_w_one_windowed_block_one_spectrum_and_the_coder(self):
+        # the first pass holds the concatenated W and P, and one block at a
+        # time: its windowed frames and spectrum, then the spectrum and its
+        # magnitudes; the coder's k x frames arrays come after
+        from onmfdenoise.onmf import sparse_code
+
+        params = StftParams(window_len=4096, hop=1024, fft_len=4096)
+        rng = np.random.default_rng(19)
+        d, m = params.n_bins, frames_per_block(params)
+        w_s, w_n = Dictionary(rng.random((d, 50))), Dictionary(rng.random((d, 10)))
+        x = AudioBuffer(rng.uniform(-0.5, 0.5, 2 * SR), SR)
+        W = concat_dictionaries(w_s, w_n).atoms
+        P = stft_magnitudes(x, params).T @ W
+        coder, _ = peak_bytes(partial(sparse_code, P.copy(), W.T @ W, 1.0))
+        separate(x, params, w_s, w_n, [1.0])  # the FFT's one-time plans for this size
+        peak, _ = peak_bytes(lambda: separate(x, params, w_s, w_n, [1.0]))
+        windowed, spectrum = m * params.window_len * 8, m * d * 16
+        assert peak <= W.nbytes + P.nbytes + windowed + spectrum + coder
+
+    def test_each_mask_block_is_a_new_array(self):
+        # the inverse may keep a block's ratio past the next call
+        params = StftParams(window_len=256, hop=128, fft_len=256)
+        rng = np.random.default_rng(20)
+        d, n = params.n_bins, 3 * frames_per_block(params)
+        w_s, w_n = Dictionary(rng.random((d, 4))), Dictionary(rng.random((d, 3)))
+        h_s, h_n = rng.random((4, n)), rng.random((3, n))
+        mask = _code_mask(params, w_s, w_n, h_s, h_n)
+        (a0, a1), (b0, b1), _ = frame_blocks(params, n)
+        first = mask(a0, a1)
+        kept = first.copy()
+        second = mask(b0, b1)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
 
     def test_masked_parts_hold_the_ratio_and_magnitudes_once(self):
         # s_masked and n_masked each form |X| and the ratio and work in
@@ -532,6 +569,32 @@ class TestDenoise:
         x = AudioBuffer(np.random.default_rng(18).uniform(-0.5, 0.5, 3 * SR), SR)
         with pytest.raises(InvalidInputError, match="got hop 1000 for window_len 4096"):
             denoise(x, w_s, w_n, cfg)
+
+    def test_each_weight_of_a_grid_equals_its_own_denoise(self, monkeypatch):
+        # one forward pass forms the products for the whole grid, and one
+        # inverse per weight resynthesizes it
+        cfg = small_cfg(code_alpha=50.0)
+        w_s, w_n = self._dictionaries(cfg.stft.n_bins)
+        x = AudioBuffer(np.random.default_rng(21).uniform(-0.5, 0.5, 2 * SR), SR)
+        alphas = [0.5, 2.0, 8.0]
+        singles = [denoise(x, w_s, w_n, replace(cfg, code_alpha=a)) for a in alphas]
+        passes = record_calls(monkeypatch, block_spectra)
+        for one, each in zip(singles, denoise_each(x, w_s, w_n, cfg, alphas)):
+            assert each.denoised.samples.tobytes() == one.denoised.samples.tobytes()
+            assert each.h_signal.tobytes() == one.h_signal.tobytes()
+            assert each.h_noise.tobytes() == one.h_noise.tobytes()
+        assert len(passes) == 1 + len(alphas)
+
+    def test_grid_checks_every_weight_before_any_transform(self, monkeypatch):
+        def failing(*args):
+            raise AssertionError("transformed before every weight was checked")
+
+        monkeypatch.setattr("onmfdenoise.pipeline.block_spectra", failing)
+        cfg = small_cfg()
+        w_s, w_n = self._dictionaries(cfg.stft.n_bins)
+        x = AudioBuffer(np.zeros(SR), SR)
+        with pytest.raises(InvalidInputError, match="L1 weight must be finite and >= 0, got -1"):
+            next(denoise_each(x, w_s, w_n, cfg, [1.0, -1.0]))
 
 
 class TestConfig:
