@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import audio_io, metrics, nmf, onmf, pipeline
-from .errors import DenoiseError, InvalidInputError, NonFiniteResultError
-from .stft import StftParams, export_csv, export_pgm, stft_magnitudes
+from .errors import DenoiseError, InvalidInputError, NonFiniteResultError, check_weight
+from .stft import StftParams, export_csv, export_pgm, stft
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -97,7 +97,7 @@ def cmd_train(args) -> int:
     )
     trained = []
     for role, path in (("signal", args.signal), ("noise", args.noise)):
-        mags = stft_magnitudes(audio_io.read_wav(path), params)
+        mags = stft(audio_io.read_wav(path), params).magnitudes
         log = f"{args.train_log}.{role}.jsonl" if args.train_log else None
         dictionary, final_loss = pipeline.fit_dictionary(mags, cfg, role, log_path=log)
         del mags  # free this prior before the next one is transformed
@@ -134,7 +134,7 @@ def cmd_denoise(args) -> int:
         # |X| and the ratio once each, and the samples and the codes freed
         # before the first image; s = ratio * |X| in the ratio's buffer,
         # then n = |X| - s in that of |X|, as s_masked and n_masked
-        mags, s_masked = stft_magnitudes(result.noisy, params), result.ratio
+        mags, s_masked = stft(result.noisy, params).magnitudes, result.ratio
         del result
         export_pgm(mags, base + ".noisy.pgm")
         s_masked *= mags
@@ -144,7 +144,7 @@ def cmd_denoise(args) -> int:
         export_pgm(mags, base + ".noise.pgm")
         del mags
         if args.clean:
-            export_pgm(stft_magnitudes(audio_io.read_wav(args.clean), params), base + ".clean.pgm")
+            export_pgm(stft(audio_io.read_wav(args.clean), params).magnitudes, base + ".clean.pgm")
     return EXIT_OK
 
 
@@ -193,7 +193,7 @@ def cmd_sweep(args) -> int:
     params = _stft_params(args)
     cfg = pipeline.DenoiseConfig(stft=params)
     for alpha in alphas:
-        dataclasses.replace(cfg, code_alpha=alpha)  # checks the weight
+        check_weight(alpha)
     params.check_cola()
     _require_files(args.dict_signal, args.dict_noise, args.input, args.clean, args.noise)
     w_signal = nmf.load_dictionary(args.dict_signal)
@@ -217,7 +217,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_spectrogram(args) -> int:
     _require_files(args.input)
-    mags = stft_magnitudes(audio_io.read_wav(args.input), _stft_params(args))
+    mags = stft(audio_io.read_wav(args.input), _stft_params(args)).magnitudes
     export_pgm(mags, args.out)
     if args.csv:
         export_csv(mags, args.csv)

@@ -1,6 +1,7 @@
 """Exception types shared across the package: one per CLI exit code, and
-the one check of integer settings and arguments."""
+the one check of integer settings and arguments and the one of L1 weights."""
 
+import math
 import numbers
 
 
@@ -26,6 +27,13 @@ def check_integer(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_weight(value) -> None:
+    """``InvalidInputError`` unless the L1 weight ``value`` is finite and
+    >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise InvalidInputError(f"L1 weight must be finite and >= 0, got {value}")
 
 
 def check_integers(settings, **minimums) -> None:

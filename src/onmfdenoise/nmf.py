@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, check_integer
+from .errors import InvalidInputError, check_integer, check_weight
 
 __all__ = [
     "Dictionary",
@@ -168,8 +168,7 @@ def fit_nmf(X: np.ndarray, k: int, alpha: float, *, seed: int, max_iters: int, r
     k = check_integer("k", k, 1)
     max_iters = check_integer("max_iters", max_iters, 0)
     seed = check_integer("seed", seed, 0)
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise InvalidInputError(f"L1 weight must be finite and >= 0, got {alpha}")
+    check_weight(alpha)
     if not rel_tol > 0:
         raise InvalidInputError("rel_tol must be positive")
     X = np.asarray(X, dtype=np.float64)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, NonFiniteResultError, check_integers
+from .errors import InvalidInputError, NonFiniteResultError, check_integers, check_weight
 from .nmf import Dictionary
 
 # Stopping rules: the coder's per-column KKT tolerance and iteration cap,
@@ -138,8 +138,7 @@ def sparse_code(P: np.ndarray, G: np.ndarray, alpha: float) -> np.ndarray:
     row keeps iterating, unread, until half the rows have stopped, and only
     then are the arrays compacted, a copy of contiguous rows.
     """
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise InvalidInputError(f"L1 weight must be finite and >= 0, got {alpha}")
+    check_weight(alpha)
     m, k = P.shape
     if G.shape != (k, k):
         raise InvalidInputError(f"products do not conform: P{P.shape}, G{G.shape}")

@@ -26,22 +26,13 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
-import math
-
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .errors import InvalidInputError, NonFiniteResultError, check_integers
+from .errors import InvalidInputError, NonFiniteResultError, check_integers, check_weight
 from .nmf import Dictionary, fit_nmf, loss
 from .onmf import SamplerConfig, fit_onmf, sparse_code
-from .stft import (
-    Spectrogram,
-    StftParams,
-    block_spectra,
-    frame_blocks,
-    masked_inverse,
-    stft_magnitudes,
-)
+from .stft import Spectrogram, StftParams, block_spectra, frame_blocks, masked_inverse, stft
 
 __all__ = [
     "DenoiseConfig",
@@ -84,9 +75,8 @@ class DenoiseConfig:
         if self.trainer not in TRAINERS:
             raise InvalidInputError(f"unknown trainer {self.trainer!r}")
         check_integers(self, k_signal=1, k_noise=1, seed=0, max_iters=0)
-        for alpha in (self.train_alpha, self.code_alpha):
-            if not (math.isfinite(alpha) and alpha >= 0):
-                raise InvalidInputError(f"L1 weight must be finite and >= 0, got {alpha}")
+        check_weight(self.train_alpha)
+        check_weight(self.code_alpha)
         if not self.rel_tol > 0:
             raise InvalidInputError("rel_tol must be positive")
 
@@ -98,11 +88,12 @@ class DenoiseResult:
     signal.
 
     ``ratio`` (the signal share of each cell of X) is formed on each
-    access, block by block as the inverse formed it, so it is exactly the
-    mask that was applied. ``s_masked`` (ratio * |X|) and ``n_masked``
-    (|X| - ratio * |X|) form it and |X| once each and work in their
-    buffers, so neither makes a third bins x frames array. A caller that
-    needs one of them more than once holds on to the array itself."""
+    access, block by block as the one inverse, ``masked_inverse``, formed
+    it, so it is exactly the mask that was applied. ``s_masked`` (ratio *
+    |X|) and ``n_masked`` (|X| - ratio * |X|) form it and |X|, from the one
+    forward transform ``stft``, once each and work in their buffers, so
+    neither makes a third bins x frames array. A caller that needs one of
+    them more than once holds on to the array itself."""
 
     noisy: AudioBuffer
     params: StftParams
@@ -127,12 +118,12 @@ class DenoiseResult:
     @property
     def s_masked(self) -> np.ndarray:
         s = self.ratio
-        s *= stft_magnitudes(self.noisy, self.params)
+        s *= stft(self.noisy, self.params).magnitudes
         return s
 
     @property
     def n_masked(self) -> np.ndarray:
-        mags = stft_magnitudes(self.noisy, self.params)
+        mags = stft(self.noisy, self.params).magnitudes
         s = self.ratio
         s *= mags
         mags -= s
@@ -145,8 +136,8 @@ def fit_dictionary(
     """Learn the ``role`` ("signal" or "noise") dictionary from the
     magnitudes of its prior; returns it with its final training loss.
 
-    ``mags`` is bins x frames; the CLI passes ``stft_magnitudes``' array,
-    so no complex spectrum of the prior is made. Size and seed come from
+    ``mags`` is bins x frames; the CLI passes ``stft(...).magnitudes``,
+    so no complex spectrogram of the prior is made. Size and seed come from
     ``role``: ``cfg.k_signal`` and ``cfg.seed``, or ``cfg.k_noise`` and
     ``cfg.seed + 1``. Online training codes the prior once for the final
     loss and writes its JSON-lines log to ``log_path``. An empty or silent
@@ -310,7 +301,7 @@ def denoise_each(
     params = cfg.stft
     params.check_cola()
     for alpha in alphas:
-        replace(cfg, code_alpha=alpha)  # checks the weight
+        check_weight(alpha)
     pending = separate(x, params, w_signal, w_noise, alphas)
     for alpha in alphas:
         yield _resynthesized(x, params, w_signal, w_noise, *pending.pop(0), alpha)

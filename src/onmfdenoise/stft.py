@@ -1,4 +1,4 @@
-"""Short-time Fourier transform, its overlap-add inverse, and exporters.
+"""Short-time Fourier transform, its masked overlap-add inverse, and exporters.
 
 Frame f covers samples [f*hop, f*hop + window_len); the tail is
 zero-padded so every input sample is covered. Only non-negative
@@ -10,19 +10,17 @@ The one framing and FFT loop is ``block_spectra``, which yields the
 spectra of the frames one block of ``frames_per_block(params)`` frames
 (about 64 Ki samples, whatever the FFT size) at a time, windowing each
 block into a fresh array that is freed as soon as its FFT returns.
-``stft`` and ``stft_magnitudes`` fill a whole frames-major array from it;
-``stft_magnitudes`` gives only |X|, for callers that read nothing else,
+The one whole-file transform, ``stft``, fills a frames-major |X| from it,
 so the complex spectrum exists one block at a time.
 
-``masked_inverse(buf, params, mask)`` resynthesizes ``ratio * X`` straight
-from the samples, reusing their phases: it forms each block's spectrum
-again, multiplies it in place by the block's real ratio and overlap-adds
-it, so neither X nor the masked spectrum is ever held whole. The mask is
-a function that forms each block's ratio when the inverse reaches it, so
-no d x n mask need exist either; denoising holds the samples, the codes
-and the output. ``istft`` inverts a whole ``Spectrogram``. Both inverses
-share one overlap-add and one normalization, and each frees a block's
-spectrum and inverse before the next block's are taken.
+The one inverse, ``masked_inverse(buf, params, mask)``, resynthesizes
+``ratio * X`` straight from the samples, reusing their phases: it forms
+each block's spectrum again, multiplies it in place by the block's real
+ratio and overlap-adds it, so neither X nor the masked spectrum is ever
+held whole. The mask is a function that forms each block's ratio when the
+inverse reaches it, so no d x n mask need exist either; denoising holds
+the samples, the codes and the output. The inverse frees a block's
+spectrum and its inverse before the next block's are taken.
 """
 
 from __future__ import annotations
@@ -44,8 +42,6 @@ __all__ = [
     "frame_blocks",
     "block_spectra",
     "stft",
-    "stft_magnitudes",
-    "istft",
     "masked_inverse",
     "export_pgm",
     "export_csv",
@@ -106,25 +102,17 @@ def _hann(window_len: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """Complex STFT, bins x frames.
+    """Magnitude STFT |X|, bins x frames.
 
-    ``values`` is normally the transposed view of the frames-major array
-    that ``stft`` fills, so each frame's bins are contiguous in memory.
+    ``magnitudes`` is the transposed view of the frames-major array that
+    ``stft`` fills, so each frame's bins are contiguous in memory.
     """
 
-    values: np.ndarray  # (d, n), complex
-    params: StftParams
-    sample_rate_hz: int
+    magnitudes: np.ndarray  # (d, n), real
 
     @property
     def n_frames(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def magnitudes(self) -> np.ndarray:
-        """|values|, computed on each access and not kept: a caller that
-        needs them more than once holds on to the array itself."""
-        return np.abs(self.values)
+        return self.magnitudes.shape[1]
 
 
 def frames_per_block(params: StftParams) -> int:
@@ -189,53 +177,26 @@ def _spectra(samples: np.ndarray, params: StftParams):
         del spectrum
 
 
-def _forward(buf: AudioBuffer, params: StftParams, magnitudes: bool) -> np.ndarray:
-    """Fill a frames-major (n_frames, d) array from ``block_spectra``, with
-    each block's spectrum or, for ``magnitudes``, its ``np.abs``."""
-    spectra = block_spectra(buf, params)
-    dtype = np.float64 if magnitudes else np.complex128
-    out = np.empty((params.n_frames(len(buf)), params.n_bins), dtype=dtype)
-    for start, stop, spectrum in spectra:
-        if magnitudes:
-            np.abs(spectrum, out=out[start:stop])
-        else:
-            out[start:stop] = spectrum
-        del spectrum  # freed before the next block's is taken
-    return out
-
-
 def stft(buf: AudioBuffer, params: StftParams) -> Spectrogram:
-    """Forward transform of a mono buffer, computed one block of frames at
-    a time into one preallocated frames-major array."""
-    return Spectrogram(_forward(buf, params, magnitudes=False).T, params, buf.sample_rate_hz)
-
-
-def stft_magnitudes(buf: AudioBuffer, params: StftParams) -> np.ndarray:
-    """``np.abs(stft(buf, params).values)``, bit for bit and laid out the
-    same way (bins x frames, a view of a frames-major array), without the
-    complex spectrum: only one block of it exists at a time, so the
-    transform holds half the memory of ``stft``. For callers that read
-    only |X|."""
-    return _forward(buf, params, magnitudes=True).T
-
-
-def istft(spec: Spectrogram) -> AudioBuffer:
-    """Overlap-add inverse; output length (n_frames-1)*hop + window_len."""
-    params = spec.params
-    params.check_cola()
-    rows = _rows(params, spec.n_frames)
-    for start, stop in frame_blocks(params, spec.n_frames):
-        _overlap_add(rows, start, spec.values[:, start:stop].T, params)
-    return _normalized(rows, params, spec.n_frames, spec.sample_rate_hz)
+    """The magnitude spectrogram of a mono buffer: the ``np.abs`` of each
+    block of ``block_spectra``, filled into one preallocated frames-major
+    array, so only one block of the complex spectrum exists at a time."""
+    spectra = block_spectra(buf, params)
+    out = np.empty((params.n_frames(len(buf)), params.n_bins))
+    for start, stop, spectrum in spectra:
+        np.abs(spectrum, out=out[start:stop])
+        del spectrum  # freed before the next block's is taken
+    return Spectrogram(out.T)
 
 
 def masked_inverse(
     buf: AudioBuffer, params: StftParams, mask: Callable[[int, int], np.ndarray]
 ) -> AudioBuffer:
-    """``istft`` of the real ratio times ``stft(buf, params).values``, bit
-    for bit, formed from the samples: each block's spectrum is taken again
-    by ``block_spectra`` and multiplied by its ratio in place, so the
-    samples' own phases are reused and no d x n array is made.
+    """The overlap-add inverse of the real ratio times the complex STFT X
+    of ``buf``, as long as the frames cover, (n_frames - 1) * hop +
+    window_len samples. X is formed from the samples: each block's spectrum
+    is taken again by ``block_spectra`` and multiplied by its ratio in
+    place, so the samples' own phases are reused and no d x n array is made.
 
     ``mask(start, stop)`` returns the frames-major ratio of frames [start,
     stop), shaped (stop - start, d); it is called once per block of
@@ -245,17 +206,13 @@ def masked_inverse(
     params.check_cola()
     spectra = block_spectra(buf, params)
     n_frames = params.n_frames(len(buf))
-    rows = _rows(params, n_frames)
+    # the output as rows of one hop: frame f adds its piece r to row f + r
+    rows = np.zeros((n_frames + params.window_len // params.hop - 1, params.hop))
     for start, stop, spectrum in spectra:
         spectrum *= mask(start, stop)
         _overlap_add(rows, start, spectrum, params)
         del spectrum  # freed before the next block's is taken
     return _normalized(rows, params, n_frames, buf.sample_rate_hz)
-
-
-def _rows(params: StftParams, n_frames: int) -> np.ndarray:
-    # the output as rows of one hop: frame f adds its piece r to row f + r
-    return np.zeros((n_frames + params.window_len // params.hop - 1, params.hop))
 
 
 def _overlap_add(rows: np.ndarray, start: int, block: np.ndarray, params: StftParams) -> None:

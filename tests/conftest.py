@@ -89,6 +89,38 @@ def peak_bytes(fn):
         tracemalloc.stop()
 
 
+def whole_matrix_stft(x, params):
+    """Reference transform: every frame gathered at once, one rfft call;
+    complex, bins x frames."""
+    n_frames = 1 + int(np.ceil(max(0, len(x) - params.window_len) / params.hop))
+    padded = np.zeros((n_frames - 1) * params.hop + params.window_len)
+    padded[: len(x)] = x
+    starts = params.hop * np.arange(n_frames)
+    idx = np.arange(params.window_len)[None, :] + starts[:, None]
+    return np.fft.rfft(padded[idx] * params.window(), n=params.fft_len, axis=1).T
+
+
+def unit_mask(params, value=1.0):
+    """The mask of ``value`` everywhere, as ``masked_inverse`` takes it. At
+    1.0 the inverse is that of X itself, exactly: multiplying by 1.0
+    changes no bit."""
+    return lambda a, b: np.full((b - a, params.n_bins), value)
+
+
+def whole_matrix_istft(values, params):
+    """Reference inverse: one irfft over all frames, then overlap-add."""
+    frames = np.fft.irfft(values.T, n=params.fft_len, axis=1)[:, : params.window_len]
+    window = params.window()
+    out_len = (frames.shape[0] - 1) * params.hop + params.window_len
+    out = np.zeros(out_len)
+    wsum = np.zeros(out_len)
+    for f, frame in enumerate(frames):
+        lo = f * params.hop
+        out[lo : lo + params.window_len] += frame * window
+        wsum[lo : lo + params.window_len] += window**2
+    return out / np.maximum(wsum, 1e-2)
+
+
 def loss(X: np.ndarray, W: np.ndarray, H: np.ndarray, alpha: float) -> float:
     """0.5 * ||X - WH||_F^2 + alpha * sum(H), from the explicit residual.
 

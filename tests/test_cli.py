@@ -450,7 +450,7 @@ class TestDenoise:
         from onmfdenoise import pipeline
         from onmfdenoise.audio_io import read_wav
         from onmfdenoise.nmf import load_dictionary
-        from onmfdenoise.stft import StftParams, export_pgm, stft_magnitudes
+        from onmfdenoise.stft import StftParams, export_pgm, stft
 
         argv = [
             "denoise", "--dict-signal", str(trained["signal"]),
@@ -469,7 +469,7 @@ class TestDenoise:
             cfg,
         )
         for suffix, image in (
-            ("noisy", stft_magnitudes(result.noisy, result.params)),
+            ("noisy", stft(result.noisy, result.params).magnitudes),
             ("denoised", result.s_masked),
             ("noise", result.n_masked),
         ):

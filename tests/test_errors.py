@@ -62,6 +62,9 @@ def test_every_raise_names_one_of_the_two_failure_kinds(path):
             id="negative-x",
         ),
         pytest.param(
+            lambda: errors.check_weight(-0.5), "L1 weight must be finite and >= 0, got -0.5", id="weight"
+        ),
+        pytest.param(
             lambda: fit_dictionary(np.ones((3, 4)), DenoiseConfig(), "bogus"),
             "unknown dictionary role 'bogus'",
             id="role",

@@ -36,12 +36,10 @@ from onmfdenoise.stft import (
     block_spectra,
     frame_blocks,
     frames_per_block,
-    istft,
     masked_inverse,
     stft,
-    stft_magnitudes,
 )
-from tests.conftest import peak_bytes
+from tests.conftest import peak_bytes, whole_matrix_istft, whole_matrix_stft
 
 SR = 16000
 
@@ -60,11 +58,7 @@ def small_cfg(**overrides):
 
 
 def spectrogram_from(mags):
-    return Spectrogram(
-        values=mags.astype(complex),
-        params=StftParams(window_len=256, hop=128, fft_len=256),
-        sample_rate_hz=SR,
-    )
+    return Spectrogram(np.asarray(mags, dtype=np.float64))
 
 
 class TestTrain:
@@ -188,7 +182,7 @@ class TestSeparate:
         # bins, and with all seven atoms independent the fit is unique
         rng = np.random.default_rng(5)
         x = rng.uniform(-0.5, 0.5, 4 * 128 + 256)
-        mags = stft_magnitudes(AudioBuffer(x, SR), SMALL)
+        mags = stft(AudioBuffer(x, SR), SMALL).magnitudes
         assert mags.shape == (129, 5)
         w_s = mags / np.linalg.norm(mags, axis=0)
         w_n = np.zeros((129, 2))
@@ -215,7 +209,7 @@ class TestSeparate:
         from onmfdenoise.onmf import sparse_code
 
         W = np.hstack([w_s.atoms, w_n.atoms])
-        H = sparse_code(stft_magnitudes(AudioBuffer(x, SR), SMALL).T @ W, W.T @ W, 0.1)
+        H = sparse_code(stft(AudioBuffer(x, SR), SMALL).magnitudes.T @ W, W.T @ W, 0.1)
         assert np.array_equal(np.vstack([result.h_signal, result.h_noise]), H)
 
 
@@ -458,8 +452,8 @@ class TestDenoise:
         x = AudioBuffer(rng.uniform(-0.5, 0.5, 10 * SR), SR)
         n_frames = params.n_frames(len(x))
         h_s, h_n = rng.random((50, n_frames)), rng.random((10, n_frames))
-        istft(stft(x, params))  # the FFT's one-time plans for this size
         mask = _code_mask(params, w_s, w_n, h_s, h_n)
+        masked_inverse(x, params, mask)  # the FFT's one-time plans for this size
         peak, audio = peak_bytes(lambda: masked_inverse(x, params, mask))
         m = frames_per_block(params)
         inverse = m * params.fft_len * 8
@@ -480,7 +474,7 @@ class TestDenoise:
         w_s, w_n = Dictionary(rng.random((d, 50))), Dictionary(rng.random((d, 10)))
         x = AudioBuffer(rng.uniform(-0.5, 0.5, 2 * SR), SR)
         W = concat_dictionaries(w_s, w_n).atoms
-        P = stft_magnitudes(x, params).T @ W
+        P = stft(x, params).magnitudes.T @ W
         coder, _ = peak_bytes(partial(sparse_code, P.copy(), W.T @ W, 1.0))
         separate(x, params, w_s, w_n, [1.0])  # the FFT's one-time plans for this size
         peak, _ = peak_bytes(lambda: separate(x, params, w_s, w_n, [1.0]))
@@ -513,7 +507,7 @@ class TestDenoise:
         n = params.n_frames(len(x))
         w_s, w_n = Dictionary(rng.random((d, 50))), Dictionary(rng.random((d, 10)))
         result = DenoiseResult(x, params, w_s, w_n, rng.random((50, n)), rng.random((10, n)), x)
-        mags, ratio = stft_magnitudes(x, params), result.ratio
+        mags, ratio = stft(x, params).magnitudes, result.ratio
         block_bytes = frames_per_block(params) * params.fft_len * 8
         for name, expected in (("s_masked", ratio * mags), ("n_masked", mags - ratio * mags)):
             peak, part = peak_bytes(lambda: getattr(result, name))
@@ -523,10 +517,10 @@ class TestDenoise:
     @pytest.mark.parametrize("window_len, hop", [(256, 128), (1024, 512), (4096, 1024)])
     @pytest.mark.parametrize("length", ["window", "window+1", "block", "10s"])
     def test_equals_the_whole_spectrogram_reference_bit_for_bit(self, window_len, hop, length):
-        # the reference holds X: stft, then |X|^T W, the codes and the
-        # ratio's inverse from the whole X. Its products are taken in the
-        # blocks of frame_blocks, as BLAS may round a row of a product
-        # differently with the number of rows
+        # the reference holds X: the whole-matrix transform, then |X|^T W,
+        # the codes and the whole-matrix inverse of ratio * X. Its products
+        # are taken in the blocks of frame_blocks, as BLAS may round a row
+        # of a product differently with the number of rows
         params = StftParams(window_len=window_len, hop=hop, fft_len=window_len)
         n = {
             "window": window_len,
@@ -543,20 +537,21 @@ class TestDenoise:
 
         from onmfdenoise.onmf import sparse_code
 
-        X = stft(x, params)
+        X = whole_matrix_stft(x.samples, params)
+        n_frames = X.shape[1]
         W = np.hstack([w_s.atoms, w_n.atoms])
-        mags = np.abs(X.values)
-        P = np.empty((X.n_frames, W.shape[1]))
-        for start, stop in frame_blocks(params, X.n_frames):
+        mags = np.abs(X)
+        P = np.empty((n_frames, W.shape[1]))
+        for start, stop in frame_blocks(params, n_frames):
             P[start:stop] = mags[:, start:stop].T @ W
         H = sparse_code(P, W.T @ W, 1.0)
         assert np.array_equal(H, np.vstack([result.h_signal, result.h_noise]))
         mask = _code_mask(params, w_s, w_n, H[:5], H[5:])
-        ratio = np.empty((X.n_frames, d))
-        for start, stop in frame_blocks(params, X.n_frames):
+        ratio = np.empty((n_frames, d))
+        for start, stop in frame_blocks(params, n_frames):
             ratio[start:stop] = mask(start, stop)
         for share, got in ((ratio, result.denoised), (1.0 - ratio, render_noise(result))):
-            want = istft(Spectrogram(share.T * X.values, params, SR)).samples[:n]
+            want = whole_matrix_istft(share.T * X, params)[:n]
             assert got.samples.tobytes() == want.tobytes()
 
     def test_rejects_a_hop_it_cannot_invert_before_coding(self, monkeypatch):

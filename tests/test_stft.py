@@ -6,19 +6,16 @@ from hypothesis import strategies as st
 from onmfdenoise.audio_io import AudioBuffer
 from onmfdenoise.errors import InvalidInputError
 from onmfdenoise.stft import (
-    Spectrogram,
     StftParams,
     block_spectra,
     export_csv,
     export_pgm,
     frame_blocks,
     frames_per_block,
-    istft,
     masked_inverse,
     stft,
-    stft_magnitudes,
 )
-from tests.conftest import peak_bytes
+from tests.conftest import peak_bytes, unit_mask, whole_matrix_istft, whole_matrix_stft
 
 SR = 16000
 
@@ -30,6 +27,11 @@ def covered_length(params, n_frames):
 def blocks_of(mask):
     """A whole d x n mask array as the block function ``masked_inverse`` takes."""
     return lambda a, b: mask[:, a:b].T
+
+
+def complex_stft(x, params):
+    """The complex STFT of ``x``, bins x frames, from ``block_spectra``'s blocks."""
+    return np.concatenate([s for _, _, s in block_spectra(AudioBuffer(x, SR), params)]).T
 
 
 def test_param_validation():
@@ -59,8 +61,8 @@ def test_numpy_integer_fields_transform_as_ints_do():
     numpy_params = StftParams(np.int64(256), np.int32(128), np.uint16(512))
     assert numpy_params == StftParams(256, 128, 512)
     assert all(type(v) is int for v in vars(numpy_params).values())
-    expected = stft_magnitudes(x, StftParams(256, 128, 512))
-    assert stft_magnitudes(x, numpy_params).tobytes() == expected.tobytes()
+    expected = stft(x, StftParams(256, 128, 512)).magnitudes
+    assert stft(x, numpy_params).magnitudes.tobytes() == expected.tobytes()
 
 
 def test_buffer_too_short():
@@ -106,7 +108,7 @@ def test_round_trip_interior(hop_div):
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, covered_length(params, 40))
     buf = AudioBuffer(x, SR)
-    back = istft(stft(buf, params)).samples
+    back = masked_inverse(buf, params, unit_mask(params)).samples
     lo, hi = params.window_len, len(x) - params.window_len
     assert np.max(np.abs(back[lo:hi] - x[lo:hi])) <= 1e-6
 
@@ -125,34 +127,26 @@ def test_round_trip_interior_property(log_window, hop_div, fft_mult, extra, scal
     params = StftParams(window_len=window, hop=window // hop_div, fft_len=fft_mult * window)
     # any length from three windows up, so the zero-padded tail varies too
     x = scale * np.random.default_rng(seed).uniform(-1, 1, 3 * window + extra)
-    back = istft(stft(AudioBuffer(x, SR), params)).samples
+    back = masked_inverse(AudioBuffer(x, SR), params, unit_mask(params)).samples
     assert len(back) >= len(x)
     lo, hi = window, len(x) - window
     assert np.max(np.abs(back[lo:hi] - x[lo:hi])) <= 1e-12 * scale
 
 
 def test_istft_zero_magnitudes():
-    spec = stft(AudioBuffer(np.ones(4096), SR), StftParams())
-    silent = Spectrogram(
-        values=np.zeros_like(spec.values),
-        params=spec.params,
-        sample_rate_hz=SR,
-    )
-    assert not np.any(istft(silent).samples)
+    # the inverse of a zero spectrum, here of silence, is silent
+    params = StftParams()
+    back = masked_inverse(AudioBuffer(np.zeros(4096), SR), params, unit_mask(params))
+    assert not np.any(back.samples)
 
 
 def test_istft_linearity_on_interior():
     params = StftParams()
     rng = np.random.default_rng(1)
     x = rng.uniform(-0.5, 0.5, covered_length(params, 20))
-    spec = stft(AudioBuffer(x, SR), params)
-    doubled = Spectrogram(
-        values=2 * spec.values,
-        params=params,
-        sample_rate_hz=SR,
-    )
-    a = istft(spec).samples
-    b = istft(doubled).samples
+    buf = AudioBuffer(x, SR)
+    a = masked_inverse(buf, params, unit_mask(params)).samples
+    b = masked_inverse(buf, params, unit_mask(params, 2.0)).samples
     lo, hi = params.window_len, len(x) - params.window_len
     assert np.allclose(b[lo:hi], 2 * a[lo:hi], atol=1e-9)
 
@@ -160,28 +154,28 @@ def test_istft_linearity_on_interior():
 def test_istft_rejects_non_cola_hop():
     params = StftParams(window_len=1024, hop=300, fft_len=1024)
     buf = AudioBuffer(np.ones(4096), SR)
-    spec = stft(buf, params)
-    with pytest.raises(InvalidInputError, match="inverse needs Hann with hop = window_len/2"):
-        istft(spec)
-    with pytest.raises(InvalidInputError, match="got hop 300 for window_len 1024"):
-        masked_inverse(buf, params, blocks_of(np.ones(spec.values.shape)))
+    message = "inverse needs Hann with hop = window_len/2 or window_len/4, got hop 300 for window_len 1024"
+    with pytest.raises(InvalidInputError, match=message):
+        masked_inverse(buf, params, unit_mask(params))
 
 
 def test_istft_mask_identity_zero_and_shape():
     params = StftParams()
     rng = np.random.default_rng(2)
     buf = AudioBuffer(rng.uniform(-0.5, 0.5, covered_length(params, 150)), SR)
-    spec = stft(buf, params)
+    n_frames = params.n_frames(len(buf))
     calls = []
 
     def ones(start, stop):
         calls.append((start, stop))
         return np.ones((stop - start, params.n_bins))
 
-    assert masked_inverse(buf, params, ones).samples.tobytes() == istft(spec).samples.tobytes()
+    want = whole_matrix_istft(whole_matrix_stft(buf.samples, params), params)
+    assert masked_inverse(buf, params, ones).samples.tobytes() == want.tobytes()
     # one call per block, in order, for the frames-major (stop - start, d) mask
-    assert calls == list(frame_blocks(params, spec.n_frames)) and len(calls) == 3
-    assert not np.any(masked_inverse(buf, params, blocks_of(np.zeros(spec.values.shape))).samples)
+    assert calls == list(frame_blocks(params, n_frames)) and len(calls) == 3
+    zeros = blocks_of(np.zeros((params.n_bins, n_frames)))
+    assert not np.any(masked_inverse(buf, params, zeros).samples)
 
 
 def test_istft_recovers_tonal_signal():
@@ -190,34 +184,9 @@ def test_istft_recovers_tonal_signal():
     n = covered_length(params, 40)
     t = np.arange(n) / SR
     x = 0.5 * np.sin(2 * np.pi * 1000.0 * t)
-    spec = stft(AudioBuffer(x, SR), params)
-    back = istft(spec).samples
+    back = masked_inverse(AudioBuffer(x, SR), params, unit_mask(params)).samples
     lo, hi = params.window_len, n - params.window_len
     assert np.max(np.abs(back[lo:hi] - x[lo:hi])) <= 1e-6
-
-
-def whole_matrix_stft(x, params):
-    """Reference transform: every frame gathered at once, one rfft call."""
-    n_frames = 1 + int(np.ceil(max(0, len(x) - params.window_len) / params.hop))
-    padded = np.zeros((n_frames - 1) * params.hop + params.window_len)
-    padded[: len(x)] = x
-    starts = params.hop * np.arange(n_frames)
-    idx = np.arange(params.window_len)[None, :] + starts[:, None]
-    return np.fft.rfft(padded[idx] * params.window(), n=params.fft_len, axis=1).T
-
-
-def whole_matrix_istft(values, params):
-    """Reference inverse: one irfft over all frames, then overlap-add."""
-    frames = np.fft.irfft(values.T, n=params.fft_len, axis=1)[:, : params.window_len]
-    window = params.window()
-    out_len = (frames.shape[0] - 1) * params.hop + params.window_len
-    out = np.zeros(out_len)
-    wsum = np.zeros(out_len)
-    for f, frame in enumerate(frames):
-        lo = f * params.hop
-        out[lo : lo + params.window_len] += frame * window
-        wsum[lo : lo + params.window_len] += window**2
-    return out / np.maximum(wsum, 1e-2)
 
 
 # zero-padded FFT: 64 frames per block, from the FFT size, not the window
@@ -232,12 +201,12 @@ def test_blocked_transforms_match_whole_matrix(n_frames):
     # a zero-padded tail: up to hop - 1 samples short of the last full frame
     short = int(rng.integers(0, params.hop)) if n_frames > 1 else 0
     x = rng.uniform(-1, 1, covered_length(params, n_frames) - short)
-    spec = stft(AudioBuffer(x, SR), params)
-    assert spec.n_frames == n_frames
-    assert np.max(np.abs(spec.values - whole_matrix_stft(x, params))) <= 1e-12
-    mask = rng.random(spec.values.shape)
+    X = complex_stft(x, params)
+    assert stft(AudioBuffer(x, SR), params).n_frames == X.shape[1] == n_frames
+    assert np.max(np.abs(X - whole_matrix_stft(x, params))) <= 1e-12
+    mask = rng.random(X.shape)
     back = masked_inverse(AudioBuffer(x, SR), params, blocks_of(mask)).samples
-    assert np.max(np.abs(back - whole_matrix_istft(mask * spec.values, params))) <= 1e-12
+    assert np.max(np.abs(back - whole_matrix_istft(mask * X, params))) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -259,19 +228,18 @@ def test_blocked_inverse_is_byte_identical_to_frame_loop(
         st.one_of(st.integers(1, 3 * frames_per_block(params)), st.integers(1, 2 * hop_div - 2))
     )
     rng = np.random.default_rng(seed)
+    # the masked inverse from samples, against the padded whole-matrix
+    # transform (byte-identical to block_spectra's) masked whole, or unmasked
+    short = int(rng.integers(0, params.hop)) if n_frames > 1 else 0
+    x = rng.uniform(-1, 1, covered_length(params, n_frames) - short)
+    X = whole_matrix_stft(x, params)
     if masked:
-        # the masked inverse from samples, against the padded whole-matrix
-        # transform (byte-identical to stft) masked whole
-        short = int(rng.integers(0, params.hop)) if n_frames > 1 else 0
-        x = rng.uniform(-1, 1, covered_length(params, n_frames) - short)
         mask = rng.random((params.n_bins, n_frames))
         back = masked_inverse(AudioBuffer(x, SR), params, blocks_of(mask)).samples
-        want = whole_matrix_istft(mask * whole_matrix_stft(x, params), params)
+        want = whole_matrix_istft(mask * X, params)
     else:
-        shape = (n_frames, params.n_bins)
-        values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).T
-        back = istft(Spectrogram(values, params, SR)).samples
-        want = whole_matrix_istft(values, params)
+        back = masked_inverse(AudioBuffer(x, SR), params, unit_mask(params)).samples
+        want = whole_matrix_istft(X, params)
     assert back.tobytes() == want.tobytes()
 
 
@@ -288,9 +256,9 @@ def test_stft_is_byte_identical_to_padded_whole_matrix(log_window, hop_div, fft_
     params = StftParams(window_len=window, hop=window // hop_div, fft_len=fft_mult * window)
     n = data.draw(st.integers(window, window + 3 * frames_per_block(params) * params.hop))
     x = np.random.default_rng(seed).uniform(-1, 1, n)
-    spec = stft(AudioBuffer(x, SR), params)
-    assert spec.values.tobytes() == whole_matrix_stft(x, params).tobytes()
-    assert stft_magnitudes(AudioBuffer(x, SR), params).tobytes() == np.abs(spec.values).tobytes()
+    want = whole_matrix_stft(x, params)
+    assert complex_stft(x, params).tobytes() == want.tobytes()
+    assert stft(AudioBuffer(x, SR), params).magnitudes.tobytes() == np.abs(want).tobytes()
 
 
 HALF = StftParams(window_len=256, hop=128, fft_len=256)
@@ -307,11 +275,11 @@ HALF = StftParams(window_len=256, hop=128, fft_len=256)
 )
 def test_magnitudes_are_abs_of_stft_bit_for_bit(params, n_frames, short):
     x = np.random.default_rng(n_frames).uniform(-1, 1, covered_length(params, n_frames) - short)
-    want = np.abs(stft(AudioBuffer(x, SR), params).values)
-    mags = stft_magnitudes(AudioBuffer(x, SR), params)
+    want = np.abs(whole_matrix_stft(x, params))
+    mags = stft(AudioBuffer(x, SR), params).magnitudes
     assert mags.shape == want.shape == (params.n_bins, n_frames)
     assert mags.tobytes() == want.tobytes()
-    assert mags.T.flags.c_contiguous  # frames-major, like a spectrogram's values
+    assert mags.T.flags.c_contiguous  # frames-major: each frame's bins are contiguous
 
 
 def test_transforms_use_numpy1_fft_signatures(monkeypatch):
@@ -323,22 +291,24 @@ def test_transforms_use_numpy1_fft_signatures(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", v1(np.fft.irfft))
     params = StftParams(window_len=256, hop=64, fft_len=512)
     x = np.random.default_rng(0).uniform(-1, 1, covered_length(params, 70))
-    spec = stft(AudioBuffer(x, SR), params)
-    assert np.max(np.abs(spec.values - whole_matrix_stft(x, params))) <= 1e-12
-    assert np.array_equal(stft_magnitudes(AudioBuffer(x, SR), params), np.abs(spec.values))
-    masked_inverse(AudioBuffer(x, SR), params, blocks_of(np.ones(spec.values.shape)))
+    X = complex_stft(x, params)
+    assert np.max(np.abs(X - whole_matrix_stft(x, params))) <= 1e-12
+    assert np.array_equal(stft(AudioBuffer(x, SR), params).magnitudes, np.abs(X))
+    back = masked_inverse(AudioBuffer(x, SR), params, unit_mask(params)).samples
+    assert back.tobytes() == whole_matrix_istft(whole_matrix_stft(x, params), params).tobytes()
 
 
 def test_forward_holds_one_windowed_and_one_spectrum_block_beyond_x():
-    # 76 frames at 4096/1024, the last one zero-padded: X is allocated
-    # whole, and each block is windowed into one buffer and transformed
+    # 76 frames at 4096/1024, the last one zero-padded: |X| is allocated
+    # whole, and each block is windowed into one buffer and transformed;
+    # the complex spectrum exists one block at a time
     params = StftParams(window_len=4096, hop=1024, fft_len=4096)
     x = AudioBuffer(np.random.default_rng(9).uniform(-0.5, 0.5, 5 * SR), SR)
     stft(x, params)  # the FFT's one-time plan for this size
     peak, spec = peak_bytes(lambda: stft(x, params))
     m = frames_per_block(params)
     windowed, spectrum = m * params.window_len * 8, m * params.n_bins * 16
-    beyond = peak - spec.values.nbytes
+    beyond = peak - spec.magnitudes.nbytes
     assert beyond <= windowed + spectrum + windowed / 8
 
 
@@ -365,7 +335,7 @@ def test_non_finite_samples_rejected():
     for bad in (np.nan, np.inf, -np.inf):
         x = np.zeros(4096)
         x[100] = bad
-        for transform in (stft, stft_magnitudes, block_spectra):
+        for transform in (stft, block_spectra):
             with pytest.raises(InvalidInputError, match="input holds NaN or Inf samples"):
                 transform(AudioBuffer(x, SR), StftParams())
 
