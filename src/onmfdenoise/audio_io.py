@@ -36,13 +36,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AudioBuffer:
-    """Mono sample sequence plus its sample rate."""
+    """Mono sample sequence plus its sample rate. Samples that are not one
+    row (a 2-d array or a scalar) raise ``InvalidInputError``."""
 
     samples: np.ndarray  # float64, shape (n,)
     sample_rate_hz: int
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        if self.samples.ndim != 1:
+            raise InvalidInputError(f"samples must be one-dimensional, got shape {self.samples.shape}")
         if self.sample_rate_hz <= 0:
             raise InvalidInputError("sample_rate_hz must be positive")
 

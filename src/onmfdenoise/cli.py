@@ -191,7 +191,6 @@ def cmd_sweep(args) -> int:
         raise InvalidInputError(f"--alphas {args.alphas!r} lists no weight")
     # every weight and the STFT are checked before any file is read
     params = _stft_params(args)
-    cfg = pipeline.DenoiseConfig(stft=params)
     for alpha in alphas:
         check_weight(alpha)
     params.check_cola()
@@ -203,7 +202,7 @@ def cmd_sweep(args) -> int:
     noise = audio_io.read_wav(args.noise)
     rows = []
     # the mixture's products are formed once for the whole grid
-    results = pipeline.denoise_each(noisy, w_signal, w_noise, cfg, alphas)
+    results = pipeline.denoise_each(noisy, w_signal, w_noise, params, alphas)
     for alpha in alphas:
         denoised = next(results).denoised
         rows.append((f"{alpha:g}", *_metric_cells(denoised, clean, noise)))

@@ -19,6 +19,12 @@ estimates and a block's inverse are each formed fresh and dropped before
 the next stage's, so a call on a short chunk holds little beyond the
 concatenated dictionary. ``denoise_each`` denoises at a grid of L1
 weights from one first pass.
+
+The ratio rule has one home, ``_signal_ratio``, and one block form,
+``_code_mask``: the inverse of ``denoise``, ``render_noise`` and the
+``DenoiseResult`` properties ``ratio``, ``s_masked`` and ``n_masked``
+all apply the mask through it, so what the acceptance gate checks on a
+result is the mask that was applied.
 """
 
 from __future__ import annotations
@@ -39,9 +45,7 @@ __all__ = [
     "DenoiseResult",
     "fit_dictionary",
     "train_dictionaries",
-    "concat_dictionaries",
     "separate",
-    "apply_mask",
     "denoise_each",
     "denoise",
     "render_noise",
@@ -104,7 +108,7 @@ class DenoiseResult:
     denoised: AudioBuffer
 
     def _mask(self):
-        return _code_mask(self.params, self.w_signal, self.w_noise, self.h_signal, self.h_noise)
+        return _code_mask(self.w_signal, self.w_noise, self.h_signal, self.h_noise)
 
     @property
     def ratio(self) -> np.ndarray:  # (d, n) in [0, 1]
@@ -186,16 +190,6 @@ def train_dictionaries(
     return w_signal, w_noise
 
 
-def concat_dictionaries(w_signal: Dictionary, w_noise: Dictionary) -> Dictionary:
-    """Stack atoms side by side, signal columns first; column order is the
-    contract used to split codes afterwards."""
-    if w_signal.d != w_noise.d:
-        raise InvalidInputError(
-            f"row counts differ: {w_signal.d} vs {w_noise.d}"
-        )
-    return Dictionary(np.hstack([w_signal.atoms, w_noise.atoms]))
-
-
 def separate(
     x: AudioBuffer,
     params: StftParams,
@@ -204,9 +198,11 @@ def separate(
     code_alphas: Sequence[float],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Sparse-code the spectrogram X of ``x`` at ``params`` against the
-    frozen, concatenated dictionary once for each L1 weight of
-    ``code_alphas``; returns one ``(h_signal, h_noise)`` pair per weight,
-    in order.
+    frozen, concatenated dictionary W = [W_signal | W_noise] once for each
+    L1 weight of ``code_alphas``; returns one ``(h_signal, h_noise)`` pair
+    per weight, in order: the first ``w_signal.k`` rows of each code are
+    the signal's, the rest the noise's. Dictionaries whose rows are not
+    both X's raise ``InvalidInputError``.
 
     The coder's products P = |X|^T W and G = W^T W do not depend on the
     weight, so they are formed once: P from ``block_spectra`` one block of
@@ -215,10 +211,12 @@ def separate(
     copy. A P or G that is not finite raises ``NonFiniteResultError``
     before any coding."""
     spectra = block_spectra(x, params)
-    W = concat_dictionaries(w_signal, w_noise).atoms
     d, n = params.n_bins, params.n_frames(len(x))
-    if W.shape[0] != d:
-        raise InvalidInputError(f"W rows {W.shape[0]} != X rows {d}")
+    if not w_signal.d == w_noise.d == d:
+        raise InvalidInputError(
+            f"dictionary rows {w_signal.d} (signal) and {w_noise.d} (noise) != X rows {d}"
+        )
+    W = np.hstack([w_signal.atoms, w_noise.atoms])
     P = np.empty((n, W.shape[1]))
     with np.errstate(over="ignore"):  # an overflowed P or G is rejected with its type
         for start, stop, spectrum in spectra:
@@ -245,29 +243,8 @@ def _signal_ratio(s_est: np.ndarray, n_est: np.ndarray) -> np.ndarray:
     return s_est
 
 
-def apply_mask(
-    X: np.ndarray, s_est: np.ndarray, n_est: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ratio-mask the mixture magnitudes so the parts add back to X.
-
-    s = S*X/(S+N) and n = N*X/(S+N); cells where S+N < MASK_FLOOR get
-    a 50/50 split of X, which keeps additivity exact everywhere.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape != s_est.shape or X.shape != n_est.shape:
-        raise InvalidInputError("mask operands do not conform")
-    ratio = _signal_ratio(np.array(s_est, dtype=np.float64), np.array(n_est, dtype=np.float64))
-    s_masked = ratio * X
-    n_masked = X - s_masked
-    return s_masked, n_masked
-
-
 def _code_mask(
-    params: StftParams,
-    w_signal: Dictionary,
-    w_noise: Dictionary,
-    h_signal: np.ndarray,
-    h_noise: np.ndarray,
+    w_signal: Dictionary, w_noise: Dictionary, h_signal: np.ndarray, h_noise: np.ndarray
 ):
     """The ratio mask of the codes as ``masked_inverse`` takes it:
     ``mask(start, stop)`` forms the frames-major estimates Hᵀ Wᵀ of frames
@@ -285,20 +262,19 @@ def denoise_each(
     x: AudioBuffer,
     w_signal: Dictionary,
     w_noise: Dictionary,
-    cfg: DenoiseConfig,
+    params: StftParams,
     alphas: Sequence[float],
 ) -> Iterator[DenoiseResult]:
-    """``denoise`` at ``cfg.stft`` for each L1 weight of ``alphas`` in
-    turn, in place of ``cfg.code_alpha``: yields one ``DenoiseResult`` per
-    weight, in order. The mixture's spectrum and its |X|^T W are formed
-    once for all the weights (``separate``); each weight's output is then
-    resynthesized when its result is asked for. The generator holds the
-    codes of the weights still to come, and drops each weight's as its
-    result is yielded, so a caller that drops the result holds neither.
+    """``denoise`` at ``params`` for each L1 weight of ``alphas`` in turn:
+    yields one ``DenoiseResult`` per weight, in order. The mixture's
+    spectrum and its |X|^T W are formed once for all the weights
+    (``separate``); each weight's output is then resynthesized when its
+    result is asked for. The generator holds the codes of the weights
+    still to come, and drops each weight's as its result is yielded, so
+    a caller that drops the result holds neither.
     Every weight is checked, and a hop that is not window_len/2 or
     window_len/4 raises ``InvalidInputError``, before any transform; a
     denoised signal that is not finite raises ``NonFiniteResultError``."""
-    params = cfg.stft
     params.check_cola()
     for alpha in alphas:
         check_weight(alpha)
@@ -311,7 +287,7 @@ def _resynthesized(x, params, w_signal, w_noise, h_signal, h_noise, alpha) -> De
     """The ``DenoiseResult`` of one weight's codes: ``x`` resynthesized
     under their ratio mask, as long as ``x``."""
     codes = (w_signal, w_noise, h_signal, h_noise)
-    audio = masked_inverse(x, params, _code_mask(params, *codes))
+    audio = masked_inverse(x, params, _code_mask(*codes))
     if not np.all(np.isfinite(audio.samples)):
         raise NonFiniteResultError(f"non-finite denoised signal at alpha={alpha:g}")
     denoised = AudioBuffer(audio.samples[: len(x)], x.sample_rate_hz)
@@ -329,7 +305,7 @@ def denoise(
     passes over the samples: ``separate`` codes the mixture, and
     ``masked_inverse`` resynthesizes it under the codes' ratio mask; the
     output is as long as ``x``."""
-    return next(denoise_each(x, w_signal, w_noise, cfg, [cfg.code_alpha]))
+    return next(denoise_each(x, w_signal, w_noise, cfg.stft, [cfg.code_alpha]))
 
 
 def render_noise(result: DenoiseResult) -> AudioBuffer:

@@ -15,7 +15,7 @@ import pytest
 
 from onmfdenoise.audio_io import AudioBuffer, write_wav
 from onmfdenoise.metrics import db_for_csv, evaluate
-from onmfdenoise.nmf import fit_nmf
+from onmfdenoise.nmf import Dictionary, fit_nmf
 from onmfdenoise.onmf import (
     OnmfState,
     SamplerConfig,
@@ -24,8 +24,8 @@ from onmfdenoise.onmf import (
     surrogate_value,
     update_dictionary_online,
 )
-from onmfdenoise.pipeline import DenoiseConfig, apply_mask, denoise, train_dictionaries
-from onmfdenoise.stft import StftParams, masked_inverse
+from onmfdenoise.pipeline import DenoiseConfig, DenoiseResult, denoise, train_dictionaries
+from onmfdenoise.stft import StftParams, masked_inverse, stft
 
 from tests.conftest import (
     FIXTURE_STFT,
@@ -157,15 +157,22 @@ def test_online_surrogate_matches_batch_objective():
 
 def test_mask_is_additive_and_bounded():
     with gate(5, "ratio mask restores the mixture exactly with coefficients in [0,1]"):
+        # the masked parts of the result denoise returns, with identity
+        # dictionaries: multiplying by the identity is exact, so the codes
+        # are the estimates the shipped mask turns into its ratio
         rng = np.random.default_rng(4)
+        params = StftParams(32, 16, 32)
+        eye = Dictionary(np.eye(params.n_bins))
         for _ in range(100):
-            X = rng.random((16, 12))
-            s = rng.random((16, 12))
-            n = rng.random((16, 12))
-            dead = rng.random((16, 12)) < 0.25
+            x = AudioBuffer(rng.uniform(-1.0, 1.0, 208), SR)
+            X = stft(x, params).magnitudes  # 17 bins x 12 frames
+            s = rng.random(X.shape)
+            n = rng.random(X.shape)
+            dead = rng.random(X.shape) < 0.25
             s[dead] = 0.0
             n[dead] = 0.0
-            sm, nm = apply_mask(X, s, n)
+            result = DenoiseResult(x, params, eye, eye, s, n, x)
+            sm, nm = result.s_masked, result.n_masked
             assert np.max(np.abs(sm + nm - X)) <= 1e-12
             mask = np.divide(sm, X, out=np.full_like(sm, 0.5), where=X > 0)
             assert np.all(mask >= -1e-15) and np.all(mask <= 1 + 1e-15)

@@ -79,6 +79,15 @@ def test_write_clamps_overrange(tmp_path):
     assert raw.tolist() == [32767, -32768, 32767, -32768, 32767]
 
 
+@pytest.mark.parametrize(
+    "samples", [np.zeros((300, 2)), np.float64(0.5), np.zeros((0, 1))], ids=["2-d", "0-d", "2-d empty"]
+)
+def test_buffer_rejects_samples_that_are_not_one_dimensional(samples):
+    # stft, denoise, write_wav and evaluate each take the samples as one row
+    with pytest.raises(InvalidInputError, match=re.escape(f"got shape {np.shape(samples)}")):
+        AudioBuffer(samples, 16000)
+
+
 def test_write_empty_buffer_rejected(tmp_path):
     with pytest.raises(InvalidInputError, match="cannot write an empty buffer"):
         write_wav(AudioBuffer(np.zeros(0), 8000), tmp_path / "e.wav")

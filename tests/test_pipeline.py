@@ -1,3 +1,4 @@
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -19,8 +20,6 @@ from onmfdenoise.pipeline import (
     TRAINERS,
     DenoiseConfig,
     DenoiseResult,
-    apply_mask,
-    concat_dictionaries,
     denoise,
     denoise_each,
     separate,
@@ -130,36 +129,6 @@ class TestTrain:
             train_dictionaries(prior, prior, small_cfg(trainer=trainer))
 
 
-class TestConcat:
-    def test_column_order_contract(self):
-        rng = np.random.default_rng(2)
-        a = rng.random((10, 4))
-        b = rng.random((10, 2))
-        w = concat_dictionaries(Dictionary(a), Dictionary(b))
-        assert w.atoms.shape == (10, 6)
-        assert np.array_equal(w.atoms[:, :4], a)
-        assert np.array_equal(w.atoms[:, 4:], b)
-
-    def test_concat_with_empty(self):
-        rng = np.random.default_rng(3)
-        a = Dictionary(rng.random((5, 3)))
-        empty = Dictionary(np.zeros((5, 0)))
-        assert np.array_equal(concat_dictionaries(a, empty).atoms, a.atoms)
-
-    def test_unit_norms_preserved(self):
-        rng = np.random.default_rng(4)
-        a = rng.random((6, 2))
-        a /= np.linalg.norm(a, axis=0)
-        b = rng.random((6, 3))
-        b /= np.linalg.norm(b, axis=0)
-        w = concat_dictionaries(Dictionary(a), Dictionary(b))
-        assert np.allclose(np.linalg.norm(w.atoms, axis=0), 1.0, atol=1e-12)
-
-    def test_row_mismatch(self):
-        with pytest.raises(InvalidInputError, match="row counts differ: 4 vs 5"):
-            concat_dictionaries(Dictionary(np.ones((4, 2))), Dictionary(np.ones((5, 2))))
-
-
 SMALL = StftParams(window_len=256, hop=128, fft_len=256)
 
 
@@ -211,6 +180,16 @@ class TestSeparate:
         W = np.hstack([w_s.atoms, w_n.atoms])
         H = sparse_code(stft(AudioBuffer(x, SR), SMALL).magnitudes.T @ W, W.T @ W, 0.1)
         assert np.array_equal(np.vstack([result.h_signal, result.h_noise]), H)
+
+    def test_row_mismatch(self):
+        # both dictionaries must have X's rows: a mismatch on either side,
+        # or on both alike, is named before any coding
+        x = AudioBuffer(np.zeros(4 * 128 + 256), SR)
+        for signal_rows, noise_rows in ((130, 129), (129, 128), (130, 130)):
+            w_s, w_n = Dictionary(np.ones((signal_rows, 2))), Dictionary(np.ones((noise_rows, 1)))
+            message = f"dictionary rows {signal_rows} (signal) and {noise_rows} (noise) != X rows 129"
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                separate(x, SMALL, w_s, w_n, [1.0])
 
 
 def record_calls(monkeypatch, original):
@@ -289,19 +268,27 @@ class TestOneCoderAndOneLoss:
         ]
 
 
+def masked_parts(X, s_est, n_est):
+    """The parts of X as ``DenoiseResult.s_masked`` and ``n_masked`` form
+    them from the ratio of ``_signal_ratio``: s = ratio * X, n = X - s."""
+    s = _signal_ratio(s_est.copy(), n_est.copy())
+    s *= X
+    return s, X - s
+
+
 class TestMask:
     def test_all_signal(self):
         rng = np.random.default_rng(7)
         X = rng.random((4, 3))
         s = rng.random((4, 3)) + 0.5
-        sm, nm = apply_mask(X, s, np.zeros_like(s))
+        sm, nm = masked_parts(X, s, np.zeros_like(s))
         assert np.allclose(sm, X) and not np.any(nm)
 
     def test_symmetric_split(self):
         rng = np.random.default_rng(8)
         X = rng.random((4, 3))
         s = rng.random((4, 3)) + 0.5
-        sm, nm = apply_mask(X, s, s.copy())
+        sm, nm = masked_parts(X, s, s.copy())
         assert np.allclose(sm, X / 2) and np.allclose(nm, X / 2)
 
     def test_additivity_with_zero_denominator_cells(self):
@@ -313,7 +300,7 @@ class TestMask:
             dead = rng.random((8, 6)) < 0.3
             s[dead] = 0.0
             n[dead] = 0.0
-            sm, nm = apply_mask(X, s, n)
+            sm, nm = masked_parts(X, s, n)
             assert np.max(np.abs(sm + nm - X)) <= 1e-12
             ratio = np.divide(sm, X, out=np.zeros_like(sm), where=X > 0)
             assert np.all(ratio >= -1e-15) and np.all(ratio <= 1 + 1e-15)
@@ -329,7 +316,7 @@ def test_mask_is_additive_and_splits_within_the_mixture(data):
     X = data.draw(arrays(np.float64, shape, elements=cells))
     s_est = data.draw(arrays(np.float64, shape, elements=estimates))
     n_est = data.draw(arrays(np.float64, shape, elements=estimates))
-    sm, nm = apply_mask(X, s_est, n_est)
+    sm, nm = masked_parts(X, s_est, n_est)
     assert np.max(np.abs(sm + nm - X)) <= 1e-12 * max(1.0, np.max(X))
     # a ratio in [0, 1] puts each part between 0 and the mixture cell
     assert np.all((sm >= 0) & (sm <= X)) and np.all((nm >= 0) & (nm <= X))
@@ -452,7 +439,7 @@ class TestDenoise:
         x = AudioBuffer(rng.uniform(-0.5, 0.5, 10 * SR), SR)
         n_frames = params.n_frames(len(x))
         h_s, h_n = rng.random((50, n_frames)), rng.random((10, n_frames))
-        mask = _code_mask(params, w_s, w_n, h_s, h_n)
+        mask = _code_mask(w_s, w_n, h_s, h_n)
         masked_inverse(x, params, mask)  # the FFT's one-time plans for this size
         peak, audio = peak_bytes(lambda: masked_inverse(x, params, mask))
         m = frames_per_block(params)
@@ -473,7 +460,7 @@ class TestDenoise:
         d, m = params.n_bins, frames_per_block(params)
         w_s, w_n = Dictionary(rng.random((d, 50))), Dictionary(rng.random((d, 10)))
         x = AudioBuffer(rng.uniform(-0.5, 0.5, 2 * SR), SR)
-        W = concat_dictionaries(w_s, w_n).atoms
+        W = np.hstack([w_s.atoms, w_n.atoms])
         P = stft(x, params).magnitudes.T @ W
         coder, _ = peak_bytes(partial(sparse_code, P.copy(), W.T @ W, 1.0))
         separate(x, params, w_s, w_n, [1.0])  # the FFT's one-time plans for this size
@@ -488,7 +475,7 @@ class TestDenoise:
         d, n = params.n_bins, 3 * frames_per_block(params)
         w_s, w_n = Dictionary(rng.random((d, 4))), Dictionary(rng.random((d, 3)))
         h_s, h_n = rng.random((4, n)), rng.random((3, n))
-        mask = _code_mask(params, w_s, w_n, h_s, h_n)
+        mask = _code_mask(w_s, w_n, h_s, h_n)
         (a0, a1), (b0, b1), _ = frame_blocks(params, n)
         first = mask(a0, a1)
         kept = first.copy()
@@ -546,7 +533,7 @@ class TestDenoise:
             P[start:stop] = mags[:, start:stop].T @ W
         H = sparse_code(P, W.T @ W, 1.0)
         assert np.array_equal(H, np.vstack([result.h_signal, result.h_noise]))
-        mask = _code_mask(params, w_s, w_n, H[:5], H[5:])
+        mask = _code_mask(w_s, w_n, H[:5], H[5:])
         ratio = np.empty((n_frames, d))
         for start, stop in frame_blocks(params, n_frames):
             ratio[start:stop] = mask(start, stop)
@@ -574,7 +561,7 @@ class TestDenoise:
         alphas = [0.5, 2.0, 8.0]
         singles = [denoise(x, w_s, w_n, replace(cfg, code_alpha=a)) for a in alphas]
         passes = record_calls(monkeypatch, block_spectra)
-        for one, each in zip(singles, denoise_each(x, w_s, w_n, cfg, alphas)):
+        for one, each in zip(singles, denoise_each(x, w_s, w_n, cfg.stft, alphas)):
             assert each.denoised.samples.tobytes() == one.denoised.samples.tobytes()
             assert each.h_signal.tobytes() == one.h_signal.tobytes()
             assert each.h_noise.tobytes() == one.h_noise.tobytes()
@@ -589,7 +576,7 @@ class TestDenoise:
         w_s, w_n = self._dictionaries(cfg.stft.n_bins)
         x = AudioBuffer(np.zeros(SR), SR)
         with pytest.raises(InvalidInputError, match="L1 weight must be finite and >= 0, got -1"):
-            next(denoise_each(x, w_s, w_n, cfg, [1.0, -1.0]))
+            next(denoise_each(x, w_s, w_n, cfg.stft, [1.0, -1.0]))
 
 
 class TestConfig:
