@@ -16,14 +16,13 @@ one layout: a 44-byte header and 16-bit PCM mono samples.
 from __future__ import annotations
 
 import math
-import numbers
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_integers
 
 __all__ = [
     "AudioBuffer",
@@ -37,17 +36,20 @@ __all__ = [
 @dataclass(frozen=True)
 class AudioBuffer:
     """Mono sample sequence plus its sample rate. Samples that are not one
-    row (a 2-d array or a scalar) raise ``InvalidInputError``."""
+    real row (a 2-d array, a scalar or complex values) and a rate that is
+    not an integer >= 1 raise ``InvalidInputError``."""
 
     samples: np.ndarray  # float64, shape (n,)
     sample_rate_hz: int
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        check_integers(self, sample_rate_hz=1)
+        samples = np.asarray(self.samples)
+        if samples.dtype.kind == "c":
+            raise InvalidInputError(f"samples must be real, got {samples.dtype}")
+        object.__setattr__(self, "samples", np.asarray(samples, dtype=np.float64))
         if self.samples.ndim != 1:
             raise InvalidInputError(f"samples must be one-dimensional, got shape {self.samples.shape}")
-        if self.sample_rate_hz <= 0:
-            raise InvalidInputError("sample_rate_hz must be positive")
 
     def __len__(self):
         return self.samples.shape[0]
@@ -161,14 +163,14 @@ def write_wav(buf: AudioBuffer, path) -> None:
     """Write a buffer as 16-bit PCM mono, clamping samples to [-1, 1]
     (so ±inf write as full scale). A NaN sample raises
     ``InvalidInputError`` naming its index, before the file is opened, and
-    so does a non-integer rate or one whose 2 * rate overflows 32 bits."""
+    so does a rate whose 2 * rate overflows 32 bits."""
     n = len(buf)
     if n == 0:
         raise InvalidInputError("cannot write an empty buffer")
     if 2 * n > 0xFFFFFFFF - 36:
         raise InvalidInputError("buffer too long for a RIFF file")
     rate = buf.sample_rate_hz
-    if not isinstance(rate, numbers.Integral) or 2 * rate > 0xFFFFFFFF:
+    if 2 * rate > 0xFFFFFFFF:
         raise InvalidInputError(f"sample rate {rate!r} Hz does not fit a WAV header")
     # quantized block by block into the payload through one float block,
     # clamped before it is scaled so no sample overflows

@@ -1,7 +1,7 @@
 """End-to-end denoising: train, sparse-code, mask, and resynthesize.
 
 Signal and noise dictionaries are learned from prior recordings, the
-noisy spectrogram is coded against their concatenation, and the two
+noisy spectrogram is coded against the two side by side, and the two
 partial reconstructions are turned into a real ratio mask that restores
 exact additivity. The denoised signal reuses the noisy recording's
 phases: it is the inverse STFT of ``s = ratio * X``, with X the complex
@@ -13,12 +13,13 @@ otherwise works one block of frames at a time, in two passes over the
 samples: the first forms each block's spectrum and its |X|^T W, the
 coder's products, and the second forms each block's spectrum again and
 resynthesizes it under the ratio that its estimates give. Neither X nor
-any other d x n array is made, and no block array outlives the stage
-that uses it: the windowed frames, a spectrum's magnitudes, the two
-estimates and a block's inverse are each formed fresh and dropped before
-the next stage's, so a call on a short chunk holds little beyond the
-concatenated dictionary. ``denoise_each`` denoises at a grid of L1
-weights from one first pass.
+any other d x n array is made, nor the d x (k_s + k_n) concatenation of
+the dictionaries, and no block array outlives the stage that uses it:
+the windowed frames, a spectrum's magnitudes, the two estimates and a
+block's inverse are each formed fresh and dropped before the next
+stage's, so a call on a short chunk holds little beyond its output and
+one block. ``denoise_each`` denoises at a grid of L1 weights from one
+first pass.
 
 The ratio rule has one home, ``_signal_ratio``, and one block form,
 ``_code_mask``: the inverse of ``denoise``, ``render_noise`` and the
@@ -198,17 +199,21 @@ def separate(
     code_alphas: Sequence[float],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Sparse-code the spectrogram X of ``x`` at ``params`` against the
-    frozen, concatenated dictionary W = [W_signal | W_noise] once for each
-    L1 weight of ``code_alphas``; returns one ``(h_signal, h_noise)`` pair
-    per weight, in order: the first ``w_signal.k`` rows of each code are
-    the signal's, the rest the noise's. Dictionaries whose rows are not
-    both X's raise ``InvalidInputError``.
+    frozen dictionary W = [W_signal | W_noise] once for each L1 weight of
+    ``code_alphas``; returns one ``(h_signal, h_noise)`` pair per weight,
+    in order: the first ``w_signal.k`` rows of each code are the signal's,
+    the rest the noise's. Dictionaries whose rows are not both X's raise
+    ``InvalidInputError``.
 
     The coder's products P = |X|^T W and G = W^T W do not depend on the
-    weight, so they are formed once: P from ``block_spectra`` one block of
-    frames at a time, so neither X nor its magnitudes are ever held
-    whole. The last weight is coded in P itself and each other one in a
-    copy. A P or G that is not finite raises ``NonFiniteResultError``
+    weight, so they are formed once, and W itself never is: each block of
+    ``block_spectra``'s frames gives its magnitudes once, and |X|^T W_signal
+    and |X|^T W_noise fill that block's rows of P side by side, so neither
+    X nor its magnitudes are ever held whole. G is assembled from
+    W_signal^T W_signal, W_signal^T W_noise and W_noise^T W_noise, its lower
+    block the transpose of its upper one, so it is exactly symmetric as the
+    coder needs. The last weight is coded in P itself and each other one in
+    a copy. A P or G that is not finite raises ``NonFiniteResultError``
     before any coding."""
     spectra = block_spectra(x, params)
     d, n = params.n_bins, params.n_frames(len(x))
@@ -216,13 +221,16 @@ def separate(
         raise InvalidInputError(
             f"dictionary rows {w_signal.d} (signal) and {w_noise.d} (noise) != X rows {d}"
         )
-    W = np.hstack([w_signal.atoms, w_noise.atoms])
-    P = np.empty((n, W.shape[1]))
+    ws, wn, k_s = w_signal.atoms, w_noise.atoms, w_signal.k
+    P = np.empty((n, k_s + w_noise.k))
     with np.errstate(over="ignore"):  # an overflowed P or G is rejected with its type
         for start, stop, spectrum in spectra:
-            np.matmul(np.abs(spectrum), W, out=P[start:stop])
-            del spectrum  # freed before the next block's is taken
-        G = W.T @ W
+            mags = np.abs(spectrum)
+            np.matmul(mags, ws, out=P[start:stop, :k_s])
+            np.matmul(mags, wn, out=P[start:stop, k_s:])
+            del spectrum, mags  # freed before the next block's are taken
+        cross = ws.T @ wn
+        G = np.block([[ws.T @ ws, cross], [cross.T, wn.T @ wn]])
     if not np.all(np.isfinite(P)):
         raise NonFiniteResultError("|X|^T W of the mixture is not finite")
     codes = []

@@ -88,14 +88,43 @@ def test_buffer_rejects_samples_that_are_not_one_dimensional(samples):
         AudioBuffer(samples, 16000)
 
 
+@pytest.mark.parametrize(
+    "rate", [float("nan"), "16000", 16000.5, 16000.0, True, 0, -16000], ids=repr
+)
+def test_buffer_rejects_a_rate_that_is_not_a_positive_integer(rate):
+    # a typed error, never a bare TypeError from comparing a string, and
+    # no NaN rate kept
+    with pytest.raises(InvalidInputError, match="sample_rate_hz must be"):
+        AudioBuffer(np.zeros(4), rate)
+
+
+def test_buffer_keeps_a_numpy_integer_rate_as_an_int():
+    buf = AudioBuffer(np.zeros(4), np.int32(16000))
+    assert type(buf.sample_rate_hz) is int and buf.sample_rate_hz == 16000
+
+
+@pytest.mark.parametrize(
+    "samples", [np.zeros(4, complex) + 1j, [0.5 + 0j, 1.0], np.zeros(3, np.complex64)],
+    ids=["complex128", "complex list", "complex64"],
+)
+def test_buffer_rejects_complex_samples(samples):
+    # converting to float64 would drop the imaginary part with only a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="samples must be real"):
+            AudioBuffer(samples, 16000)
+
+
 def test_write_empty_buffer_rejected(tmp_path):
     with pytest.raises(InvalidInputError, match="cannot write an empty buffer"):
         write_wav(AudioBuffer(np.zeros(0), 8000), tmp_path / "e.wav")
 
 
-@pytest.mark.parametrize("rate", [2**31, 3_000_000_000, 16000.0])
+@pytest.mark.parametrize("rate", [2**31, 3_000_000_000])
 def test_write_rejects_a_rate_the_header_cannot_hold(tmp_path, rate):
-    # the header stores the rate and the byte rate 2 * rate as 32-bit integers
+    # the header stores the rate and the byte rate 2 * rate as 32-bit
+    # integers; a rate that is not an integer never reaches it
+    # (test_buffer_rejects_a_rate_that_is_not_a_positive_integer)
     path = tmp_path / "r.wav"
     with pytest.raises(InvalidInputError, match="sample rate"):
         write_wav(AudioBuffer(np.zeros(4), rate), path)

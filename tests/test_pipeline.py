@@ -60,6 +60,18 @@ def spectrogram_from(mags):
     return Spectrogram(np.asarray(mags, dtype=np.float64))
 
 
+def split_products(mags_t, w_s, w_n):
+    """The coder's P = |X|^T W of the frames-major magnitudes ``mags_t`` and
+    G = W^T W, formed side by side as ``separate`` forms them: P from
+    |X|^T W_s and |X|^T W_n, and G from W_s^T W_s, W_s^T W_n and W_n^T W_n
+    with its lower block the transpose of its upper one. BLAS may round a
+    product against the concatenated W differently, so no reference forms
+    it."""
+    ws, wn = w_s.atoms, w_n.atoms
+    cross = ws.T @ wn
+    return np.hstack([mags_t @ ws, mags_t @ wn]), np.block([[ws.T @ ws, cross], [cross.T, wn.T @ wn]])
+
+
 class TestTrain:
     def test_rank1_prior_single_atom(self):
         rng = np.random.default_rng(0)
@@ -177,8 +189,8 @@ class TestSeparate:
         result = separate_with_estimates(x, w_s, w_n, 0.1)
         from onmfdenoise.onmf import sparse_code
 
-        W = np.hstack([w_s.atoms, w_n.atoms])
-        H = sparse_code(stft(AudioBuffer(x, SR), SMALL).magnitudes.T @ W, W.T @ W, 0.1)
+        P, G = split_products(stft(AudioBuffer(x, SR), SMALL).magnitudes.T, w_s, w_n)
+        H = sparse_code(P, G, 0.1)
         assert np.array_equal(np.vstack([result.h_signal, result.h_noise]), H)
 
     def test_row_mismatch(self):
@@ -449,10 +461,11 @@ class TestDenoise:
         beyond = peak - audio.samples.nbytes
         assert beyond <= blocks + inverse / 4
 
-    def test_separate_holds_w_one_windowed_block_one_spectrum_and_the_coder(self):
-        # the first pass holds the concatenated W and P, and one block at a
-        # time: its windowed frames and spectrum, then the spectrum and its
-        # magnitudes; the coder's k x frames arrays come after
+    def test_separate_holds_p_one_windowed_block_one_spectrum_and_the_coder(self):
+        # the first pass holds P, and one block at a time: its windowed
+        # frames and spectrum, then the spectrum and its magnitudes; the
+        # coder's k x frames arrays come after. No d x (k_s + k_n) array,
+        # such as the concatenated W, is formed
         from onmfdenoise.onmf import sparse_code
 
         params = StftParams(window_len=4096, hop=1024, fft_len=4096)
@@ -460,13 +473,26 @@ class TestDenoise:
         d, m = params.n_bins, frames_per_block(params)
         w_s, w_n = Dictionary(rng.random((d, 50))), Dictionary(rng.random((d, 10)))
         x = AudioBuffer(rng.uniform(-0.5, 0.5, 2 * SR), SR)
-        W = np.hstack([w_s.atoms, w_n.atoms])
-        P = stft(x, params).magnitudes.T @ W
-        coder, _ = peak_bytes(partial(sparse_code, P.copy(), W.T @ W, 1.0))
+        P, G = split_products(stft(x, params).magnitudes.T, w_s, w_n)
+        coder, _ = peak_bytes(partial(sparse_code, P.copy(), G, 1.0))
         separate(x, params, w_s, w_n, [1.0])  # the FFT's one-time plans for this size
         peak, _ = peak_bytes(lambda: separate(x, params, w_s, w_n, [1.0]))
         windowed, spectrum = m * params.window_len * 8, m * d * 16
-        assert peak <= W.nbytes + P.nbytes + windowed + spectrum + coder
+        assert peak <= P.nbytes + windowed + spectrum + coder
+
+    def test_a_one_frame_call_holds_less_than_a_quarter_of_the_signal_dictionary(self):
+        # a real-time caller denoises short chunks: on one frame at
+        # 4096/1024 with 50 + 10 atoms, a call holds one block of each
+        # stage and its output, far less than the 0.78 MiB signal dictionary
+        params = StftParams(window_len=4096, hop=1024, fft_len=4096)
+        cfg = small_cfg(stft=params, code_alpha=10.0)
+        rng = np.random.default_rng(22)
+        d = params.n_bins
+        w_s, w_n = Dictionary(rng.random((d, 50))), Dictionary(rng.random((d, 10)))
+        x = AudioBuffer(rng.uniform(-0.5, 0.5, params.window_len), SR)
+        denoise(x, w_s, w_n, cfg)  # the FFT's one-time plans for this size
+        peak, _ = peak_bytes(partial(denoise, x, w_s, w_n, cfg))
+        assert peak < w_s.atoms.nbytes / 4
 
     def test_each_mask_block_is_a_new_array(self):
         # the inverse may keep a block's ratio past the next call
@@ -504,10 +530,11 @@ class TestDenoise:
     @pytest.mark.parametrize("window_len, hop", [(256, 128), (1024, 512), (4096, 1024)])
     @pytest.mark.parametrize("length", ["window", "window+1", "block", "10s"])
     def test_equals_the_whole_spectrogram_reference_bit_for_bit(self, window_len, hop, length):
-        # the reference holds X: the whole-matrix transform, then |X|^T W,
-        # the codes and the whole-matrix inverse of ratio * X. Its products
-        # are taken in the blocks of frame_blocks, as BLAS may round a row
-        # of a product differently with the number of rows
+        # the reference holds X: the whole-matrix transform, then |X|^T W
+        # and W^T W side by side (split_products), the codes and the
+        # whole-matrix inverse of ratio * X. Its products are taken in the
+        # blocks of frame_blocks, as BLAS may round a row of a product
+        # differently with the number of rows
         params = StftParams(window_len=window_len, hop=hop, fft_len=window_len)
         n = {
             "window": window_len,
@@ -526,12 +553,9 @@ class TestDenoise:
 
         X = whole_matrix_stft(x.samples, params)
         n_frames = X.shape[1]
-        W = np.hstack([w_s.atoms, w_n.atoms])
         mags = np.abs(X)
-        P = np.empty((n_frames, W.shape[1]))
-        for start, stop in frame_blocks(params, n_frames):
-            P[start:stop] = mags[:, start:stop].T @ W
-        H = sparse_code(P, W.T @ W, 1.0)
+        blocks = [split_products(mags[:, a:b].T, w_s, w_n) for a, b in frame_blocks(params, n_frames)]
+        H = sparse_code(np.vstack([P for P, _ in blocks]), blocks[0][1], 1.0)
         assert np.array_equal(H, np.vstack([result.h_signal, result.h_noise]))
         mask = _code_mask(w_s, w_n, H[:5], H[5:])
         ratio = np.empty((n_frames, d))
