@@ -32,6 +32,11 @@ __all__ = [
     "synth_mixture",
 ]
 
+# samples per block of the block-wise loops: write_wav quantizes this many
+# at a time, and a transform block is this many FFT samples
+# (stft.frames_per_block; the stft docstring has the sweep that chose it)
+BLOCK_SAMPLES = 2**15
+
 
 @dataclass(frozen=True)
 class AudioBuffer:
@@ -155,10 +160,6 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer(samples=x, sample_rate_hz=rate)
 
 
-# samples quantized per step of write_wav
-_WRITE_BLOCK = 2**16
-
-
 def write_wav(buf: AudioBuffer, path) -> None:
     """Write a buffer as 16-bit PCM mono, clamping samples to [-1, 1]
     (so ±inf write as full scale). A NaN sample raises
@@ -175,9 +176,9 @@ def write_wav(buf: AudioBuffer, path) -> None:
     # quantized block by block into the payload through one float block,
     # clamped before it is scaled so no sample overflows
     q = np.empty(n, dtype="<i2")
-    scaled = np.empty(min(n, _WRITE_BLOCK))
-    for start in range(0, n, _WRITE_BLOCK):
-        stop = min(start + _WRITE_BLOCK, n)
+    scaled = np.empty(min(n, BLOCK_SAMPLES))
+    for start in range(0, n, BLOCK_SAMPLES):
+        stop = min(start + BLOCK_SAMPLES, n)
         block = scaled[: stop - start]
         np.clip(buf.samples[start:stop], -1.0, 1.0, out=block)
         if np.isnan(block.min()):  # the min is NaN when any sample is
@@ -243,6 +244,7 @@ def synth_mixture(cfg: SynthConfig) -> tuple[AudioBuffer, AudioBuffer, AudioBuff
     The mixture is exactly clean + noise sample-by-sample; the scaling of
     the noise achieves the requested SNR. Deterministic for a fixed seed.
     """
+    check_integers(cfg, sample_rate_hz=1)
     if not (cfg.duration_s > 0):
         raise InvalidInputError("duration must be positive")
     if math.isnan(cfg.snr_db):

@@ -296,7 +296,8 @@ def _resynthesized(x, params, w_signal, w_noise, h_signal, h_noise, alpha) -> De
     under their ratio mask, as long as ``x``."""
     codes = (w_signal, w_noise, h_signal, h_noise)
     audio = masked_inverse(x, params, _code_mask(*codes))
-    if not np.all(np.isfinite(audio.samples)):
+    # min and max are NaN when the output holds a NaN: no mask as long as it
+    if not np.all(np.isfinite((audio.samples.min(), audio.samples.max()))):
         raise NonFiniteResultError(f"non-finite denoised signal at alpha={alpha:g}")
     denoised = AudioBuffer(audio.samples[: len(x)], x.sample_rate_hz)
     return DenoiseResult(x, params, *codes, denoised=denoised)

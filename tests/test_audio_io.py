@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
+from onmfdenoise import audio_io
 from onmfdenoise.audio_io import (
+    BLOCK_SAMPLES,
     AudioBuffer,
     SynthConfig,
     read_wav,
@@ -174,6 +176,17 @@ def test_synth_invalid_config(bad):
         synth_mixture(SynthConfig(**bad))
 
 
+@pytest.mark.parametrize("rate", [float("nan"), "16000", 16000.5, 16000.0, 0, True], ids=repr)
+def test_synth_rejects_a_rate_that_is_not_a_positive_integer(monkeypatch, rate):
+    # checked before anything is rendered
+    def render(cfg):
+        raise AssertionError("rendered before the rate was checked")
+
+    monkeypatch.setattr(audio_io, "_render_clean", render)
+    with pytest.raises(InvalidInputError, match="sample_rate_hz must be"):
+        audio_io.synth_mixture(SynthConfig(duration_s=0.1, sample_rate_hz=rate))
+
+
 def test_synth_additivity_after_peak_normalization():
     # loud config forces the joint rescale; additivity must survive it
     cfg = SynthConfig(duration_s=0.5, amplitude=0.9, snr_db=0.0, seed=3)
@@ -310,7 +323,11 @@ def test_write_quantizes_by_rounding_then_clamping(tmp_path, seed):
     assert peak <= 10 * x.size + 4096
 
 
-@pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1, 5 * 2**16 + 3])
+B = BLOCK_SAMPLES
+
+
+# each side of the first and the second block seam, and ragged tails
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 5 * B + 3, 10 * B + 3])
 def test_write_quantizes_block_by_block_into_the_payload(tmp_path, n):
     rng = np.random.default_rng(n)
     x = rng.uniform(-1.5, 1.5, n)
@@ -320,8 +337,8 @@ def test_write_quantizes_block_by_block_into_the_payload(tmp_path, n):
     peak, _ = peak_bytes(lambda: write_wav(AudioBuffer(x, 16000), path))
     want = np.clip(np.rint(np.clip(x, -1.0, 1.0) * 32768.0), -32768, 32767).astype("<i2")
     assert path.read_bytes()[44:] == want.tobytes()
-    # the 16-bit payload and one block of 2**16 float samples
-    assert peak <= 2 * n + 8 * min(n, 2**16) + 4096
+    # the 16-bit payload and one block of BLOCK_SAMPLES float samples
+    assert peak <= 2 * n + 8 * min(n, BLOCK_SAMPLES) + 4096
 
 
 @pytest.mark.parametrize("first", [1, 2**16 + 3])

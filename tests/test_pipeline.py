@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from onmfdenoise import nmf, onmf
+from onmfdenoise import nmf, onmf, stft as stft_module
 from onmfdenoise.audio_io import AudioBuffer
 from onmfdenoise.errors import InvalidInputError, NonFiniteResultError
 from onmfdenoise.nmf import Dictionary
@@ -395,12 +395,18 @@ class TestDenoise:
     def test_non_finite_denoised_signal_raises(self, monkeypatch):
         cfg = small_cfg()
         w_s, w_n = self._dictionaries(cfg.stft.n_bins)
-        monkeypatch.setattr(
-            "onmfdenoise.pipeline.masked_inverse",
-            lambda x, params, mask: AudioBuffer(np.full(3000, np.nan), SR),
-        )
-        with pytest.raises(NonFiniteResultError, match="non-finite denoised signal at alpha=100"):
-            denoise(AudioBuffer(np.zeros(3000), SR), w_s, w_n, cfg)
+        # all NaN, or one NaN or infinity among finite samples
+        outputs = [np.full(3000, np.nan)]
+        for bad in (np.nan, np.inf, -np.inf):
+            outputs.append(np.full(3000, 0.25))
+            outputs[-1][1234] = bad
+        for samples in outputs:
+            monkeypatch.setattr(
+                "onmfdenoise.pipeline.masked_inverse",
+                lambda x, params, mask: AudioBuffer(samples, SR),
+            )
+            with pytest.raises(NonFiniteResultError, match="non-finite denoised signal at alpha=100"):
+                denoise(AudioBuffer(np.zeros(3000), SR), w_s, w_n, cfg)
 
     def test_peak_memory_bounded_by_spectrogram_size(self):
         # 30 s at 4096/1024: the mixture's STFT, its magnitudes and the two
@@ -493,6 +499,48 @@ class TestDenoise:
         denoise(x, w_s, w_n, cfg)  # the FFT's one-time plans for this size
         peak, _ = peak_bytes(partial(denoise, x, w_s, w_n, cfg))
         assert peak < w_s.atoms.nbytes / 4
+
+    @pytest.mark.parametrize("seconds, bound_mib", [(1, 0.75), (5, 1.3)])
+    def test_a_short_call_peaks_under_its_absolute_bound(self, seconds, bound_mib):
+        # at 4096/1024 with 50 + 10 atoms, a warmed-up call on a 1 s chunk
+        # or a 5 s mixture holds its output (0.13 or 0.62 MiB) and one
+        # block of each stage, a block being 8 frames
+        params = StftParams(window_len=4096, hop=1024, fft_len=4096)
+        cfg = small_cfg(stft=params, code_alpha=10.0)
+        rng = np.random.default_rng(23)
+        d = params.n_bins
+        w_s, w_n = Dictionary(rng.random((d, 50))), Dictionary(rng.random((d, 10)))
+        x = AudioBuffer(rng.uniform(-0.5, 0.5, seconds * SR), SR)
+        denoise(x, w_s, w_n, cfg)  # the FFT's one-time plans for this size
+        peak, _ = peak_bytes(partial(denoise, x, w_s, w_n, cfg))
+        assert peak < bound_mib * 2**20
+
+    @pytest.mark.parametrize(
+        "params",
+        [StftParams(4096, 1024, 4096), StftParams(1024, 512, 1024), StftParams(256, 64, 1024)],
+        ids=lambda p: f"{p.window_len}-{p.hop}-{p.fft_len}",
+    )
+    def test_the_block_size_moves_codes_and_output_by_rounding_only(self, monkeypatch, params):
+        # |X| is the same bits at any block size, but the coder's products
+        # are taken block by block, and BLAS may round a row of a product
+        # differently with the number of rows
+        rng = np.random.default_rng(params.fft_len + params.hop)
+        d = params.n_bins
+        w_s, w_n = Dictionary(rng.random((d, 20))), Dictionary(rng.random((d, 5)))
+        x = AudioBuffer(rng.uniform(-0.5, 0.5, 3 * SR), SR)
+        cfg = small_cfg(stft=params, code_alpha=1.0)
+        results = {}
+        for block in (2**13, 2**15, 2**16):
+            monkeypatch.setattr(stft_module, "BLOCK_SAMPLES", block)
+            results[block] = denoise(x, w_s, w_n, cfg)
+        ref = results.pop(2**15)
+        H_ref = np.vstack([ref.h_signal, ref.h_noise])
+        out_ref = ref.denoised.samples
+        for block, result in results.items():
+            H = np.vstack([result.h_signal, result.h_noise])
+            assert np.max(np.abs(H - H_ref)) <= 1e-9 * np.max(np.abs(H_ref)), block
+            out = result.denoised.samples
+            assert np.max(np.abs(out - out_ref)) <= 1e-12 * np.max(np.abs(out_ref)), block
 
     def test_each_mask_block_is_a_new_array(self):
         # the inverse may keep a block's ratio past the next call

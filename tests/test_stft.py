@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onmfdenoise import stft as stft_module
 from onmfdenoise.audio_io import AudioBuffer
 from onmfdenoise.errors import InvalidInputError
 from onmfdenoise.stft import (
@@ -172,8 +173,9 @@ def test_istft_mask_identity_zero_and_shape():
 
     want = whole_matrix_istft(whole_matrix_stft(buf.samples, params), params)
     assert masked_inverse(buf, params, ones).samples.tobytes() == want.tobytes()
-    # one call per block, in order, for the frames-major (stop - start, d) mask
-    assert calls == list(frame_blocks(params, n_frames)) and len(calls) == 3
+    # one call per block, in order, for the frames-major (stop - start, d)
+    # mask: four blocks of 32 frames and one of 22
+    assert calls == list(frame_blocks(params, n_frames)) and len(calls) == 5
     zeros = blocks_of(np.zeros((params.n_bins, n_frames)))
     assert not np.any(masked_inverse(buf, params, zeros).samples)
 
@@ -189,12 +191,14 @@ def test_istft_recovers_tonal_signal():
     assert np.max(np.abs(back[lo:hi] - x[lo:hi])) <= 1e-6
 
 
-# zero-padded FFT: 64 frames per block, from the FFT size, not the window
+# zero-padded FFT: 32 frames per block, from the FFT size, not the window
 BLOCKED = StftParams(window_len=256, hop=64, fft_len=1024)
 B = frames_per_block(BLOCKED)
 
 
-@pytest.mark.parametrize("n_frames", [1, B - 1, B, B + 1, 2 * B + 1])
+# one frame, each side of the first and the second block seam, and a
+# ragged tail past four blocks
+@pytest.mark.parametrize("n_frames", [1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 4 * B + 1])
 def test_blocked_transforms_match_whole_matrix(n_frames):
     params = BLOCKED
     rng = np.random.default_rng(n_frames)
@@ -267,9 +271,10 @@ HALF = StftParams(window_len=256, hop=128, fft_len=256)
 @pytest.mark.parametrize(
     "params, n_frames, short",
     [
-        (HALF, 2 * frames_per_block(HALF) + 3, 37),  # hop = window/2, zero-padded last frame
-        (BLOCKED, B + 5, 50),  # hop = window/4, fft_len > window_len, zero-padded last frame
+        (HALF, 4 * frames_per_block(HALF) + 3, 37),  # hop = window/2, zero-padded last frame
+        (BLOCKED, 2 * B + 5, 50),  # hop = window/4, fft_len > window_len, zero-padded last frame
         (BLOCKED, 1, 0),  # exactly one frame
+        (HALF, 2 * frames_per_block(HALF), 0),  # exactly two blocks
         (HALF, frames_per_block(HALF), 0),  # exactly one block
     ],
 )
@@ -280,6 +285,21 @@ def test_magnitudes_are_abs_of_stft_bit_for_bit(params, n_frames, short):
     assert mags.shape == want.shape == (params.n_bins, n_frames)
     assert mags.tobytes() == want.tobytes()
     assert mags.T.flags.c_contiguous  # frames-major: each frame's bins are contiguous
+
+
+@pytest.mark.parametrize(
+    "params", [StftParams(4096, 1024, 4096), StftParams(1024, 512, 1024), BLOCKED],
+    ids=lambda p: f"{p.window_len}-{p.hop}-{p.fft_len}",
+)
+def test_magnitudes_do_not_depend_on_the_block_size(monkeypatch, params):
+    # each frame's rfft is its own, so the block size trades memory for
+    # time only
+    x = AudioBuffer(np.random.default_rng(params.fft_len).uniform(-1, 1, 3 * SR), SR)
+    mags = {}
+    for block in (2**13, 2**15, 2**16):
+        monkeypatch.setattr(stft_module, "BLOCK_SAMPLES", block)
+        mags[block] = stft(x, params).magnitudes.tobytes()
+    assert mags[2**13] == mags[2**15] == mags[2**16]
 
 
 def test_transforms_use_numpy1_fft_signatures(monkeypatch):
