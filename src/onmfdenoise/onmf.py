@@ -151,7 +151,8 @@ def sparse_code(P: np.ndarray, G: np.ndarray, alpha: float) -> np.ndarray:
     thr_sq = CODE_REL_TOL * CODE_REL_TOL * np.einsum("ij,ij->i", P, P)
     P_L = P
     P_L -= alpha
-    P_L /= L
+    with np.errstate(over="ignore"):  # only to -inf, which projects to a zero code
+        P_L /= L
     M = np.eye(k) - G / L
     rows = np.arange(m)  # the column of X each working row codes
     live = np.ones(m, dtype=bool)

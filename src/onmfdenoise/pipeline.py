@@ -5,7 +5,7 @@ noisy spectrogram is coded against the two side by side, and the two
 partial reconstructions are turned into a real ratio mask that restores
 exact additivity. The denoised signal reuses the noisy recording's
 phases: it is the inverse STFT of ``s = ratio * X``, with X the complex
-mixture spectrogram. ``separate`` and the online final loss call the
+mixture spectrogram. ``separate`` and the final training loss call the
 trainers' own coder and loss, ``onmf.sparse_code`` and ``nmf.loss``.
 
 Denoising holds the mixture's samples, the codes and the output, and
@@ -144,11 +144,14 @@ def fit_dictionary(
     ``mags`` is bins x frames; the CLI passes ``stft(...).magnitudes``,
     so no complex spectrogram of the prior is made. Size and seed come from
     ``role``: ``cfg.k_signal`` and ``cfg.seed``, or ``cfg.k_noise`` and
-    ``cfg.seed + 1``. Online training codes the prior once for the final
-    loss and writes its JSON-lines log to ``log_path``. An empty or silent
-    (all-zero) prior raises ``InvalidInputError`` naming the role, as
-    neither trainer can learn from it; a non-finite prior energy ||X||^2
-    or final loss raises ``NonFiniteResultError``.
+    ``cfg.seed + 1``. Both trainers' dictionaries are scored by one rule:
+    the prior is coded against the dictionary once (``sparse_code``), and
+    the final loss is ``loss`` of those codes, so the batch and online
+    losses compare. Online training writes its JSON-lines log to
+    ``log_path``. An empty or silent (all-zero) prior raises
+    ``InvalidInputError`` naming the role, as neither trainer can learn
+    from it; a non-finite prior energy ||X||^2 or final loss raises
+    ``NonFiniteResultError``.
     """
     sizes = {"signal": (cfg.k_signal, cfg.seed), "noise": (cfg.k_noise, cfg.seed + 1)}
     if role not in sizes:
@@ -164,19 +167,18 @@ def fit_dictionary(
     if x_sq == 0.0:
         raise InvalidInputError(f"the {role} prior is silent: its magnitudes are all zero")
     if cfg.trainer == "batch":
-        dictionary, _, trace = fit_nmf(
+        dictionary, _, _ = fit_nmf(
             mags, k, cfg.train_alpha, seed=seed, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol
         )
-        final_loss = trace[-1]
     else:
         sampler = replace(
             cfg.sampler, batch_cols=min(cfg.sampler.batch_cols, mags.shape[1]), seed=seed
         )
         dictionary = fit_onmf(mags, k, cfg.train_alpha, sampler, log_path=log_path)
-        W = dictionary.atoms
-        XtW, G = mags.T @ W, W.T @ W
-        H = sparse_code(XtW.copy(), G, cfg.train_alpha)
-        final_loss = loss(x_sq, XtW.T, G, H, cfg.train_alpha)
+    W = dictionary.atoms
+    XtW, G = mags.T @ W, W.T @ W
+    H = sparse_code(XtW.copy(), G, cfg.train_alpha)
+    final_loss = loss(x_sq, XtW.T, G, H, cfg.train_alpha)
     if not np.isfinite(final_loss):
         raise NonFiniteResultError(f"non-finite training loss for {role} dictionary")
     return dictionary, final_loss

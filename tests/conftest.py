@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from onmfdenoise.audio_io import AudioBuffer, SynthConfig, synth_mixture
 from onmfdenoise.errors import InvalidInputError
@@ -12,6 +13,11 @@ from onmfdenoise.onmf import CODE_MAX_ITERS, CODE_REL_TOL
 from onmfdenoise.stft import StftParams, stft
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# a failing property prints its @reproduce_failure line, so an unseeded
+# run's falsifying example can be replayed
+settings.register_profile("replay", print_blob=True)
+settings.load_profile("replay")
 
 # chord vocabulary used by the synthetic denoising fixture
 BASE_TONES = [220, 247, 262, 294, 330, 349, 392, 440, 494, 523]
@@ -73,9 +79,13 @@ def fixture_seed0():
 def child_env() -> dict:
     """The environment for a spawned interpreter: this one's, with the
     package's ``src`` directory first on PYTHONPATH, so the child imports
-    the package under test however pytest itself was started."""
+    the package under test however pytest itself was started, and with
+    RuntimeWarning and ResourceWarning made errors, as pyproject.toml's
+    ``filterwarnings`` makes them in the tests, so a warning in the child
+    fails its command instead of only reaching stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning,error::ResourceWarning"
     return env
 
 
@@ -185,7 +195,8 @@ def reference_sparse_code(
     thr_sq = rel_tol * rel_tol * np.einsum("ij,ij->j", P, P)
     P -= alpha
     active = np.arange(m)
-    H = np.maximum(0.0, P / L)
+    with np.errstate(over="ignore"):  # only to -inf, which projects to a zero code
+        H = np.maximum(0.0, P / L)
     H_prev = H
     t = 1.0
     for step in range(max_iters + 1):

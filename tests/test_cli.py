@@ -125,7 +125,8 @@ class TestTrain:
         assert (tmp_path / "log.signal.jsonl").exists()
         assert (tmp_path / "log.noise.jsonl").exists()
 
-    def test_online_final_loss_matches_direct_residual(self, wavs, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["nmf", "onmf"])
+    def test_final_loss_matches_direct_residual(self, wavs, tmp_path, capsys, method):
         from onmfdenoise.audio_io import read_wav
         from onmfdenoise.nmf import load_dictionary
         from onmfdenoise.onmf import sparse_code
@@ -133,7 +134,7 @@ class TestTrain:
         from tests.conftest import loss
 
         argv = [
-            "train", "--method", "onmf", "--train-alpha", "0.5",
+            "train", "--method", method, "--train-alpha", "0.5",
             "--signal", str(wavs["clean_prior"]), "--noise", str(wavs["noise_prior"]),
             "--out-dir", str(tmp_path), *SMALL_TRAIN,
         ]  # fmt: skip
@@ -662,6 +663,26 @@ class TestDenoise:
         lines = res.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out.exists()
+
+    def test_vanishing_dictionary_denoises_without_a_warning(self, wavs, tmp_path):
+        # atoms of 1e-160 load, and W^T W's largest eigenvalue is a
+        # subnormal that (P - alpha)/L overflows past: every code is 0
+        from onmfdenoise.nmf import Dictionary, save_dictionary
+
+        tiny = {}
+        for role, k in (("signal", 3), ("noise", 2)):
+            tiny[role] = tmp_path / f"{role}.dict"
+            save_dictionary(Dictionary(np.full((129, k), 1e-160)), tiny[role])
+        res = run_cli(
+            "denoise",
+            "--dict-signal", tiny["signal"],
+            "--dict-noise", tiny["noise"],
+            "--input", wavs["mixture"],
+            "--output", tmp_path / "den.wav",
+            *SMALL_STFT,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
 
     def test_overflowing_float_input_exits_3_with_one_error_line(self, trained, tmp_path):
         out = tmp_path / "den.wav"

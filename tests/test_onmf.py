@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls
@@ -236,16 +236,25 @@ class TestSparseCode:
         assert peak <= 8 * (_aux_elements(0, k, m) + 8 * m)
 
 
-@settings(max_examples=200, deadline=None, database=None)
-@given(st.data())
-def test_sparse_code_is_finite_non_negative_and_zero_on_zero_input(data):
-    d = data.draw(st.integers(1, 8))
-    k = data.draw(st.integers(0, 5))
-    m = data.draw(st.integers(0, 6))
+@st.composite
+def coding_inputs(draw):
+    """A dictionary W, columns X over its rows and an L1 weight."""
+    d = draw(st.integers(1, 8))
+    k = draw(st.integers(0, 5))
+    m = draw(st.integers(0, 6))
     entries = st.floats(0.0, 100.0, allow_subnormal=False)
-    W = data.draw(arrays(np.float64, (d, k), elements=entries))
-    X = data.draw(arrays(np.float64, (d, m), elements=entries))
-    alpha = data.draw(st.floats(0.0, 100.0, allow_subnormal=False))
+    W = draw(arrays(np.float64, (d, k), elements=entries))
+    X = draw(arrays(np.float64, (d, m), elements=entries))
+    return W, X, draw(st.floats(0.0, 100.0, allow_subnormal=False))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(coding_inputs())
+# W^T W's one eigenvalue is 1e-320, so (P - alpha)/L overflows to -inf
+@example((np.array([[1e-160]]), np.array([[100.0]]), 1.0))
+def test_sparse_code_is_finite_non_negative_and_zero_on_zero_input(inputs):
+    W, X, alpha = inputs
+    (d, k), m = W.shape, X.shape[1]
     H = code(X, W, alpha)
     assert H.shape == (k, m)
     assert np.all(np.isfinite(H)) and np.all(H >= 0)

@@ -107,14 +107,15 @@ class TestTrain:
         for got, want in zip(pair, singles):
             assert got.atoms.tobytes() == want.atoms.tobytes()
 
-    def test_online_final_loss_copies_no_prior(self):
+    @pytest.mark.parametrize("trainer", TRAINERS)
+    def test_final_loss_copies_no_prior(self, trainer):
         from onmfdenoise.onmf import sparse_code
         from tests.conftest import loss
 
         # bins x frames, stored frames-major like a spectrogram's magnitudes
         mags = np.asfortranarray(np.random.default_rng(12).random((256, 4000)))
         sampler = SamplerConfig(batch_cols=8, steps=2, seed=0)
-        cfg = small_cfg(trainer="online", k_signal=2, train_alpha=0.5, sampler=sampler)
+        cfg = small_cfg(trainer=trainer, k_signal=2, train_alpha=0.5, sampler=sampler)
         peak, (dictionary, final_loss) = peak_bytes(lambda: fit_dictionary(mags, cfg, "signal"))
         assert peak <= mags.nbytes / 4
         W = dictionary.atoms
@@ -248,13 +249,19 @@ class TestOneCoderAndOneLoss:
         assert losses == [final_loss]
 
     def test_batch_training_takes_one_loss_per_trace_entry(self, monkeypatch):
+        # and one more, the final loss: the coder's codes of the prior, as
+        # the online trainer's is scored, not the last trace entry
+        from tests.conftest import loss
+
         mags = np.random.default_rng(15).random((129, 30))
         fits = record_calls(monkeypatch, nmf.fit_nmf)
+        codes = record_calls(monkeypatch, onmf.sparse_code)
         losses = record_calls(monkeypatch, nmf.loss)
         _, final_loss = fit_dictionary(mags, small_cfg(), "signal")
-        ((_, _, trace),) = fits
-        assert losses == trace
-        assert final_loss == trace[-1]
+        ((dictionary, _, trace),) = fits
+        (H,) = codes
+        assert losses == trace + [final_loss]
+        assert final_loss == pytest.approx(loss(mags, dictionary.atoms, H, 0.0), rel=1e-9)
 
     def test_batch_training_passes_the_config_and_role_to_fit_nmf(self, monkeypatch):
         import inspect
